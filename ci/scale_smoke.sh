@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Scaling smoke: the horizontally scaled serving tier end to end.
-#   1. An --event-loop server must hold 2048 idle connections (via
+#   1. A `serve --listen` server must hold 2048 idle connections (via
 #      `rect-addr idle` ballast) while 4 active clients each solve a
 #      25-job stream, and its v2 stats frame must report
 #      open_connections >= 2048.
@@ -46,8 +46,8 @@ trap scale_cleanup EXIT
 
 rm -rf "$STATE"
 
-# Writer instance: event-driven acceptor, shared state dir, lease on.
-start_server "$SOCK1" --event-loop --state-dir "$STATE" --lease --snapshot-every 1
+# Writer instance: shared state dir, lease on.
+start_server "$SOCK1" --state-dir "$STATE" --lease --snapshot-every 1
 SERVER1_PID=$LAST_SERVER_PID
 
 # 2048 idle connections held by the ballast client. Its stdin is a pipe
@@ -108,7 +108,7 @@ OPEN=$(json_field_value /tmp/rect-addr-scale-ci-stats1.jsonl open_connections)
 
 # Second process, same state dir: it must come up as a lease reader and
 # adopt the writer's snapshot while the writer keeps running.
-start_server "$SOCK2" --event-loop --state-dir "$STATE" --lease --snapshot-every 1
+start_server "$SOCK2" --state-dir "$STATE" --lease --snapshot-every 1
 printf '{"hello": 2}\n{"stats": true}\n' \
   | timeout 120 "$BIN" client "$SOCK2" > /tmp/rect-addr-scale-ci-stats2.jsonl
 SESS=$(json_field_value /tmp/rect-addr-scale-ci-stats2.jsonl persisted_sessions)

@@ -20,8 +20,8 @@
 //! settling misses. Individualization-refinement recognizes every permuted
 //! copy.
 //!
-//! Phase 4 measures the **socket front-end**: the phase-1 stream replayed
-//! over a real TCP connection against `serve_socket` (protocol v2
+//! Phase 4 measures the **socket transport**: the phase-1 stream replayed
+//! over a real TCP connection against `serve_socket_event` (protocol v2
 //! handshake included), so the wire/transport overhead of the serving
 //! stack lands in the trajectory next to the in-process numbers.
 //!
@@ -49,8 +49,8 @@ use engine::{Engine, EngineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serve::{
-    pump, serve_connection, serve_socket, serve_socket_event, BindAddr, LineClient, PersistConfig,
-    Service, ServiceConfig,
+    pump, serve_connection, serve_socket_event, BindAddr, LineClient, PersistConfig, Service,
+    ServiceConfig,
 };
 
 struct RunMetrics {
@@ -519,7 +519,8 @@ fn socket_phase(stream: &str, jobs: usize, workers: usize) -> SocketMetrics {
         },
     ));
     let engine = service.engine().clone();
-    let mut server = serve_socket(service, &BindAddr::parse("127.0.0.1:0")).expect("bind loopback");
+    let mut server =
+        serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).expect("bind loopback");
 
     // Handshake first, then the identical job stream over the wire.
     let mut input = String::from("{\"hello\": 2}\n");
@@ -630,8 +631,8 @@ fn traffic_schedule_phase(workers: usize) -> TrafficScheduleMetrics {
 
     // Arm 1: one schedule frame; the server solves the layers in order
     // against its shared cache and reports the hits in the summary.
-    let mut server =
-        serve_socket(fresh_service(), &BindAddr::parse("127.0.0.1:0")).expect("bind loopback");
+    let mut server = serve_socket_event(fresh_service(), &BindAddr::parse("127.0.0.1:0"))
+        .expect("bind loopback");
     let mut client = serve::LineClient::connect(server.local_addr()).expect("connect loopback");
     client.handshake().expect("v2 handshake");
     let req = ScheduleRequest::new("bench-circuit", layers.clone());
@@ -660,7 +661,8 @@ fn traffic_schedule_phase(workers: usize) -> TrafficScheduleMetrics {
     // service — racing layers instead of sequencing them.
     let service = fresh_service();
     let engine = service.engine().clone();
-    let mut server = serve_socket(service, &BindAddr::parse("127.0.0.1:0")).expect("bind loopback");
+    let mut server =
+        serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).expect("bind loopback");
     let mut input = String::from("{\"hello\": 2}\n");
     for (k, layer) in layers.iter().enumerate() {
         input.push_str(&JobRequest::new(format!("ind-{k:02}"), layer.clone()).to_json_line());

@@ -25,8 +25,10 @@
 //! * `batch <file>` — solve a JSON-lines job stream concurrently through the
 //!   serving stack (portfolio racing + canonical-form cache);
 //! * `serve` — the same loop reading jobs from stdin until EOF, or, with
-//!   `--listen <addr|path>`, a Unix-domain/TCP socket server multiplexing
-//!   many concurrent clients onto one shared engine;
+//!   `--listen <addr|path>`, a Unix-domain/TCP socket server whose one
+//!   readiness loop multiplexes many concurrent clients onto one shared
+//!   engine (`--event-loop`, once the switch to this transport, is still
+//!   accepted and ignored);
 //! * `client <addr|path>` — connect to a `serve --listen` server and pump
 //!   stdin job lines through it (send a `{"hello": 2}` first line to use
 //!   protocol v2).
@@ -96,7 +98,8 @@ USAGE:
   rect-addr certcheck <file.cnf> <file.drat>    verify a DRAT refutation (one may be '-')
   rect-addr batch    <jobs.jsonl|-> [opts]      solve a JSON-lines job stream
   rect-addr serve    [opts]                     batch mode reading stdin until EOF
-  rect-addr serve    --listen <addr|path> [opts]  socket server (unix path or host:port)
+  rect-addr serve    --listen <addr|path> [opts]  socket server (unix path or host:port):
+                                                one readiness loop owns every connection
   rect-addr client   <addr|path>                pump stdin jobs through a socket server
   rect-addr idle     <addr|path> <count>        hold <count> idle connections open;
                                                 prints 'held N', exits on stdin EOF
@@ -113,9 +116,7 @@ on drain), --snapshot-every N (also snapshot every N completed jobs;
 default 32, 0 = only on drain), --lease (with --state-dir: share the
 directory between several server processes — one holds the snapshot
 writer lease, the rest adopt its snapshots and take over if it dies),
---event-loop (serve --listen only: one readiness loop owns every
-connection instead of a thread each, for tens of thousands of idle
-connections), --metrics-dump PATH (write the process's
+--metrics-dump PATH (write the process's
 counters and latency histograms as JSON: periodically while a --listen
 server runs, once on drain for batch/serve). One job per line: {\"id\": \"l0\",
 \"matrix\": [\"101\", \"010\"], \"budget_ms\": 500}; responses stream back in
@@ -717,20 +718,16 @@ fn run_service_batch<W: std::io::Write>(
 /// while the server runs.
 fn run_serve_listen(addr: &str, rest: &[String]) -> Result<(), String> {
     let dump = metrics_dump_path(rest)?;
-    let event_loop = rest.iter().any(|a| a == "--event-loop");
     let service = std::sync::Arc::new(build_service(rest)?);
     let addr = serve::BindAddr::parse(addr);
-    let mut server = if event_loop {
-        // One readiness loop owns every connection socket, so the file
-        // descriptor limit is the connection limit: raise it up front.
-        match serve::sys::raise_nofile_limit() {
-            Ok(limit) => eprintln!("rect-addr: event loop, fd limit {limit}"),
-            Err(e) => eprintln!("rect-addr: could not raise fd limit: {e}"),
-        }
-        serve::serve_socket_event(service, &addr).map_err(|e| format!("binding {addr}: {e}"))?
-    } else {
-        serve::serve_socket(service, &addr).map_err(|e| format!("binding {addr}: {e}"))?
-    };
+    // One readiness loop owns every connection socket, so the file
+    // descriptor limit is the connection limit: raise it up front.
+    match serve::sys::raise_nofile_limit() {
+        Ok(limit) => eprintln!("rect-addr: event loop, fd limit {limit}"),
+        Err(e) => eprintln!("rect-addr: could not raise fd limit: {e}"),
+    }
+    let mut server =
+        serve::serve_socket_event(service, &addr).map_err(|e| format!("binding {addr}: {e}"))?;
     eprintln!("rect-addr: listening on {}", server.local_addr());
     if let Some(path) = dump {
         std::thread::spawn(move || loop {
@@ -1336,7 +1333,7 @@ mod tests {
             ServiceConfig::default(),
         ));
         let mut server =
-            serve::serve_socket(service, &serve::BindAddr::parse("127.0.0.1:0")).unwrap();
+            serve::serve_socket_event(service, &serve::BindAddr::parse("127.0.0.1:0")).unwrap();
         let addr = server.local_addr().to_string();
 
         let jobs =
@@ -1388,7 +1385,7 @@ mod tests {
             ServiceConfig::default(),
         ));
         let mut server =
-            serve::serve_socket(service, &serve::BindAddr::parse("127.0.0.1:0")).unwrap();
+            serve::serve_socket_event(service, &serve::BindAddr::parse("127.0.0.1:0")).unwrap();
         let addr = server.local_addr().to_string();
 
         let out = run_str(&["schedule", "-", "--connect", &addr], FIG1B);

@@ -1,588 +1,100 @@
-//! One protocol connection: JSON-lines in, responses + trailer out.
+//! One protocol connection over any `BufRead`/`Write` pair — the CLI's
+//! stdin/stdout, a file, in-memory buffers.
 //!
-//! [`serve_connection`] drives any `BufRead`/`Write` pair — the CLI's
-//! stdin/stdout, a Unix-domain stream, a TCP stream — through the
-//! versioned protocol against a shared [`Service`]:
-//!
-//! * **v1** (no handshake): every line is a job; parse failures answer
-//!   `ok: false`; a full queue stalls the reader (blocking submit) instead
-//!   of rejecting, so legacy streams never observe `busy`.
-//! * **v2** (`{"hello": 2}` first line): capabilities ack, per-job
-//!   `priority`/`deadline_ms`, `cancel` frames (acked, canceled jobs
-//!   answer `ErrorKind::Canceled`), `stats` frames, and `busy` responses
-//!   once the submission queue is full.
-//!
-//! Responses stream back in **completion order** with a flush after every
-//! line. On end-of-input the connection *drains*: every dispatched job is
-//! answered before the final summary frame is emitted — client EOF (or a
-//! closing listener) never drops in-flight work or the trailer.
+//! [`serve_connection`] drives a protocol [`Session`] (framing, v1/v2
+//! dispatch, tallies, trailer) and only moves bytes. A reader thread
+//! feeds each input chunk to the session in place, so a job goes from the
+//! input straight to the queue, and a v1 job blocked on a full queue
+//! ([`Backpressure::Block`]) stalls the input. The calling thread hands
+//! the session every worker completion and writes each line it produces,
+//! with a flush after every line — so an input that stays open and idle
+//! still gets its answers.
 
-use std::collections::HashMap;
-use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::io::{self, BufRead, Write};
 use std::sync::mpsc::{self, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use proto::{
-    read_line_bounded, CancelAck, ClientFrame, EngineSnapshot, ErrorKind, HelloAck, JobError,
-    JobRequest, JobResponse, LineRead, StatsFrame, SummaryFrame, WireVersion, MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-};
+use crate::service::{OutEvent, ResponseSink, Service};
+use crate::session::{Backpressure, ConnectionSummary, Session};
 
-use crate::schedule::{run_schedule, ScheduleHandle, ScheduleShared, MAX_ACTIVE_SCHEDULES};
-use crate::service::{OutEvent, Service, Ticket};
-
-/// Totals of one drained connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ConnectionSummary {
-    /// Jobs answered successfully.
-    pub solved: usize,
-    /// Jobs answered with a non-cancel, non-busy error.
-    pub failed: usize,
-    /// Jobs canceled while queued (v2).
-    pub canceled: usize,
-    /// Submissions rejected with `busy` (v2).
-    pub busy: usize,
-    /// Multi-layer `schedule` frames accepted (v2).
-    pub schedule_jobs: usize,
-    /// Layers answered on behalf of those schedules (v2). Each layer's
-    /// response also counts into `solved`/`failed`/`canceled` above, like
-    /// any job answered on the connection.
-    pub schedule_layers: usize,
-    /// The protocol version the connection ended in.
-    pub version: WireVersion,
+/// What wakes the writing thread: a delivery into the session's sink, or
+/// output the reader's input produced.
+#[allow(clippy::large_enum_variant)] // as `OutEvent`: one trip, no boxing
+enum Event {
+    Done(OutEvent),
+    Output,
 }
 
-/// Bound on the id→ticket correlation map kept for `cancel` frames; when
-/// exceeded the oldest mappings are forgotten (their jobs have almost
-/// certainly completed — cancel only ever lands on queued jobs anyway).
-pub(crate) const CANCEL_MAP_CAP: usize = 16_384;
-
-pub(crate) fn load_version(version: &AtomicU8) -> WireVersion {
-    if version.load(Ordering::Relaxed) >= 2 {
-        WireVersion::V2
-    } else {
-        WireVersion::V1
-    }
-}
-
-/// Per-connection negotiated wire state: the granted protocol version and
-/// the handshake opt-ins. The reader sets it while handling the hello
-/// frame; the writer gates serialization on it.
-pub(crate) struct WireState {
-    pub(crate) version: AtomicU8,
-    /// Peer opted into per-job `timing` objects.
-    pub(crate) timing: AtomicBool,
-    /// Peer opted into `certificate` objects on certified responses.
-    pub(crate) certificate: AtomicBool,
-}
-
-impl WireState {
-    pub(crate) fn new() -> WireState {
-        WireState {
-            version: AtomicU8::new(1),
-            timing: AtomicBool::new(false),
-            certificate: AtomicBool::new(false),
-        }
-    }
-}
-
-/// The single mapping from engine cache counters to a wire
-/// [`EngineSnapshot`] — shared by the summary trailer and the stats
-/// frame so the two can never drift apart field-by-field.
-fn snapshot_of(cache: &engine::CacheStats, warm_sessions: u64) -> EngineSnapshot {
-    EngineSnapshot {
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        cache_entries: cache.entries,
-        cache_evictions: cache.evictions,
-        flight_waits: cache.flight_waits,
-        warm_sessions,
-        canon_complete: cache.canon_complete,
-        canon_heuristic: cache.canon_heuristic,
-    }
-}
-
-/// The service-wide engine counters embedded in summary and stats
-/// frames. Reads plain counters only — cheap enough for every
-/// connection's summary trailer (unlike [`Service::stats`], which also
-/// collects and sorts the hot heuristic keys).
-pub(crate) fn engine_snapshot(service: &Service) -> EngineSnapshot {
-    snapshot_of(
-        &service.engine().cache_stats(),
-        service.engine().warm_sessions() as u64,
-    )
-}
-
-/// The v2 `stats` frame for the service's current state (one
-/// [`Service::stats`] collection; the cache counters inside it are reused
-/// rather than fetched twice).
-pub fn stats_frame(service: &Service) -> StatsFrame {
-    let stats = service.stats();
-    StatsFrame {
-        snapshot: snapshot_of(&stats.cache, stats.warm_sessions as u64),
-        queue_depth: stats.queue_depth as u64,
-        queue_len: stats.queue_len as u64,
-        persisted_sessions: stats.persisted_sessions,
-        budget_skips: stats.budget_skips,
-        certified_jobs: stats.certified_jobs,
-        schedule_jobs: stats.schedule_jobs,
-        schedule_layers: stats.schedule_layers,
-        canon_heuristic_hot: stats
-            .hot_heuristic_keys
-            .iter()
-            .map(|(key, count)| proto::HotKey {
-                key: key.clone(),
-                count: *count,
-            })
-            .collect(),
-        snapshot_load_failures: stats.snapshot_load_failures,
-        open_connections: stats.open_connections,
-        snapshot_generation: stats.snapshot_generation,
-        latency: obs::registry()
-            .histogram_summaries()
-            .into_iter()
-            .map(|(name, s)| {
-                (
-                    name,
-                    proto::LatencySummary {
-                        count: s.count,
-                        p50: s.p50,
-                        p90: s.p90,
-                        p99: s.p99,
-                        max: s.max,
-                    },
-                )
-            })
-            .collect(),
-    }
-}
-
-/// A parse/protocol failure response, counted into the error-class
-/// registry on its way out — every arm that answers a malformed line
-/// funnels through here so the counter can never drift from the wire.
-pub(crate) fn parse_failure(id: String, err: JobError) -> OutEvent {
-    obs::registry().counter(obs::names::ERR_PARSE).inc();
-    OutEvent::Response(JobResponse::failure(id, err))
-}
-
-/// Reader half: parses lines, dispatches frames, submits jobs. Runs on
-/// its own thread; everything it emits goes through `tx` so the writer
-/// stays the single owner of the output stream. Accepted `schedule`
-/// frames each spawn a runner thread onto the connection's `scope` —
-/// the runner holds a `tx` clone, so the writer's drain naturally waits
-/// for every in-flight schedule.
-#[allow(clippy::too_many_arguments)]
-fn reader_loop<'scope, R: BufRead>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    service: &'scope Service,
-    mut input: R,
-    tx: Sender<OutEvent>,
-    wire: &WireState,
-    abort: &AtomicBool,
-    // Every submission is tagged with the connection's cancellation
-    // group, so a peer that hangs up mid-stream (write error → abort)
-    // does not leave minutes of abandoned work occupying the shared
-    // worker pool: the writer cancels the group on its first write
-    // error, and the sweep below catches jobs submitted after that.
-    group: crate::service::GroupId,
-    sched: &'scope ScheduleShared,
-) {
-    let mut tickets: HashMap<String, Ticket> = HashMap::new();
-    let mut ticket_order: std::collections::VecDeque<(String, Ticket)> =
-        std::collections::VecDeque::new();
-    let mut awaiting_handshake = true;
-    let mut line_no = 0usize;
-    loop {
-        if abort.load(Ordering::Relaxed) {
-            break; // consumer gone: stop dispatching
-        }
-        line_no += 1;
-        // Bounded read: a peer that streams bytes without a newline must
-        // not grow this connection's memory without limit.
-        let line = match read_line_bounded(&mut input, MAX_LINE_BYTES) {
-            Ok(LineRead::Eof) => break,
-            Ok(LineRead::Line(line)) => line,
-            Ok(LineRead::TooLong) => {
-                // The stream is mid-line and no longer framed: answer once
-                // and close the connection.
-                let _ = tx.send(OutEvent::Response(JobResponse::failure(
-                    format!("job-{line_no}"),
-                    JobError::new(
-                        ErrorKind::Protocol,
-                        format!("line exceeds {MAX_LINE_BYTES} bytes; closing connection"),
-                    ),
-                )));
-                break;
-            }
-            Err(e) => {
-                // Read errors (e.g. invalid UTF-8) answer once and end the
-                // stream cleanly — the output must stay a valid JSON-lines
-                // stream to the very end.
-                let _ = tx.send(OutEvent::Response(JobResponse::failure(
-                    format!("job-{line_no}"),
-                    JobError::new(ErrorKind::Io, format!("input read error: {e}")),
-                )));
-                break;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-
-        // The handshake is only valid as the first non-blank line; its
-        // absence locks the connection into v1, where control frames do
-        // not exist and every line parses under v1 job rules. A *failed*
-        // handshake attempt (a line carrying a "hello" key that does not
-        // parse) is answered with its protocol error — not reinterpreted
-        // as a v1 job — and the connection stays v1.
-        if awaiting_handshake {
-            awaiting_handshake = false;
-            // A handshake attempt carries a "hello" key and is *not* a job
-            // (no "matrix") — a legacy v1 job line with a stray "hello"
-            // field keeps solving as a job, as unknown fields always did.
-            let is_hello_attempt = proto::parse_json(&line)
-                .is_ok_and(|json| json.get("hello").is_some() && json.get("matrix").is_none());
-            if is_hello_attempt {
-                let event = match ClientFrame::parse_line(&line, line_no) {
-                    Ok(ClientFrame::Hello {
-                        version: requested,
-                        timing: wants_timing,
-                        certificate: wants_certificate,
-                    }) => {
-                        let granted = requested.clamp(1, PROTOCOL_VERSION);
-                        wire.version.store(granted as u8, Ordering::Relaxed);
-                        // Timing and certificates are opt-in *and* v2-only:
-                        // a v1-granted handshake ignores both flags.
-                        if granted >= 2 && wants_timing {
-                            wire.timing.store(true, Ordering::Relaxed);
-                        }
-                        if granted >= 2 && wants_certificate {
-                            wire.certificate.store(true, Ordering::Relaxed);
-                        }
-                        let ack = HelloAck {
-                            protocol: granted,
-                            server: format!("rect-addr/{}", env!("CARGO_PKG_VERSION")),
-                            capabilities: service.capabilities(),
-                        };
-                        OutEvent::Control(ack.to_json_line())
-                    }
-                    Err((id, err)) => parse_failure(id, err),
-                    // Unreachable: a line with a "hello" key parses as
-                    // Hello or errors, but stay total.
-                    Ok(_) => OutEvent::Response(JobResponse::failure(
-                        "hello".to_string(),
-                        JobError::new(ErrorKind::Protocol, "malformed handshake"),
-                    )),
-                };
-                if tx.send(event).is_err() {
-                    break;
-                }
-                continue;
-            }
-        }
-
-        match load_version(&wire.version) {
-            WireVersion::V1 => {
-                // Exactly the legacy rules: every line is a job line, and
-                // v2-only fields are ignored like any unknown extra.
-                match JobRequest::parse_line_in(&line, line_no, WireVersion::V1) {
-                    Ok(req) => {
-                        // Blocking submit: a full queue stalls this reader
-                        // (and so the peer) instead of rejecting — v1 has
-                        // no busy frame. No ticket bookkeeping either:
-                        // v1 has no cancel frame to spend tickets on.
-                        let id = req.id.clone();
-                        match service.submit_grouped(req, tx.clone(), group, true) {
-                            Ok(_ticket) => {}
-                            Err(e) => {
-                                let err = e.to_job_error(service.queue_depth());
-                                if tx
-                                    .send(OutEvent::Response(JobResponse::failure(id, err)))
-                                    .is_err()
-                                {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    Err((id, err)) => {
-                        if tx.send(parse_failure(id, err)).is_err() {
-                            break;
-                        }
-                    }
-                }
-            }
-            WireVersion::V2 => {
-                let event = match ClientFrame::parse_line(&line, line_no) {
-                    Ok(ClientFrame::Hello { .. }) => OutEvent::Response(JobResponse::failure(
-                        "hello".to_string(),
-                        JobError::new(
-                            ErrorKind::Protocol,
-                            "handshake is only valid as the first line",
-                        ),
-                    )),
-                    Ok(ClientFrame::Job(mut req)) => {
-                        // Proof logging is pure cost unless the peer opted
-                        // into receiving certificates at handshake: strip
-                        // the flag before the job reaches a worker.
-                        req.certify = req.certify && wire.certificate.load(Ordering::Relaxed);
-                        let id = req.id.clone();
-                        match service.submit_grouped(req, tx.clone(), group, false) {
-                            Ok(ticket) => {
-                                remember(
-                                    &mut tickets,
-                                    &mut ticket_order,
-                                    id,
-                                    ticket,
-                                    CANCEL_MAP_CAP,
-                                );
-                                continue;
-                            }
-                            // Full queue → busy response: v2 backpressure.
-                            Err(e) => OutEvent::Response(JobResponse::failure(
-                                id,
-                                e.to_job_error(service.queue_depth()),
-                            )),
-                        }
-                    }
-                    Ok(ClientFrame::Cancel { id }) => {
-                        // Job tickets first (ids are connection-scoped for
-                        // both namespaces), then in-flight schedules.
-                        let done = tickets
-                            .get(&id)
-                            .is_some_and(|ticket| service.cancel(*ticket))
-                            || sched.cancel(service, &id);
-                        OutEvent::Control(CancelAck { id, done }.to_json_line())
-                    }
-                    Ok(ClientFrame::Stats) => {
-                        OutEvent::Control(stats_frame(service).to_json_line())
-                    }
-                    Ok(ClientFrame::Schedule(mut req)) => {
-                        // Same opt-in gate jobs get: proof logging is pure
-                        // cost unless the peer asked for certificates.
-                        req.certify = req.certify && wire.certificate.load(Ordering::Relaxed);
-                        match accept_schedule(service, sched, &req) {
-                            Ok((canceled, sched_group)) => {
-                                obs::registry().counter(obs::names::SCHEDULE_JOBS).inc();
-                                sched.jobs.fetch_add(1, Ordering::Relaxed);
-                                let runner_tx = Arc::new(tx.clone());
-                                scope.spawn(move || {
-                                    run_schedule(
-                                        service,
-                                        req,
-                                        runner_tx,
-                                        canceled,
-                                        sched_group,
-                                        sched,
-                                    );
-                                });
-                                continue;
-                            }
-                            Err(err) => {
-                                OutEvent::Response(JobResponse::failure(req.id.clone(), err))
-                            }
-                        }
-                    }
-                    Err((id, err)) => parse_failure(id, err),
-                };
-                if tx.send(event).is_err() {
-                    break;
-                }
-            }
-        }
-    }
-    if abort.load(Ordering::Relaxed) {
-        // The peer is gone (write error): abandon this connection's
-        // still-queued jobs so the shared workers move on to live work.
-        // Their canceled responses go into the (discarding) writer drain.
-        service.cancel_group(group);
-        sched.cancel_all(service);
-    }
-    // `tx` drops here; the writer's drain ends once every submitted job's
-    // sink clone has delivered its response. Schedule runners hold their
-    // own clones, so the drain also waits for every in-flight schedule.
-}
-
-/// Registers a schedule for execution: enforces the per-connection
-/// in-flight cap and id uniqueness, and hands back the runner's
-/// cancellation handles.
-pub(crate) fn accept_schedule(
-    service: &Service,
-    sched: &ScheduleShared,
-    req: &proto::ScheduleRequest,
-) -> Result<(Arc<AtomicBool>, crate::service::GroupId), JobError> {
-    let mut registry = sched.registry.lock().expect("schedule registry poisoned");
-    if registry.len() >= MAX_ACTIVE_SCHEDULES {
-        obs::registry().counter(obs::names::ERR_BUSY).inc();
-        return Err(JobError::new(
-            ErrorKind::Busy,
-            format!("{MAX_ACTIVE_SCHEDULES} schedules already in flight; retry later"),
-        ));
-    }
-    if registry.contains_key(&req.id) {
-        return Err(JobError::new(
-            ErrorKind::Protocol,
-            format!("schedule id {:?} is already in flight", req.id),
-        ));
-    }
-    let canceled = Arc::new(AtomicBool::new(false));
-    // A private cancellation group per schedule: canceling one schedule
-    // must not abandon the connection's other queued work.
-    let sched_group = service.new_group();
-    registry.insert(
-        req.id.clone(),
-        ScheduleHandle {
-            canceled: Arc::clone(&canceled),
-            group: sched_group,
-        },
-    );
-    Ok((canceled, sched_group))
-}
-
-pub(crate) fn remember(
-    tickets: &mut HashMap<String, Ticket>,
-    order: &mut std::collections::VecDeque<(String, Ticket)>,
-    id: String,
-    ticket: Ticket,
-    cap: usize,
-) {
-    tickets.insert(id.clone(), ticket);
-    // Eviction is by insertion, so a reused id gets a fresh queue entry;
-    // the stale entry's eviction below becomes a no-op instead of
-    // forgetting the id's newest (possibly still-queued) ticket.
-    order.push_back((id, ticket));
-    while order.len() > cap {
-        if let Some((old_id, old_ticket)) = order.pop_front() {
-            if tickets.get(&old_id) == Some(&old_ticket) {
-                tickets.remove(&old_id);
-            }
-        }
+impl ResponseSink for Sender<Event> {
+    fn deliver(&self, event: OutEvent) -> bool {
+        self.send(Event::Done(event)).is_ok()
     }
 }
 
 /// Drives one connection end-to-end; see the module docs. Returns once
 /// the input reached end-of-stream, every dispatched job was answered,
 /// and the final summary frame was written — the graceful-drain
-/// guarantee. On a write error (peer hung up) the remaining responses are
-/// drained and discarded and the error is returned; no summary is
-/// emitted into a dead stream.
+/// guarantee. On a write error (peer hung up) the connection's queued
+/// work is abandoned and the error is returned; no summary is emitted
+/// into a dead stream.
 pub fn serve_connection<R: BufRead + Send, W: Write>(
     service: &Service,
-    input: R,
+    mut input: R,
     output: &mut W,
-) -> std::io::Result<ConnectionSummary> {
-    let (tx, rx) = mpsc::channel::<OutEvent>();
-    let wire = WireState::new();
-    let wire = &wire;
-    let abort = AtomicBool::new(false);
-    let abort = &abort;
-    // This connection's cancellation group: a dead peer must not leave
-    // its queued jobs occupying the shared worker pool.
-    let group = service.new_group();
-    let sched = ScheduleShared::default();
-    let sched = &sched;
-    let mut summary = ConnectionSummary::default();
-
-    let write_error = std::thread::scope(|scope| {
-        let reader_tx = tx;
-        scope.spawn(move || {
-            reader_loop(scope, service, input, reader_tx, wire, abort, group, sched)
-        });
-
-        // Writer: single owner of the output stream, draining responses in
-        // completion order with a flush per line. On a write error keep
-        // draining (the reader may sit in a blocking read; an early return
-        // would deadlock the scope join) but stop writing, tell the reader
-        // to stop dispatching, and abandon this connection's queued jobs —
-        // the common disconnect path is reader-EOF *then* writer-EPIPE, so
-        // the writer (not only the reader) must trigger the cleanup.
-        let mut write_error: Option<std::io::Error> = None;
-        for event in rx {
-            let line = match event {
-                OutEvent::Response(mut resp) => {
-                    match resp.error_kind() {
-                        None => summary.solved += 1,
-                        Some(ErrorKind::Canceled) => summary.canceled += 1,
-                        Some(ErrorKind::Busy) => summary.busy += 1,
-                        Some(_) => summary.failed += 1,
+) -> io::Result<ConnectionSummary> {
+    let (tx, rx) = mpsc::channel();
+    let session = Mutex::new(Session::new(
+        service,
+        Arc::new(tx.clone()),
+        Backpressure::Block,
+    ));
+    let session = &session;
+    let lock = || session.lock().expect("session poisoned");
+    std::thread::scope(|scope| {
+        scope.spawn(move || loop {
+            let (used, more, wrote) = match input.fill_buf() {
+                Ok(chunk) => {
+                    let mut session = lock();
+                    if chunk.is_empty() {
+                        session.close_input();
+                    } else {
+                        session.receive(chunk);
                     }
-                    // The timing object reaches the wire only for a v2
-                    // peer that opted in at handshake (the serializer
-                    // independently refuses to emit it on v1 lines).
-                    if !wire.timing.load(Ordering::Relaxed) {
-                        resp.timing = None;
-                    }
-                    // Same gate for certificates: they are large, so only
-                    // a peer that asked for them at handshake pays the
-                    // bytes (the serializer independently refuses v1).
-                    if !wire.certificate.load(Ordering::Relaxed) {
-                        resp.certificate = None;
-                    }
-                    resp.to_json_line_v(load_version(&wire.version))
+                    (chunk.len(), session.wants_input(), session.has_output())
                 }
-                OutEvent::Control(line) => line,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    let mut session = lock();
+                    session.read_error(&e);
+                    (0, false, session.has_output())
+                }
             };
-            if write_error.is_none() {
-                let attempt = writeln!(output, "{line}").and_then(|()| output.flush());
-                if let Err(e) = attempt {
-                    write_error = Some(e);
-                    abort.store(true, Ordering::Relaxed);
-                    service.cancel_group(group);
-                    sched.cancel_all(service);
+            input.consume(used);
+            if (wrote && tx.send(Event::Output).is_err()) || !more {
+                return;
+            }
+        });
+        let mut lines = Vec::new();
+        // The session's sink holds a sender, so the channel stays open.
+        while let Ok(event) = rx.recv() {
+            let done = {
+                let mut session = lock();
+                if let Event::Done(event) = event {
+                    session.complete(event);
+                }
+                lines.extend(session.drain_output());
+                session.is_done()
+            };
+            for line in lines.drain(..) {
+                if let Err(e) = writeln!(output, "{line}").and_then(|()| output.flush()) {
+                    lock().abandon();
+                    return Err(e);
                 }
             }
+            if done {
+                break;
+            }
         }
-        write_error
-    });
-    summary.version = load_version(&wire.version);
-    summary.schedule_jobs = sched.jobs.load(Ordering::Relaxed) as usize;
-    summary.schedule_layers = sched.layers.load(Ordering::Relaxed) as usize;
-
-    if let Some(e) = write_error {
-        return Err(e);
-    }
-
-    // Drain complete: every response precedes the trailer by construction.
-    let frame = SummaryFrame {
-        solved: summary.solved as u64,
-        failed: summary.failed as u64,
-        canceled: summary.canceled as u64,
-        busy: summary.busy as u64,
-        schedule_jobs: summary.schedule_jobs as u64,
-        schedule_layers: summary.schedule_layers as u64,
-        snapshot: engine_snapshot(service),
-    };
-    writeln!(output, "{}", frame.to_json_line(summary.version))?;
-    output.flush()?;
-    Ok(summary)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cancel_map_eviction_survives_id_reuse() {
-        let mut tickets = HashMap::new();
-        let mut order = std::collections::VecDeque::new();
-        let cap = 3;
-        remember(&mut tickets, &mut order, "a".to_string(), 1, cap);
-        remember(&mut tickets, &mut order, "b".to_string(), 2, cap);
-        // "a" reused: its mapping must track the newest ticket and must
-        // not be evicted on its *old* insertion's turn.
-        remember(&mut tickets, &mut order, "a".to_string(), 3, cap);
-        assert_eq!(tickets.get("a"), Some(&3));
-        // Pushes past the cap: the first eviction pops ("a", 1), a stale
-        // entry — "a" still maps to 3.
-        remember(&mut tickets, &mut order, "c".to_string(), 4, cap);
-        assert_eq!(tickets.get("a"), Some(&3), "stale eviction must be a no-op");
-        assert_eq!(tickets.get("b"), Some(&2));
-        // Next eviction pops ("b", 2), a live entry — "b" is forgotten.
-        remember(&mut tickets, &mut order, "d".to_string(), 5, cap);
-        assert_eq!(tickets.get("b"), None);
-        assert_eq!(tickets.get("a"), Some(&3));
-        assert!(order.len() <= cap);
-        assert!(tickets.len() <= cap, "map is bounded by the queue");
-    }
+        Ok(lock().summary())
+    })
 }

@@ -1,30 +1,30 @@
-//! The event-driven socket front-end: one readiness loop owning every
-//! connection, a fixed thread count regardless of connection count.
-//!
-//! [`serve_socket`](crate::serve_socket) spends a thread per connection —
-//! honest at tens of clients, hopeless at tens of thousands of mostly
-//! idle ones. [`serve_socket_event`] keeps the same wire behavior (v1/v2
-//! protocol, graceful drain, summary trailers, schedule frames) on a
-//! different execution model:
+//! The socket transport: one readiness loop owning every connection, a
+//! fixed thread count regardless of how many connections or schedules are
+//! open.
 //!
 //! * a single **readiness loop** (epoll on Linux, `poll(2)` fallback —
 //!   see [`crate::sys`]) owns the listener and every connection socket,
 //!   all nonblocking;
-//! * inbound bytes accumulate per connection into a bounded line buffer
-//!   (the [`MAX_LINE_BYTES`] cap of the blocking transport, enforced
-//!   incrementally); complete frames dispatch to the shared
-//!   [`Service`]'s worker pool exactly like the blocking front-end;
+//! * each connection's bytes go through its protocol [`Session`], which
+//!   frames lines under the [`MAX_LINE_BYTES`](proto::MAX_LINE_BYTES)
+//!   cap, dispatches frames to the shared [`Service`]'s worker pool and
+//!   produces the response lines; a v1 job that meets a full queue parks
+//!   the connection's input until a completion frees space
+//!   ([`Backpressure::Park`]);
 //! * workers answer through a [`ResponseSink`] that pushes completions
 //!   onto the loop's queue and wakes it via a socketpair — no
-//!   per-connection writer thread;
+//!   per-connection writer thread — and schedules advance on the workers
+//!   themselves, with no thread per schedule;
 //! * responses flow out through per-connection **outbound queues** with
 //!   partial-write handling; a peer that stops reading accumulates bytes
 //!   only up to [`EventLoopConfig::outbound_cap`] and is then
-//!   disconnected (queued jobs canceled) instead of growing the heap.
+//!   disconnected (queued work canceled) instead of growing the heap.
 //!
-//! Idle connections cost one registered descriptor and a few hundred
-//! bytes of state — the scaling bench holds thousands of them against a
-//! worker pool sized to the CPU.
+//! The process therefore runs this loop plus the worker pool (plus the
+//! lease coordinator and snapshot flushes when configured). Idle
+//! connections cost one registered descriptor and a few hundred bytes of
+//! state — the scaling bench holds thousands of them against a worker
+//! pool sized to the CPU.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
@@ -33,21 +33,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use proto::{
-    CancelAck, ClientFrame, ErrorKind, HelloAck, JobError, JobRequest, JobResponse, SummaryFrame,
-    WireVersion, MAX_LINE_BYTES, MAX_RESPONSE_LINE_BYTES, PROTOCOL_VERSION,
-};
+use proto::MAX_RESPONSE_LINE_BYTES;
 
-use crate::connection::{
-    accept_schedule, engine_snapshot, load_version, parse_failure, remember, stats_frame,
-    WireState, CANCEL_MAP_CAP,
-};
-use crate::schedule::{run_schedule, ScheduleShared};
-use crate::service::{GroupId, OutEvent, ResponseSink, Service, Ticket};
+use crate::service::{OutEvent, ResponseSink, Service};
+use crate::session::{Backpressure, Session};
 use crate::socket::{bind_listener, BindAddr, Listener, SocketServer, SocketStream, WRITE_TIMEOUT};
 use crate::sys::{Interest, Poller};
 
-/// Tuning of the event-driven front-end.
+/// Tuning of the socket transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventLoopConfig {
     /// Bound on one connection's outbound queue, in bytes. A reader
@@ -74,19 +67,8 @@ const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Whether a completion came from a direct job submission or a schedule
-/// runner — the two decrement different drain counters (a connection's
-/// trailer must trail both every job response *and* every schedule
-/// summary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SinkKind {
-    Job,
-    Sched,
-}
-
 struct Completion {
     conn: u64,
-    kind: SinkKind,
     event: OutEvent,
 }
 
@@ -97,22 +79,12 @@ struct LoopShared {
     waker: UnixStream,
 }
 
-impl LoopShared {
-    fn wake(&self) {
-        // Nonblocking one-byte nudge; a full pipe means a wake is already
-        // pending, which is all we need.
-        let _ = (&self.waker).write(&[1u8]);
-    }
-}
-
 /// [`ResponseSink`] delivering into the loop's completion queue.
 struct LoopSink {
     shared: Arc<LoopShared>,
     conn: u64,
-    kind: SinkKind,
-    /// Set when the connection is torn down: late completions still
-    /// enqueue harmlessly (the loop drops unknown connection ids), but
-    /// schedule runners use the `false` return to stop early.
+    /// Set when the connection is torn down: late completions are refused,
+    /// which also stops the connection's schedules from going on.
     closed: Arc<AtomicBool>,
 }
 
@@ -127,66 +99,26 @@ impl ResponseSink for LoopSink {
             .expect("completion queue poisoned")
             .push_back(Completion {
                 conn: self.conn,
-                kind: self.kind,
                 event,
             });
-        self.shared.wake();
+        // Nonblocking one-byte nudge; a full pipe means a wake is already
+        // pending, which is all we need.
+        let _ = (&self.shared.waker).write(&[1u8]);
         true
     }
 }
 
 /// Everything the loop knows about one connection.
-struct Conn {
+struct Conn<'s> {
     stream: SocketStream,
-    wire: WireState,
-    /// Partial inbound line (bounded by [`MAX_LINE_BYTES`]).
-    rbuf: Vec<u8>,
-    /// Prefix of `rbuf` already known to be newline-free, so repeated
-    /// scans of a slowly arriving long line stay linear overall.
-    scanned: usize,
+    session: Session<'s>,
+    /// Shared with the connection's [`LoopSink`].
+    closed: Arc<AtomicBool>,
     /// Outbound bytes not yet accepted by the kernel.
     out: VecDeque<u8>,
-    tickets: HashMap<String, Ticket>,
-    ticket_order: VecDeque<(String, Ticket)>,
-    group: GroupId,
-    sched: Arc<ScheduleShared>,
-    closed: Arc<AtomicBool>,
-    job_sink: Arc<LoopSink>,
-    sched_sink: Arc<LoopSink>,
-    awaiting_handshake: bool,
-    line_no: usize,
-    /// Peer EOF seen, or input abandoned after a protocol/read error.
-    read_closed: bool,
-    /// Input abandoned (oversized line, bad UTF-8, read error): the error
-    /// was answered once and no further frames dispatch.
-    stop_reading: bool,
-    /// Direct submissions dispatched but not yet answered.
-    inflight: usize,
-    /// Schedule runners whose summary has not yet arrived.
-    active_schedules: usize,
-    /// A v1 job parked on a full queue — v1 peers must see backpressure
-    /// as a stall, never a `busy` frame, so the loop pauses this
-    /// connection's reads and retries as responses free queue space.
-    pending_v1: Option<JobRequest>,
-    /// [`EventLoopConfig::outbound_cap`].
-    outbound_cap: usize,
-    solved: usize,
-    failed_jobs: usize,
-    canceled: usize,
-    busy: usize,
-    summary_sent: bool,
     /// Write error or outbound overflow: tear down without a trailer.
     failed: bool,
     interest: Interest,
-}
-
-impl Conn {
-    fn desired_interest(&self) -> Interest {
-        Interest {
-            readable: !self.read_closed && !self.stop_reading && self.pending_v1.is_none(),
-            writable: !self.out.is_empty(),
-        }
-    }
 }
 
 /// [`serve_socket_event_with`] with default tuning.
@@ -194,9 +126,9 @@ pub fn serve_socket_event(service: Arc<Service>, addr: &BindAddr) -> io::Result<
     serve_socket_event_with(service, addr, EventLoopConfig::default())
 }
 
-/// Binds `addr` and serves it with the event-driven front-end (module
-/// docs). Returns immediately; the readiness loop runs on one background
-/// thread and reuses [`SocketServer`]'s shutdown/join contract — shutdown
+/// Binds `addr` (replacing a stale Unix socket file from a crashed run)
+/// and serves it (module docs). Returns immediately; the readiness loop
+/// runs on one background thread until [`SocketServer::shutdown`], which
 /// stops accepting, drains every live connection (responses + trailer)
 /// bounded by [`WRITE_TIMEOUT`], then returns.
 pub fn serve_socket_event_with(
@@ -216,14 +148,14 @@ pub fn serve_socket_event_with(
     let stop = Arc::new(AtomicBool::new(false));
     let acceptor = {
         let stop = stop.clone();
-        std::thread::spawn(move || run_loop(service, listener, waker_rx, shared, stop, config))
+        std::thread::spawn(move || run_loop(&service, listener, waker_rx, shared, stop, config))
     };
-    Ok(SocketServer::from_parts(local, stop, acceptor, unix_path))
+    Ok(SocketServer::new(local, stop, acceptor, unix_path))
 }
 
 #[allow(clippy::too_many_lines)]
 fn run_loop(
-    service: Arc<Service>,
+    service: &Service,
     listener: Listener,
     waker_rx: UnixStream,
     shared: Arc<LoopShared>,
@@ -242,9 +174,12 @@ fn run_loop(
         return Some(e);
     }
 
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut conns: HashMap<u64, Conn<'_>> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events = Vec::new();
+    // Swapped with the shared completion queue each round, so neither the
+    // workers' pushes nor the loop's pass allocate once both have grown.
+    let mut completions = VecDeque::new();
     let mut draining = false;
     let mut drain_deadline = Instant::now();
     let fatal: Option<io::Error> = loop {
@@ -256,7 +191,7 @@ fn run_loop(
             drain_deadline = Instant::now() + WRITE_TIMEOUT;
             for conn in conns.values_mut() {
                 let _ = conn.stream.shutdown_read();
-                conn.read_closed = true;
+                conn.session.close_input();
             }
         }
         if draining && (conns.is_empty() || Instant::now() >= drain_deadline) {
@@ -294,18 +229,14 @@ fn run_loop(
                                 }
                                 let token = next_token;
                                 next_token += 1;
-                                let conn =
-                                    new_conn(stream, token, &service, &shared, config.outbound_cap);
-                                let interest = conn.interest;
                                 if poller
-                                    .register(conn.stream.as_raw_fd(), token, interest)
+                                    .register(stream.as_raw_fd(), token, Interest::READ)
                                     .is_err()
                                 {
-                                    service.connection_closed();
                                     continue;
                                 }
                                 service.connection_opened();
-                                conns.insert(token, conn);
+                                conns.insert(token, new_conn(stream, token, service, &shared));
                             }
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -327,7 +258,7 @@ fn run_loop(
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
                         if event.readable {
-                            conn_read(conn, &service);
+                            conn_read(conn, config.outbound_cap);
                         }
                         if event.writable && !flush_out(conn) {
                             conn.failed = true;
@@ -338,38 +269,25 @@ fn run_loop(
             }
         }
 
-        // Deliver worker completions into their connections' outbound
-        // queues and drain counters.
-        let completions: Vec<Completion> = {
-            let mut queue = shared.queue.lock().expect("completion queue poisoned");
-            queue.drain(..).collect()
-        };
+        // Hand worker completions to their connections' sessions.
+        std::mem::swap(
+            &mut *shared.queue.lock().expect("completion queue poisoned"),
+            &mut completions,
+        );
         let had_completions = !completions.is_empty();
-        for completion in completions {
-            let Some(conn) = conns.get_mut(&completion.conn) else {
-                continue; // connection torn down; answer discarded
-            };
-            match (&completion.kind, &completion.event) {
-                (SinkKind::Job, OutEvent::Response(_)) => {
-                    conn.inflight = conn.inflight.saturating_sub(1);
-                }
-                (SinkKind::Sched, OutEvent::Control(_)) => {
-                    // A schedule's one Control event is its summary
-                    // trailer: the runner is done.
-                    conn.active_schedules = conn.active_schedules.saturating_sub(1);
-                }
-                _ => {}
-            }
-            queue_event(conn, completion.event);
-            touched.push(completion.conn);
+        for Completion { conn: token, event } in completions.drain(..) {
+            if let Some(conn) = conns.get_mut(&token) {
+                conn.session.complete(event);
+                touched.push(token);
+            } // else: connection torn down; answer discarded
         }
         // Freed queue space: retry every parked v1 submission (space is
         // service-wide, so any completion may have unblocked any parked
         // job).
         if had_completions {
             for (&token, conn) in conns.iter_mut() {
-                if conn.pending_v1.is_some() {
-                    retry_pending_v1(conn, &service);
+                if conn.session.parked() {
+                    conn.session.retry_parked();
                     touched.push(token);
                 }
             }
@@ -378,42 +296,35 @@ fn run_loop(
             touched.extend(conns.keys().copied());
         }
 
-        // Per-connection post-processing: trailer emission, opportunistic
-        // flush, teardown, interest reconciliation.
+        // Per-connection post-processing: output, flush, teardown,
+        // interest reconciliation.
         touched.sort_unstable();
         touched.dedup();
         for token in touched {
-            // 0 = keep, 1 = abandon (write error/overflow), 2 = graceful
-            // close (trailer flushed).
-            let outcome = {
-                let Some(conn) = conns.get_mut(&token) else {
-                    continue;
-                };
-                if !conn.failed {
-                    maybe_finish(conn, &service);
-                    if !flush_out(conn) {
-                        conn.failed = true;
-                    }
-                }
-                if conn.failed {
-                    1
-                } else if conn.summary_sent && conn.out.is_empty() {
-                    2
-                } else {
-                    let desired = conn.desired_interest();
-                    if desired != conn.interest && poller.modify(token, desired).is_ok() {
-                        conn.interest = desired;
-                    }
-                    0
-                }
+            let Some(conn) = conns.get_mut(&token) else {
+                continue;
             };
-            if outcome != 0 {
-                // Fully drained (2): every response and the trailer
-                // reached the kernel; closing signals EOF to the peer.
+            take_output(conn, config.outbound_cap);
+            if !conn.failed && !flush_out(conn) {
+                conn.failed = true;
+            }
+            // Abandoned (write error, overflow), or fully drained: every
+            // response and the trailer reached the kernel, and closing
+            // signals EOF to the peer.
+            if conn.failed || (conn.session.is_done() && conn.out.is_empty()) {
+                let abandoned = conn.failed;
                 if let Some(conn) = conns.remove(&token) {
                     let _ = poller.deregister(token);
-                    teardown(conn, &service, outcome == 1);
+                    teardown(conn, service, abandoned);
                 }
+                continue;
+            }
+            let desired = Interest {
+                readable: conn.session.wants_input(),
+                writable: !conn.out.is_empty(),
+            };
+            if desired != conn.interest && poller.modify(token, desired).is_ok() {
+                conn.interest = desired;
             }
         }
     };
@@ -421,147 +332,63 @@ fn run_loop(
     // Loop exit: force-close whatever is left (drain deadline expired or
     // fatal poller error), canceling abandoned work.
     for (_, conn) in conns.drain() {
-        teardown(conn, &service, true);
+        teardown(conn, service, true);
     }
     fatal
 }
 
-fn new_conn(
+fn new_conn<'s>(
     stream: SocketStream,
     token: u64,
-    service: &Arc<Service>,
+    service: &'s Service,
     shared: &Arc<LoopShared>,
-    outbound_cap: usize,
-) -> Conn {
+) -> Conn<'s> {
     let closed = Arc::new(AtomicBool::new(false));
-    let job_sink = Arc::new(LoopSink {
+    let sink = Arc::new(LoopSink {
         shared: shared.clone(),
         conn: token,
-        kind: SinkKind::Job,
         closed: closed.clone(),
     });
-    let sched_sink = Arc::new(LoopSink {
-        shared: shared.clone(),
-        conn: token,
-        kind: SinkKind::Sched,
-        closed: closed.clone(),
-    });
-    let conn = Conn {
+    Conn {
         stream,
-        wire: WireState::new(),
-        rbuf: Vec::new(),
-        scanned: 0,
-        out: VecDeque::new(),
-        tickets: HashMap::new(),
-        ticket_order: VecDeque::new(),
-        group: service.new_group(),
-        sched: Arc::new(ScheduleShared::default()),
+        session: Session::new(service, sink, Backpressure::Park),
         closed,
-        job_sink,
-        sched_sink,
-        awaiting_handshake: true,
-        line_no: 0,
-        read_closed: false,
-        stop_reading: false,
-        inflight: 0,
-        active_schedules: 0,
-        pending_v1: None,
-        outbound_cap,
-        solved: 0,
-        failed_jobs: 0,
-        canceled: 0,
-        busy: 0,
-        summary_sent: false,
+        out: VecDeque::new(),
         failed: false,
         interest: Interest::READ,
-    };
-    debug_assert!(conn.desired_interest() == Interest::READ);
-    conn
+    }
 }
 
 /// Releases a connection's resources. `abandoned` marks the write-error /
 /// overflow / deadline paths, where still-queued work is canceled so the
 /// shared workers move on; the graceful path has nothing left to cancel.
-fn teardown(conn: Conn, service: &Arc<Service>, abandoned: bool) {
+fn teardown(mut conn: Conn<'_>, service: &Service, abandoned: bool) {
     conn.closed.store(true, Ordering::Relaxed);
     if abandoned {
-        service.cancel_group(conn.group);
-        conn.sched.cancel_all(service);
+        conn.session.abandon();
     }
     service.connection_closed();
     // conn.stream drops here, closing the descriptor (after deregister).
 }
 
-/// Emits the summary trailer once everything preceding it has been
-/// answered: input ended, no direct job in flight, no schedule mid-run,
-/// no parked v1 submission.
-fn maybe_finish(conn: &mut Conn, service: &Arc<Service>) {
-    if conn.summary_sent
-        || !conn.read_closed
-        || conn.inflight > 0
-        || conn.active_schedules > 0
-        || conn.pending_v1.is_some()
-        || (!conn.rbuf.is_empty() && !conn.stop_reading)
-    {
-        return;
-    }
-    let frame = SummaryFrame {
-        solved: conn.solved as u64,
-        failed: conn.failed_jobs as u64,
-        canceled: conn.canceled as u64,
-        busy: conn.busy as u64,
-        schedule_jobs: conn.sched.jobs.load(Ordering::Relaxed),
-        schedule_layers: conn.sched.layers.load(Ordering::Relaxed),
-        snapshot: engine_snapshot(service),
-    };
-    let line = frame.to_json_line(load_version(&conn.wire.version));
-    queue_line(conn, line);
-    conn.summary_sent = true;
-}
-
-/// Serializes one outbound event onto the connection's queue, applying
-/// the same wire gating as the blocking writer (version, timing and
-/// certificate opt-ins) and counting it into the trailer tallies.
-fn queue_event(conn: &mut Conn, event: OutEvent) {
-    let line = match event {
-        OutEvent::Response(mut resp) => {
-            match resp.error_kind() {
-                None => conn.solved += 1,
-                Some(ErrorKind::Canceled) => conn.canceled += 1,
-                Some(ErrorKind::Busy) => conn.busy += 1,
-                Some(_) => conn.failed_jobs += 1,
-            }
-            if !conn.wire.timing.load(Ordering::Relaxed) {
-                resp.timing = None;
-            }
-            if !conn.wire.certificate.load(Ordering::Relaxed) {
-                resp.certificate = None;
-            }
-            resp.to_json_line_v(load_version(&conn.wire.version))
+/// Moves the session's lines onto the outbound queue. A peer reading
+/// slower than it is answered, past the configured bound, is disconnected
+/// instead of buffered without limit: backpressure for well-behaved
+/// clients is the submission queue, this bound is for peers that stopped
+/// reading entirely.
+fn take_output(conn: &mut Conn<'_>, outbound_cap: usize) {
+    for line in conn.session.drain_output() {
+        if !conn.failed {
+            conn.out.extend(line.as_bytes());
+            conn.out.push_back(b'\n');
+            conn.failed = conn.out.len() > outbound_cap;
         }
-        OutEvent::Control(line) => line,
-    };
-    queue_line(conn, line);
-}
-
-fn queue_line(conn: &mut Conn, line: String) {
-    if conn.failed {
-        return; // dead stream: discard, like the blocking writer's drain
-    }
-    conn.out.extend(line.as_bytes());
-    conn.out.push_back(b'\n');
-    if conn.out.len() > conn.outbound_cap {
-        // The peer is reading slower than it is being answered, past the
-        // configured bound: disconnect instead of buffering without
-        // limit. Backpressure for well-behaved clients is the submission
-        // queue; this bound is for peers that stopped reading entirely.
-        conn.failed = true;
     }
 }
 
 /// Writes queued bytes until the kernel stops accepting them. Returns
 /// `false` on a dead peer.
-fn flush_out(conn: &mut Conn) -> bool {
+fn flush_out(conn: &mut Conn<'_>) -> bool {
     while !conn.out.is_empty() {
         let (front, _) = conn.out.as_slices();
         match conn.stream.write(front) {
@@ -577,270 +404,18 @@ fn flush_out(conn: &mut Conn) -> bool {
     true
 }
 
-/// Reads whatever the socket has, slicing complete lines out of the
-/// connection's buffer and dispatching them.
-fn conn_read(conn: &mut Conn, service: &Arc<Service>) {
+/// Reads whatever the socket has into the session, while it wants input.
+fn conn_read(conn: &mut Conn<'_>, outbound_cap: usize) {
     let mut buf = [0u8; 64 * 1024];
-    loop {
-        if conn.read_closed || conn.stop_reading || conn.pending_v1.is_some() {
-            break;
-        }
+    while conn.session.wants_input() && !conn.failed {
         match conn.stream.read(&mut buf) {
-            Ok(0) => {
-                conn.read_closed = true;
-                break;
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&buf[..n]);
-                drain_rbuf(conn, service);
-            }
+            Ok(0) => conn.session.close_input(),
+            Ok(n) => conn.session.receive(&buf[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                // Same shape as the blocking reader: answer the read error
-                // once, then end the stream cleanly (drain + trailer).
-                conn.line_no += 1;
-                let id = format!("job-{}", conn.line_no);
-                queue_event(
-                    conn,
-                    OutEvent::Response(JobResponse::failure(
-                        id,
-                        JobError::new(ErrorKind::Io, format!("input read error: {e}")),
-                    )),
-                );
-                conn.stop_reading = true;
-                conn.read_closed = true;
-                break;
-            }
+            Err(e) => conn.session.read_error(&e),
         }
-    }
-    if conn.read_closed {
-        // EOF with a final unterminated line: process it (the
-        // `BufRead::lines` convention the blocking transport follows).
-        drain_rbuf(conn, service);
-    }
-}
-
-/// Slices complete lines out of `rbuf` and dispatches them, stopping when
-/// input is exhausted, the line cap trips, or a v1 submission parks.
-fn drain_rbuf(conn: &mut Conn, service: &Arc<Service>) {
-    loop {
-        if conn.stop_reading || conn.pending_v1.is_some() {
-            return;
-        }
-        let nl = conn.rbuf[conn.scanned..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map(|i| conn.scanned + i);
-        let line_bytes = match nl {
-            Some(pos) => {
-                if pos > MAX_LINE_BYTES {
-                    return line_overflow(conn);
-                }
-                let mut line: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                line.pop(); // the newline
-                conn.scanned = 0;
-                line
-            }
-            None => {
-                conn.scanned = conn.rbuf.len();
-                if conn.rbuf.len() > MAX_LINE_BYTES {
-                    return line_overflow(conn);
-                }
-                if conn.read_closed && !conn.rbuf.is_empty() {
-                    conn.scanned = 0;
-                    std::mem::take(&mut conn.rbuf)
-                } else {
-                    return;
-                }
-            }
-        };
-        let mut line_bytes = line_bytes;
-        if line_bytes.last() == Some(&b'\r') {
-            line_bytes.pop();
-        }
-        conn.line_no += 1;
-        let line = match String::from_utf8(line_bytes) {
-            Ok(line) => line,
-            Err(_) => {
-                // Parity with the blocking reader, whose bounded read
-                // surfaces bad UTF-8 as an IO error: answer once, close.
-                let id = format!("job-{}", conn.line_no);
-                queue_event(
-                    conn,
-                    OutEvent::Response(JobResponse::failure(
-                        id,
-                        JobError::new(
-                            ErrorKind::Io,
-                            "input read error: stream did not contain valid UTF-8",
-                        ),
-                    )),
-                );
-                conn.stop_reading = true;
-                conn.read_closed = true;
-                return;
-            }
-        };
-        dispatch_line(conn, service, &line);
-    }
-}
-
-fn line_overflow(conn: &mut Conn) {
-    conn.line_no += 1;
-    let id = format!("job-{}", conn.line_no);
-    queue_event(
-        conn,
-        OutEvent::Response(JobResponse::failure(
-            id,
-            JobError::new(
-                ErrorKind::Protocol,
-                format!("line exceeds {MAX_LINE_BYTES} bytes; closing connection"),
-            ),
-        )),
-    );
-    conn.stop_reading = true;
-    conn.read_closed = true;
-}
-
-/// One complete wire line: the same dispatch as the blocking
-/// `reader_loop`, submitting through the loop sinks instead of channels.
-fn dispatch_line(conn: &mut Conn, service: &Arc<Service>, line: &str) {
-    if line.trim().is_empty() {
-        return;
-    }
-    if conn.awaiting_handshake {
-        conn.awaiting_handshake = false;
-        let is_hello_attempt = proto::parse_json(line)
-            .is_ok_and(|json| json.get("hello").is_some() && json.get("matrix").is_none());
-        if is_hello_attempt {
-            let event = match ClientFrame::parse_line(line, conn.line_no) {
-                Ok(ClientFrame::Hello {
-                    version: requested,
-                    timing: wants_timing,
-                    certificate: wants_certificate,
-                }) => {
-                    let granted = requested.clamp(1, PROTOCOL_VERSION);
-                    conn.wire.version.store(granted as u8, Ordering::Relaxed);
-                    if granted >= 2 && wants_timing {
-                        conn.wire.timing.store(true, Ordering::Relaxed);
-                    }
-                    if granted >= 2 && wants_certificate {
-                        conn.wire.certificate.store(true, Ordering::Relaxed);
-                    }
-                    let ack = HelloAck {
-                        protocol: granted,
-                        server: format!("rect-addr/{}", env!("CARGO_PKG_VERSION")),
-                        capabilities: service.capabilities(),
-                    };
-                    OutEvent::Control(ack.to_json_line())
-                }
-                Err((id, err)) => parse_failure(id, err),
-                Ok(_) => OutEvent::Response(JobResponse::failure(
-                    "hello".to_string(),
-                    JobError::new(ErrorKind::Protocol, "malformed handshake"),
-                )),
-            };
-            queue_event(conn, event);
-            return;
-        }
-    }
-    match load_version(&conn.wire.version) {
-        WireVersion::V1 => match JobRequest::parse_line_in(line, conn.line_no, WireVersion::V1) {
-            Ok(req) => submit_v1(conn, service, req),
-            Err((id, err)) => {
-                let event = parse_failure(id, err);
-                queue_event(conn, event);
-            }
-        },
-        WireVersion::V2 => {
-            let event = match ClientFrame::parse_line(line, conn.line_no) {
-                Ok(ClientFrame::Hello { .. }) => OutEvent::Response(JobResponse::failure(
-                    "hello".to_string(),
-                    JobError::new(
-                        ErrorKind::Protocol,
-                        "handshake is only valid as the first line",
-                    ),
-                )),
-                Ok(ClientFrame::Job(mut req)) => {
-                    req.certify = req.certify && conn.wire.certificate.load(Ordering::Relaxed);
-                    let id = req.id.clone();
-                    match service.submit_sink(req, conn.job_sink.clone(), conn.group, false) {
-                        Ok(ticket) => {
-                            conn.inflight += 1;
-                            remember(
-                                &mut conn.tickets,
-                                &mut conn.ticket_order,
-                                id,
-                                ticket,
-                                CANCEL_MAP_CAP,
-                            );
-                            return;
-                        }
-                        Err(e) => OutEvent::Response(JobResponse::failure(
-                            id,
-                            e.to_job_error(service.queue_depth()),
-                        )),
-                    }
-                }
-                Ok(ClientFrame::Cancel { id }) => {
-                    let done = conn
-                        .tickets
-                        .get(&id)
-                        .is_some_and(|ticket| service.cancel(*ticket))
-                        || conn.sched.cancel(service, &id);
-                    OutEvent::Control(CancelAck { id, done }.to_json_line())
-                }
-                Ok(ClientFrame::Stats) => OutEvent::Control(stats_frame(service).to_json_line()),
-                Ok(ClientFrame::Schedule(mut req)) => {
-                    req.certify = req.certify && conn.wire.certificate.load(Ordering::Relaxed);
-                    match accept_schedule(service, &conn.sched, &req) {
-                        Ok((canceled, sched_group)) => {
-                            obs::registry().counter(obs::names::SCHEDULE_JOBS).inc();
-                            conn.sched.jobs.fetch_add(1, Ordering::Relaxed);
-                            conn.active_schedules += 1;
-                            let service = Arc::clone(service);
-                            let sink = conn.sched_sink.clone();
-                            let shared = conn.sched.clone();
-                            std::thread::spawn(move || {
-                                run_schedule(&service, req, sink, canceled, sched_group, &shared);
-                            });
-                            return;
-                        }
-                        Err(err) => OutEvent::Response(JobResponse::failure(req.id.clone(), err)),
-                    }
-                }
-                Err((id, err)) => parse_failure(id, err),
-            };
-            queue_event(conn, event);
-        }
-    }
-}
-
-/// v1 submission: non-blocking against the service; a full queue parks
-/// the job (pausing this connection's reads) instead of answering `busy`,
-/// preserving the v1 stall-only backpressure contract.
-fn submit_v1(conn: &mut Conn, service: &Arc<Service>, req: JobRequest) {
-    match service.submit_sink_reclaim(req, conn.job_sink.clone(), conn.group) {
-        Ok(_ticket) => conn.inflight += 1,
-        Err((crate::service::SubmitError::Busy, req)) => {
-            conn.pending_v1 = Some(req);
-        }
-        Err((e, req)) => {
-            let err = e.to_job_error(service.queue_depth());
-            queue_event(conn, OutEvent::Response(JobResponse::failure(req.id, err)));
-        }
-    }
-}
-
-/// Retries a parked v1 submission after responses freed queue space;
-/// success resumes the connection's buffered input.
-fn retry_pending_v1(conn: &mut Conn, service: &Arc<Service>) {
-    let Some(req) = conn.pending_v1.take() else {
-        return;
-    };
-    submit_v1(conn, service, req);
-    if conn.pending_v1.is_none() {
-        // Unparked: lines buffered behind the parked job dispatch now.
-        drain_rbuf(conn, service);
+        // Bounds what one burst of input can pile up in answers.
+        take_output(conn, outbound_cap);
     }
 }

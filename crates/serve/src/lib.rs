@@ -2,11 +2,6 @@
 //! portfolio engine plus the transports that speak the versioned wire
 //! protocol (`rect-addr-proto`) over it.
 //!
-//! The engine solves one job at a time; production serving needs a
-//! programmable surface between the protocol and the solver. This crate
-//! provides the three layers the old monolithic batch loop fused
-//! together:
-//!
 //! * [`Service`] — submission façade: a **bounded, priority-ordered
 //!   queue** with a worker pool over one shared
 //!   [`Engine`](engine::Engine). [`Service::submit`] hands back a
@@ -14,16 +9,20 @@
 //!   queue signals backpressure ([`SubmitError::Busy`] → `busy`
 //!   responses); [`Service::stats`] exposes cache/queue observability
 //!   including the hot heuristic-canonization keys.
-//! * [`serve_connection`] — one protocol connection over any
-//!   `BufRead`/`Write` pair: v1 JSON lines by default, protocol v2
-//!   (handshake, cancel, priority/deadline, stats, busy) after a `hello`
-//!   first line. Drains in-flight jobs and emits the summary trailer on
-//!   end-of-input.
-//! * [`serve_socket`] — a Unix-domain/TCP listener fanning many
-//!   concurrent client connections into one shared service, so the
-//!   canonical cache, warm SAP sessions and adaptive scheduler are shared
-//!   across clients; [`LineClient`]/[`pump`] are the matching client
-//!   side.
+//! * The protocol session (`session.rs`) — one connection's v1/v2 state
+//!   machine with no I/O of its own: line framing, handshake, cancel,
+//!   stats, `schedule` frames (run as continuations on the worker pool),
+//!   tallies and the summary trailer. Both transports drive it and only
+//!   move bytes.
+//! * [`serve_connection`] — one connection over any `BufRead`/`Write`
+//!   pair (stdin/stdout, files, in-memory buffers). Drains in-flight
+//!   jobs and emits the summary trailer on end-of-input.
+//! * [`serve_socket_event`] — the socket transport: one readiness loop
+//!   owning every Unix-domain/TCP connection, fanning them all into one
+//!   shared service, so the canonical cache, warm SAP sessions and
+//!   adaptive scheduler are shared across clients. The process runs that
+//!   loop plus the worker pool however many connections or schedules are
+//!   open. [`LineClient`]/[`pump`] are the matching client side.
 //!
 //! # Examples
 //!
@@ -47,15 +46,17 @@ mod connection;
 mod event;
 mod schedule;
 mod service;
+mod session;
 mod socket;
 pub mod sys;
 
 pub use client::{pump, LineClient};
-pub use connection::{serve_connection, stats_frame, ConnectionSummary};
+pub use connection::serve_connection;
 pub use event::{serve_socket_event, serve_socket_event_with, EventLoopConfig};
 pub use schedule::MAX_ACTIVE_SCHEDULES;
 pub use service::{
     GroupId, JobHandle, OutEvent, PersistConfig, ResponseSink, Service, ServiceConfig,
     ServiceStats, SubmitError, Ticket, DEFAULT_QUEUE_DEPTH, DEFAULT_SNAPSHOT_EVERY,
 };
-pub use socket::{connect, serve_socket, BindAddr, SocketServer, SocketStream, WRITE_TIMEOUT};
+pub use session::ConnectionSummary;
+pub use socket::{connect, BindAddr, SocketServer, SocketStream, WRITE_TIMEOUT};

@@ -1,4 +1,5 @@
-//! Server-side execution of multi-layer `schedule` frames.
+//! Server-side execution of multi-layer `schedule` frames, as
+//! continuations on the worker pool.
 //!
 //! A schedule's layers are solved **sequentially** against the shared
 //! [`Service`] — layer `k+1` is submitted only after layer `k`'s answer
@@ -8,117 +9,170 @@
 //! each other). Each layer's ordinary response streams to the peer as it
 //! completes; the aggregated [`ScheduleSummary`] trails the batch.
 //!
-//! Each schedule runs on its own thread inside the connection's scope and
-//! owns a private cancellation group, so a `cancel` frame naming the
-//! schedule abandons *its* still-queued layer without touching the
-//! connection's other jobs: the already-solved layers were delivered, the
-//! in-flight layer finishes (started work is never interrupted), and the
-//! remaining layers answer [`ErrorKind::Canceled`] — partial results by
-//! construction.
+//! No thread waits on a schedule. A [`ScheduleRun`] is the response sink
+//! of its current layer: the worker that answers layer `k` records it,
+//! forwards it to the connection and submits layer `k+1` without blocking,
+//! past the queue bound — safe because a schedule never has more than one
+//! layer queued, and the frame itself was admitted like a job.
+//!
+//! Each schedule owns a private cancellation group, so a `cancel` frame
+//! naming the schedule abandons *its* still-queued layer without touching
+//! the connection's other jobs: the already-solved layers were delivered,
+//! the in-flight layer finishes (started work is never interrupted), and
+//! the remaining layers answer [`ErrorKind::Canceled`] — partial results
+//! by construction.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
-use proto::{ErrorKind, JobError, JobResponse, ScheduleRequest, ScheduleSummary};
+use proto::{ErrorKind, JobError, JobRequest, JobResponse, ScheduleRequest, ScheduleSummary};
 
-use crate::service::{GroupId, OutEvent, ResponseSink, Service};
+use crate::service::{Admit, GroupId, OutEvent, QueueRef, ResponseSink, Service};
 
 /// Bound on schedules a single connection may have in flight; one past it
 /// answers `busy` (same backpressure contract as a full queue).
 pub const MAX_ACTIVE_SCHEDULES: usize = 64;
 
-/// Cancellation handle of one in-flight schedule, registered under its
-/// wire id for `cancel` frames and connection teardown.
-pub struct ScheduleHandle {
-    /// Set by a cancel frame (or teardown); the runner stops submitting.
-    pub canceled: Arc<AtomicBool>,
-    /// The schedule's private cancellation group: canceling it abandons
-    /// the still-queued layer without touching sibling jobs.
-    pub group: GroupId,
-}
-
-/// Per-connection schedule state shared between the reader (accepting and
-/// canceling schedules) and the runner threads (completing them).
-#[derive(Default)]
-pub struct ScheduleShared {
-    /// In-flight schedules by wire id.
-    pub registry: Mutex<HashMap<String, ScheduleHandle>>,
-    /// Schedules accepted on this connection (summary trailer tally).
-    pub jobs: AtomicU64,
-    /// Layers answered on this connection's behalf (summary tally).
-    pub layers: AtomicU64,
-}
-
-impl ScheduleShared {
-    /// Flags every in-flight schedule canceled and abandons their queued
-    /// layers — connection teardown (peer hung up mid-stream).
-    pub fn cancel_all(&self, service: &Service) {
-        let registry = self.registry.lock().expect("schedule registry poisoned");
-        for handle in registry.values() {
-            handle.canceled.store(true, Ordering::Relaxed);
-            service.cancel_group(handle.group);
-        }
-    }
-
-    /// Routes a `cancel` frame naming `id` to its schedule. Returns
-    /// `false` when no schedule by that id is in flight.
-    pub fn cancel(&self, service: &Service, id: &str) -> bool {
-        let registry = self.registry.lock().expect("schedule registry poisoned");
-        match registry.get(id) {
-            Some(handle) => {
-                handle.canceled.store(true, Ordering::Relaxed);
-                service.cancel_group(handle.group);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// Runs one accepted schedule to completion: solves the layers in order,
-/// forwards each layer's response to the connection writer, and trails
-/// the batch with the aggregated summary frame. Deregisters the schedule
-/// on the way out.
-pub fn run_schedule(
-    service: &Service,
-    req: ScheduleRequest,
-    out: Arc<dyn ResponseSink>,
-    canceled: Arc<AtomicBool>,
+/// One admitted schedule frame, advanced by whoever answers its current
+/// layer.
+pub(crate) struct ScheduleRun {
+    /// This run, as the sink of each next layer it submits.
+    me: Weak<ScheduleRun>,
+    queue: QueueRef,
+    /// The connection's sink: layer responses, then the summary line.
+    conn: Arc<dyn ResponseSink>,
+    /// The schedule's private cancellation group.
     group: GroupId,
-    shared: &ScheduleShared,
-) {
-    let accepted = Instant::now();
-    let mut summary = ScheduleSummary {
-        id: req.id.clone(),
-        layers: req.layers.len() as u64,
-        solved: 0,
-        failed: 0,
-        canceled: 0,
-        total_depth: 0,
-        proved_optimal: 0,
-        cache_hits: 0,
-        certified: 0,
-        conflicts: 0,
-        millis: 0.0,
-        provenance: Vec::with_capacity(req.layers.len()),
-    };
-    for mut job in req.to_jobs() {
-        let response = if canceled.load(Ordering::Relaxed) {
-            JobResponse::failure(
-                job.id.clone(),
-                JobError::new(ErrorKind::Canceled, "schedule canceled"),
-            )
-        } else if let Some(expired) = expire(&mut job.deadline_ms, accepted) {
-            // Per-layer deadlines run from schedule *acceptance*: a layer
-            // whose clock ran out while its predecessors solved fails
-            // without ever occupying a worker.
-            JobResponse::failure(job.id.clone(), expired)
-        } else {
-            solve_layer(service, job, group)
+    /// Per-layer deadlines run from here.
+    accepted: Instant,
+    /// Flags only (`Relaxed`): the run's state is under `progress`.
+    canceled: AtomicBool,
+    /// Set just before the summary is delivered.
+    finished: AtomicBool,
+    progress: Mutex<Progress>,
+}
+
+struct Progress {
+    /// Layers not yet submitted, in order.
+    layers: std::vec::IntoIter<JobRequest>,
+    summary: ScheduleSummary,
+}
+
+impl ScheduleRun {
+    /// Admits `req` like a v2 job: its first layer is submitted without
+    /// blocking, and a full queue rejects the whole frame `busy`. The first
+    /// layer's deadline needs no clamping — its queue wait starts at
+    /// acceptance.
+    pub(crate) fn start(
+        service: &Service,
+        req: &ScheduleRequest,
+        conn: Arc<dyn ResponseSink>,
+    ) -> Result<Arc<ScheduleRun>, JobError> {
+        let mut layers = req.to_jobs().into_iter();
+        let first = layers.next().expect("a parsed schedule has a layer");
+        let run = Arc::new_cyclic(|me| ScheduleRun {
+            me: me.clone(),
+            queue: service.queue_ref(),
+            conn,
+            group: service.new_group(),
+            accepted: Instant::now(),
+            canceled: AtomicBool::new(false),
+            finished: AtomicBool::new(false),
+            progress: Mutex::new(Progress {
+                layers,
+                summary: ScheduleSummary {
+                    id: req.id.clone(),
+                    layers: req.layers.len() as u64,
+                    solved: 0,
+                    failed: 0,
+                    canceled: 0,
+                    total_depth: 0,
+                    proved_optimal: 0,
+                    cache_hits: 0,
+                    certified: 0,
+                    conflicts: 0,
+                    millis: 0.0,
+                    provenance: Vec::with_capacity(req.layers.len()),
+                },
+            }),
+        });
+        service
+            .enqueue(first, run.clone(), run.group, Admit::Try)
+            .map_err(|(e, _)| e.to_job_error(service.queue_depth()))?;
+        Ok(run)
+    }
+
+    /// Flags the schedule canceled and abandons its queued layer (whose
+    /// canceled answer advances the run through the remaining layers).
+    /// Returns `false` once the schedule has finished.
+    pub(crate) fn cancel(&self, service: &Service) -> bool {
+        if self.finished() {
+            return false;
+        }
+        self.canceled.store(true, Ordering::Relaxed);
+        service.cancel_group(self.group);
+        true
+    }
+
+    /// Whether the summary has been (or is being) delivered.
+    pub(crate) fn finished(&self) -> bool {
+        self.finished.load(Ordering::Relaxed)
+    }
+}
+
+impl ResponseSink for ScheduleRun {
+    /// Takes the current layer's answer — from the worker that solved it,
+    /// or from a cancel that withdrew it — forwards it, and moves on: the
+    /// next layer is submitted, or answered at once when the schedule was
+    /// canceled or the layer's deadline already passed. After the last
+    /// layer the summary follows.
+    fn deliver(&self, event: OutEvent) -> bool {
+        let OutEvent::Response(mut response) = event else {
+            return true; // the service sends responses only
         };
+        // Held throughout, so layer k+1's answer (possibly on another
+        // worker) is forwarded only after layer k's.
+        let mut progress = self.progress.lock().expect("schedule progress poisoned");
+        loop {
+            progress.record(&response);
+            obs::registry().counter(obs::names::SCHEDULE_LAYERS).inc();
+            // A closed connection discards the rest: stop submitting.
+            if !self.conn.deliver(OutEvent::Response(response)) {
+                return false;
+            }
+            let Some(mut layer) = progress.layers.next() else {
+                break;
+            };
+            response = if self.canceled.load(Ordering::Relaxed) {
+                JobResponse::failure(
+                    layer.id,
+                    JobError::new(ErrorKind::Canceled, "schedule canceled"),
+                )
+            } else if let Some(expired) = expire(&mut layer.deadline_ms, self.accepted) {
+                // Per-layer deadlines run from schedule *acceptance*: a
+                // layer whose clock ran out while its predecessors solved
+                // fails without ever occupying a worker.
+                JobResponse::failure(layer.id, expired)
+            } else {
+                let me = self.me.upgrade().expect("a delivering run is alive");
+                match self.queue.enqueue(layer, me, self.group, Admit::Always) {
+                    Ok(_ticket) => return true,
+                    // Only a shutdown refuses: `Always` ignores the bound.
+                    Err((e, layer)) => JobResponse::failure(layer.id, e.to_job_error(0)),
+                }
+            };
+        }
+        progress.summary.millis = self.accepted.elapsed().as_secs_f64() * 1000.0;
+        self.finished.store(true, Ordering::Relaxed);
+        self.conn
+            .deliver(OutEvent::Control(progress.summary.to_json_line()))
+    }
+}
+
+impl Progress {
+    fn record(&mut self, response: &JobResponse) {
+        let summary = &mut self.summary;
         match response.error_kind() {
             None => {
                 summary.solved += 1;
@@ -138,20 +192,7 @@ pub fn run_schedule(
                 summary.provenance.push(kind.to_string());
             }
         }
-        obs::registry().counter(obs::names::SCHEDULE_LAYERS).inc();
-        shared.layers.fetch_add(1, Ordering::Relaxed);
-        // A closed writer (connection torn down) just discards the rest.
-        if !out.deliver(OutEvent::Response(response)) {
-            break;
-        }
     }
-    summary.millis = accepted.elapsed().as_secs_f64() * 1000.0;
-    let _ = out.deliver(OutEvent::Control(summary.to_json_line()));
-    shared
-        .registry
-        .lock()
-        .expect("schedule registry poisoned")
-        .remove(&req.id);
 }
 
 /// Clamps a layer deadline to the time remaining since `accepted`;
@@ -171,22 +212,5 @@ fn expire(deadline_ms: &mut Option<u64>, accepted: Instant) -> Option<JobError> 
                 format!("layer deadline of {deadline}ms expired {elapsed}ms into the schedule"),
             ))
         }
-    }
-}
-
-/// Submits one layer (blocking on queue space — sequential layers are
-/// natural backpressure) and waits for its response.
-fn solve_layer(service: &Service, job: proto::JobRequest, group: GroupId) -> JobResponse {
-    let id = job.id.clone();
-    let (tx, rx) = mpsc::channel();
-    match service.submit_grouped(job, tx, group, true) {
-        Ok(_ticket) => match rx.recv() {
-            Ok(OutEvent::Response(resp)) => resp,
-            Ok(OutEvent::Control(_)) | Err(_) => JobResponse::failure(
-                id,
-                JobError::new(ErrorKind::Internal, "service dropped the layer"),
-            ),
-        },
-        Err(e) => JobResponse::failure(id, e.to_job_error(service.queue_depth())),
     }
 }

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -125,6 +125,43 @@ impl SubmitError {
     }
 }
 
+/// How a submission meets a full queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admit {
+    /// Reject it with [`SubmitError::Busy`].
+    Try,
+    /// Wait until a worker frees a slot.
+    Wait,
+    /// Enqueue past the bound: the next layer of a schedule whose frame
+    /// was already admitted. A schedule has at most one layer queued, so
+    /// the excess stays bounded by the number of open schedules.
+    Always,
+}
+
+/// A handle to a service's queue that does not keep the service alive: a
+/// schedule holds one to submit each next layer from the worker that
+/// answered the previous one.
+#[derive(Debug, Clone)]
+pub(crate) struct QueueRef(Weak<Inner>);
+
+impl QueueRef {
+    /// [`Service::enqueue`]; a service already dropped answers
+    /// [`SubmitError::ShuttingDown`].
+    #[allow(clippy::result_large_err)] // rejection returns the request by value, no alloc
+    pub(crate) fn enqueue(
+        &self,
+        req: JobRequest,
+        sink: Arc<dyn ResponseSink>,
+        group: GroupId,
+        admit: Admit,
+    ) -> Result<Ticket, (SubmitError, JobRequest)> {
+        match self.0.upgrade() {
+            Some(inner) => inner.enqueue(req, sink, group, admit),
+            None => Err((SubmitError::ShuttingDown, req)),
+        }
+    }
+}
+
 /// Opaque identity of one accepted submission, scoped to the service.
 /// Wire-level `cancel` frames name the client-chosen job id; transports
 /// map those to tickets, so same-id jobs from different connections never
@@ -138,11 +175,10 @@ pub type Ticket = u64;
 pub type GroupId = u64;
 
 /// Where a submission's events go. The service pushes a job's
-/// [`OutEvent::Response`] (and cancellation notices) through this; the
-/// blanket impl for [`Sender<OutEvent>`] keeps channel-based transports
-/// working unchanged, while the event-driven acceptor implements it to
-/// route completions back into its readiness loop without a thread per
-/// connection.
+/// [`OutEvent::Response`] (and cancellation notices) through this. A
+/// [`Sender<OutEvent>`] is one (what [`Service::submit`] waits on); the
+/// transports route completions back to their connection's session, and a
+/// running schedule is the sink of its own current layer.
 pub trait ResponseSink: Send + Sync {
     /// Delivers one event. Returns `false` when the receiver is gone (the
     /// submitter hung up) — senders may use that to stop early, and must
@@ -156,20 +192,20 @@ impl ResponseSink for Sender<OutEvent> {
     }
 }
 
-/// One event delivered to a submission's response sink. Control frames
-/// ([`OutEvent::Control`]) are pre-serialized lines a connection injects
-/// into its own writer channel so they interleave cleanly with responses;
-/// the service itself only ever sends [`OutEvent::Response`].
+/// One event delivered to a submission's response sink. The service
+/// itself only ever sends [`OutEvent::Response`]; a schedule delivers its
+/// summary frame to the connection as an [`OutEvent::Control`] line after
+/// its last layer.
 // The size gap is real (a response with a certificate dwarfs a control
-// line) but each event lives only for one trip through a bounded channel
-// before the writer consumes it; boxing would buy transient channel bytes
-// at the cost of an allocation per response on the hot path.
+// line) but each event lives only for one trip through a sink before the
+// session consumes it; boxing would buy transient bytes at the cost of an
+// allocation per response on the hot path.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum OutEvent {
     /// A job's single response.
     Response(JobResponse),
-    /// A pre-serialized control frame line (hello ack, cancel ack, stats).
+    /// A pre-serialized control frame line (a schedule's summary).
     Control(String),
 }
 
@@ -387,6 +423,60 @@ impl Inner {
         req.budget_ms = Some(req.budget_ms.map_or(remaining, |b| b.min(remaining)));
         self.engine.solve_job_traced(&req, &job.trace)
     }
+
+    #[allow(clippy::result_large_err)] // rejection returns the request by value, no alloc
+    fn enqueue(
+        &self,
+        req: JobRequest,
+        sink: Arc<dyn ResponseSink>,
+        group: GroupId,
+        admit: Admit,
+    ) -> Result<Ticket, (SubmitError, JobRequest)> {
+        let mut state = self.state.lock().expect("service queue poisoned");
+        while admit != Admit::Always && state.by_order.len() >= self.queue_depth {
+            if state.stop {
+                return Err((SubmitError::ShuttingDown, req));
+            }
+            if admit == Admit::Try {
+                obs::registry().counter(obs::names::ERR_BUSY).inc();
+                return Err((SubmitError::Busy, req));
+            }
+            state = self.space.wait(state).expect("service queue poisoned");
+        }
+        if state.stop {
+            return Err((SubmitError::ShuttingDown, req));
+        }
+        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
+        state.seq += 1;
+        // Negated priority: BTreeMap iteration order pops the minimum, so
+        // higher priorities sort first and ties stay FIFO by sequence.
+        // Saturating: -i64::MIN would overflow; saturating to MAX keeps the
+        // lowest expressible priority sorting last instead of panicking.
+        let key = (req.priority.saturating_neg(), state.seq);
+        state.by_ticket.insert(ticket, key);
+        state.by_order.insert(
+            key,
+            Queued {
+                ticket,
+                group,
+                req,
+                sink,
+                submitted: Instant::now(),
+                trace: Arc::new(JobTrace::new()),
+            },
+        );
+        drop(state);
+        self.work.notify_one();
+        Ok(ticket)
+    }
+}
+
+/// The answer of a job removed from the queue by a cancel frame.
+fn canceled(req: &JobRequest) -> JobResponse {
+    JobResponse::failure(
+        req.id.clone(),
+        JobError::new(ErrorKind::Canceled, "canceled while queued"),
+    )
 }
 
 /// The lease coordinator: a single low-frequency thread (lease mode only)
@@ -685,52 +775,19 @@ impl Service {
         self.inner.queue_depth
     }
 
-    /// Submits a job, delivering its [`OutEvent::Response`] to `sink` on
-    /// completion. Non-blocking: a full queue answers
-    /// [`SubmitError::Busy`] immediately — the transport turns that into
-    /// a `busy` response (v2 backpressure).
-    pub fn submit_to(
-        &self,
-        req: JobRequest,
-        sink: Sender<OutEvent>,
-    ) -> Result<Ticket, SubmitError> {
-        self.enqueue(req, Arc::new(sink), 0, false)
-    }
-
-    /// Like [`Service::submit_to`] but **blocks** for queue space instead
-    /// of rejecting — natural backpressure for transports whose input can
-    /// simply stall (the v1 stdin loop).
-    pub fn submit_to_blocking(
-        &self,
-        req: JobRequest,
-        sink: Sender<OutEvent>,
-    ) -> Result<Ticket, SubmitError> {
-        self.enqueue(req, Arc::new(sink), 0, true)
-    }
-
-    /// A fresh cancellation group for [`Service::submit_grouped`] —
+    /// A fresh cancellation group for [`Service::submit_sink`] —
     /// typically one per connection.
     pub fn new_group(&self) -> GroupId {
         self.inner.next_group.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// [`Service::submit_to`]/[`Service::submit_to_blocking`] with a
-    /// cancellation-group tag, so the whole group's still-queued jobs can
-    /// be abandoned at once when the submitter's peer disappears.
-    pub fn submit_grouped(
-        &self,
-        req: JobRequest,
-        sink: Sender<OutEvent>,
-        group: GroupId,
-        blocking: bool,
-    ) -> Result<Ticket, SubmitError> {
-        self.enqueue(req, Arc::new(sink), group, blocking)
-    }
-
-    /// [`Service::submit_grouped`] for sinks that are not channels — the
-    /// event-driven acceptor's completion queue implements
-    /// [`ResponseSink`] directly, so a worker finishing a job wakes the
-    /// readiness loop instead of a per-connection writer thread.
+    /// Submits a job, delivering its [`OutEvent::Response`] to `sink` on
+    /// completion. The job joins cancellation `group` (`0` = ungrouped),
+    /// so a transport can abandon everything its peer still has queued in
+    /// one call ([`Service::cancel_group`]). Against a full queue a
+    /// `blocking` submit waits for space; otherwise it answers
+    /// [`SubmitError::Busy`] at once, which a transport turns into a
+    /// `busy` response (v2 backpressure).
     pub fn submit_sink(
         &self,
         req: JobRequest,
@@ -738,89 +795,37 @@ impl Service {
         group: GroupId,
         blocking: bool,
     ) -> Result<Ticket, SubmitError> {
-        self.enqueue(req, sink, group, blocking)
-    }
-
-    /// Non-blocking [`Service::submit_sink`] that hands the request back
-    /// on rejection — the event loop parks a rejected v1 job for retry
-    /// instead of cloning every request on the off chance of a full
-    /// queue. The large `Err` variant is the point: rejection must not
-    /// allocate, so the request rides back by value.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn submit_sink_reclaim(
-        &self,
-        req: JobRequest,
-        sink: Arc<dyn ResponseSink>,
-        group: GroupId,
-    ) -> Result<Ticket, (SubmitError, JobRequest)> {
-        self.enqueue_inner(req, sink, group, false)
+        let admit = if blocking { Admit::Wait } else { Admit::Try };
+        self.enqueue(req, sink, group, admit).map_err(|(e, _req)| e)
     }
 
     /// Submits a job and returns a [`JobHandle`] to wait on — the
-    /// library-consumer entry point.
+    /// library-consumer entry point. Non-blocking, like a v2 submit.
     pub fn submit(&self, req: JobRequest) -> Result<JobHandle, SubmitError> {
         let (tx, rx) = mpsc::channel();
         let id = req.id.clone();
-        let ticket = self.submit_to(req, tx)?;
+        let ticket = self.submit_sink(req, Arc::new(tx), 0, false)?;
         Ok(JobHandle { ticket, id, rx })
     }
 
-    fn enqueue(
+    /// The crate's submission path: [`Service::submit_sink`] with every
+    /// [`Admit`] policy, handing the request back on rejection so a
+    /// parked v1 job can be retried without a clone.
+    #[allow(clippy::result_large_err)] // rejection returns the request by value, no alloc
+    pub(crate) fn enqueue(
         &self,
         req: JobRequest,
         sink: Arc<dyn ResponseSink>,
         group: GroupId,
-        blocking: bool,
-    ) -> Result<Ticket, SubmitError> {
-        self.enqueue_inner(req, sink, group, blocking)
-            .map_err(|(e, _req)| e)
+        admit: Admit,
+    ) -> Result<Ticket, (SubmitError, JobRequest)> {
+        self.inner.enqueue(req, sink, group, admit)
     }
 
-    #[allow(clippy::result_large_err)] // rejection returns the request by value, no alloc
-    fn enqueue_inner(
-        &self,
-        req: JobRequest,
-        sink: Arc<dyn ResponseSink>,
-        group: GroupId,
-        blocking: bool,
-    ) -> Result<Ticket, (SubmitError, JobRequest)> {
-        let inner = &*self.inner;
-        let mut state = inner.state.lock().expect("service queue poisoned");
-        while state.by_order.len() >= inner.queue_depth {
-            if state.stop {
-                return Err((SubmitError::ShuttingDown, req));
-            }
-            if !blocking {
-                obs::registry().counter(obs::names::ERR_BUSY).inc();
-                return Err((SubmitError::Busy, req));
-            }
-            state = inner.space.wait(state).expect("service queue poisoned");
-        }
-        if state.stop {
-            return Err((SubmitError::ShuttingDown, req));
-        }
-        let ticket = inner.next_ticket.fetch_add(1, Ordering::Relaxed);
-        state.seq += 1;
-        // Negated priority: BTreeMap iteration order pops the minimum, so
-        // higher priorities sort first and ties stay FIFO by sequence.
-        // Saturating: -i64::MIN would overflow; saturating to MAX keeps the
-        // lowest expressible priority sorting last instead of panicking.
-        let key = (req.priority.saturating_neg(), state.seq);
-        state.by_ticket.insert(ticket, key);
-        state.by_order.insert(
-            key,
-            Queued {
-                ticket,
-                group,
-                req,
-                sink,
-                submitted: Instant::now(),
-                trace: Arc::new(JobTrace::new()),
-            },
-        );
-        drop(state);
-        inner.work.notify_one();
-        Ok(ticket)
+    /// A handle to this service's queue that does not keep the service
+    /// alive (see [`QueueRef`]).
+    pub(crate) fn queue_ref(&self) -> QueueRef {
+        QueueRef(Arc::downgrade(&self.inner))
     }
 
     /// Cancels a **still-queued** job: removes it and delivers its
@@ -829,21 +834,29 @@ impl Service {
     /// a started job is never interrupted, so every accepted job yields
     /// exactly one response.
     pub fn cancel(&self, ticket: Ticket) -> bool {
+        let Some(job) = self.dequeue(ticket) else {
+            return false;
+        };
+        let _ = job.sink.deliver(OutEvent::Response(canceled(&job.req)));
+        true
+    }
+
+    /// [`Service::cancel`] that hands the canceled response to the caller
+    /// instead of the job's sink: a session answering its own job can then
+    /// write that response before the cancel ack.
+    pub(crate) fn withdraw(&self, ticket: Ticket) -> Option<JobResponse> {
+        self.dequeue(ticket).map(|job| canceled(&job.req))
+    }
+
+    fn dequeue(&self, ticket: Ticket) -> Option<Queued> {
         let job = {
             let mut state = self.inner.state.lock().expect("service queue poisoned");
-            let Some(key) = state.by_ticket.remove(&ticket) else {
-                return false;
-            };
+            let key = state.by_ticket.remove(&ticket)?;
             state.by_order.remove(&key).expect("ticket maps into queue")
         };
         self.inner.space.notify_one();
         obs::registry().counter(obs::names::ERR_CANCELED).inc();
-        let response = JobResponse::failure(
-            job.req.id.clone(),
-            JobError::new(ErrorKind::Canceled, "canceled while queued"),
-        );
-        let _ = job.sink.deliver(OutEvent::Response(response));
-        true
+        Some(job)
     }
 
     /// Cancels every **still-queued** job of `group` (running jobs finish

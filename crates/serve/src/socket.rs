@@ -1,14 +1,8 @@
-//! The socket front-end: a Unix-domain or TCP listener feeding many
-//! concurrent client connections into one shared [`Service`].
-//!
-//! Each accepted connection runs [`serve_connection`] on its own thread,
-//! so N clients multiplex onto the same engine — one canonical-form
-//! cache, one warm-session store, one adaptive scheduler. Shutting the
-//! listener down stops accepting and then joins the live connections,
-//! each of which drains its in-flight jobs and emits its summary frame
-//! before closing (the graceful-shutdown guarantee).
+//! Socket plumbing shared by the transport and its clients: addresses,
+//! streams of either family, binding, and the [`SocketServer`] handle of
+//! a running [`serve_socket_event`](crate::serve_socket_event).
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -16,9 +10,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crate::connection::serve_connection;
-use crate::service::Service;
 
 /// Where a socket server binds (or a client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,10 +73,10 @@ impl SocketStream {
         }
     }
 
-    /// Half-closes the read side: a peer blocked reading this stream sees
-    /// end-of-input. The server's shutdown path uses this to turn idle
-    /// connections into the ordinary EOF drain (responses + summary still
-    /// go out on the intact write side).
+    /// Half-closes the read side: reads see end-of-input. The server's
+    /// shutdown path uses this to turn idle connections into the ordinary
+    /// EOF drain (responses + summary still go out on the intact write
+    /// side).
     pub fn shutdown_read(&self) -> io::Result<()> {
         match self {
             SocketStream::Unix(s) => s.shutdown(std::net::Shutdown::Read),
@@ -93,17 +84,8 @@ impl SocketStream {
         }
     }
 
-    /// Bounds how long a single `write` may block on a peer that stopped
-    /// reading (kernel send buffer full). `None` = block forever.
-    pub fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            SocketStream::Unix(s) => s.set_write_timeout(timeout),
-            SocketStream::Tcp(s) => s.set_write_timeout(timeout),
-        }
-    }
-
     /// Switches the stream between blocking and nonblocking mode (the
-    /// event-driven acceptor runs every connection nonblocking).
+    /// server runs every connection nonblocking).
     pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             SocketStream::Unix(s) => s.set_nonblocking(nonblocking),
@@ -183,7 +165,7 @@ impl Listener {
         Ok(stream)
     }
 
-    /// Nonblocking accept for the event-driven front-end.
+    /// Nonblocking accept, for the readiness loop.
     pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             Listener::Unix(l) => l.set_nonblocking(nonblocking),
@@ -201,8 +183,7 @@ impl Listener {
 }
 
 /// Binds `addr`, replacing a stale Unix socket file from a crashed run
-/// (but refusing to clobber a non-socket at a typo'd path). Shared by the
-/// thread-per-connection and event-driven front-ends.
+/// (but refusing to clobber a non-socket at a typo'd path).
 pub(crate) fn bind_listener(addr: &BindAddr) -> io::Result<(Listener, BindAddr, Option<PathBuf>)> {
     Ok(match addr {
         BindAddr::Unix(path) => {
@@ -235,13 +216,14 @@ pub(crate) fn bind_listener(addr: &BindAddr) -> io::Result<(Listener, BindAddr, 
     })
 }
 
-/// Per-write stall bound on accepted connections: a peer that stops
-/// reading trips this, turning its connection into the write-error drain
-/// (queued jobs canceled, output discarded) instead of blocking the
-/// server's shutdown join forever.
+/// Bound on the shutdown drain: live connections get this long to answer
+/// their in-flight work and flush it before they are closed (queued jobs
+/// canceled), so a peer that stops reading cannot hold the shutdown
+/// forever.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A running socket front-end; see [`serve_socket`].
+/// A running socket server; see
+/// [`serve_socket_event`](crate::serve_socket_event).
 pub struct SocketServer {
     local: BindAddr,
     stop: Arc<AtomicBool>,
@@ -250,10 +232,9 @@ pub struct SocketServer {
 }
 
 impl SocketServer {
-    /// Assembles a server handle around an already-running acceptor — the
-    /// event-driven front-end reuses this shutdown/join machinery (its
-    /// readiness loop is also woken by the shutdown self-connection).
-    pub(crate) fn from_parts(
+    /// A handle on a running readiness loop, which the shutdown
+    /// self-connection wakes.
+    pub(crate) fn new(
         local: BindAddr,
         stop: Arc<AtomicBool>,
         acceptor: JoinHandle<Option<io::Error>>,
@@ -273,23 +254,23 @@ impl SocketServer {
         &self.local
     }
 
-    /// Joins the acceptor (if still running) and returns its fatal accept
+    /// Joins the readiness loop (if still running) and returns its fatal
     /// error, if it died of one.
     fn reap(&mut self) -> Option<io::Error> {
         self.acceptor.take().and_then(|h| h.join().ok().flatten())
     }
 
-    /// Stops accepting new connections, then joins the acceptor and every
-    /// live connection thread. Live connections have their read side
+    /// Stops accepting new connections and joins the loop once every live
+    /// connection has drained. Live connections have their read side
     /// half-closed — an idle peer cannot stall the shutdown — after which
-    /// each drains its in-flight jobs and writes its summary frame before
-    /// closing. A peer that stops *reading* is bounded by the internal
-    /// write timeout per write instead of blocking the join forever.
+    /// each answers its in-flight jobs and writes its summary frame before
+    /// closing. A peer that stops *reading* is cut off after
+    /// [`WRITE_TIMEOUT`] instead of blocking the join forever.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        // Wake the blocking accept with a throwaway connection; if the
-        // listener is already broken the acceptor is exiting anyway.
+        // Wake the loop with a throwaway connection; if the listener is
+        // already broken the loop is exiting anyway.
         let _ = connect(&self.local);
         let _ = self.reap();
         if let Some(path) = self.unix_path.take() {
@@ -297,9 +278,9 @@ impl SocketServer {
         }
     }
 
-    /// Blocks until the acceptor exits — after
+    /// Blocks until the readiness loop exits — after
     /// [`SocketServer::shutdown`] from another thread, or on a fatal
-    /// accept error, which is returned so the long-running
+    /// poller error, which is returned so the long-running
     /// `rect-addr serve --listen` path can exit non-zero instead of
     /// silently reporting a clean stop.
     pub fn join(&mut self) -> io::Result<()> {
@@ -323,98 +304,3 @@ impl std::fmt::Debug for SocketServer {
             .finish()
     }
 }
-
-/// Binds `addr` and serves connections against `service` until
-/// [`SocketServer::shutdown`]. A stale Unix socket file from a previous
-/// run is replaced. Returns immediately; accepting runs on a background
-/// thread, one more thread per live connection.
-pub fn serve_socket(service: Arc<Service>, addr: &BindAddr) -> io::Result<SocketServer> {
-    let (listener, local, unix_path) = bind_listener(addr)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let acceptor = {
-        let stop = stop.clone();
-        std::thread::spawn(move || -> Option<io::Error> {
-            // Blocking accept — no polling. Shutdown wakes it with a
-            // throwaway self-connection. Connection threads are joined
-            // before the acceptor exits, so shutdown implies every
-            // connection drained and closed. Each entry keeps a control
-            // clone of the stream: on shutdown the read side is
-            // half-closed, turning a connection blocked on an idle peer
-            // into the ordinary EOF drain instead of a hang.
-            let mut connections: Vec<(JoinHandle<()>, SocketStream)> = Vec::new();
-            let mut consecutive_errors = 0u32;
-            let fatal = loop {
-                if stop.load(Ordering::Relaxed) {
-                    break None;
-                }
-                match listener.accept() {
-                    Ok(stream) => {
-                        consecutive_errors = 0;
-                        if stop.load(Ordering::Relaxed) {
-                            break None; // the shutdown wake-up connection
-                        }
-                        // A peer that stops *reading* would otherwise block
-                        // the connection's writer forever (and with it the
-                        // acceptor's final join): bound each write so such
-                        // a connection fails over to the write-error drain.
-                        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-                        let Ok(control) = stream.try_clone() else {
-                            continue;
-                        };
-                        let service = service.clone();
-                        let handle = std::thread::spawn(move || {
-                            service.connection_opened();
-                            if let Ok(mut writer) = stream.try_clone() {
-                                let reader = BufReader::new(stream);
-                                // A peer that hangs up mid-stream surfaces as
-                                // a write error; the connection already
-                                // drained.
-                                let _ = serve_connection(&service, reader, &mut writer);
-                                // The acceptor still holds a control clone of
-                                // this socket, so dropping our handles alone
-                                // would not EOF the peer: half-close
-                                // explicitly to end the client's read loop.
-                                let _ = writer.shutdown_write();
-                            }
-                            service.connection_closed();
-                        });
-                        connections.push((handle, control));
-                        // Reap finished connections so a long-lived server
-                        // does not accumulate dead handles.
-                        connections.retain(|(h, _)| !h.is_finished());
-                    }
-                    Err(e) => {
-                        // Transient failures (EMFILE under load, EINTR…)
-                        // back off and keep serving; a listener that only
-                        // errors for ~5s straight is dead — report it.
-                        consecutive_errors += 1;
-                        if consecutive_errors >= MAX_CONSECUTIVE_ACCEPT_ERRORS {
-                            eprintln!("rect-addr: accept failing persistently: {e}");
-                            break Some(e);
-                        }
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                }
-            };
-            for (handle, control) in connections {
-                // EOF the reader (write side stays open): the connection
-                // drains in-flight jobs and emits its summary, then exits.
-                let _ = control.shutdown_read();
-                let _ = handle.join();
-            }
-            fatal
-        })
-    };
-
-    Ok(SocketServer {
-        local,
-        stop,
-        acceptor: Some(acceptor),
-        unix_path,
-    })
-}
-
-/// Consecutive `accept` failures (at 100 ms back-off each) before the
-/// acceptor gives up and reports the error through
-/// [`SocketServer::join`].
-const MAX_CONSECUTIVE_ACCEPT_ERRORS: u32 = 50;

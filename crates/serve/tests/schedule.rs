@@ -16,7 +16,7 @@ use engine::protocol::{
     SummaryFrame,
 };
 use engine::EngineConfig;
-use rect_addr_serve::{serve_socket, BindAddr, LineClient, Service, ServiceConfig};
+use rect_addr_serve::{serve_socket_event, BindAddr, LineClient, Service, ServiceConfig};
 
 /// Row stripes of period 2, phase `k % 2` — the vertical-pairing masks of
 /// a nearest-neighbor circuit round. Layer `k` repeats layer `k - 2`
@@ -39,7 +39,7 @@ fn schedule_streams_layers_and_reuses_cache_over_tcp() {
         },
         ServiceConfig::default(),
     ));
-    let mut server = serve_socket(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
+    let mut server = serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
 
     let mut client = LineClient::connect(server.local_addr()).unwrap();
     let ack: HelloAck = client.handshake().unwrap();
@@ -117,7 +117,7 @@ fn cancel_mid_schedule_keeps_partial_results() {
             persist: None,
         },
     ));
-    let mut server = serve_socket(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
+    let mut server = serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
 
     let mut client = LineClient::connect(server.local_addr()).unwrap();
     client.handshake().unwrap();
@@ -192,7 +192,7 @@ fn layer_deadlines_run_from_schedule_acceptance() {
             persist: None,
         },
     ));
-    let mut server = serve_socket(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
+    let mut server = serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
 
     let mut client = LineClient::connect(server.local_addr()).unwrap();
     client.handshake().unwrap();

@@ -92,10 +92,11 @@ fn higher_priority_jobs_run_first_fifo_within_a_tier() {
     let gate = Gate::new();
     let service = gated_service(&gate, 1, 64);
     let (tx, rx) = mpsc::channel();
+    let sink = Arc::new(tx);
 
     // Occupy the single worker, then queue under distinct priorities.
     service
-        .submit_to(distinct_job("running", 0), tx.clone())
+        .submit_sink(distinct_job("running", 0), sink.clone(), 0, false)
         .unwrap();
     gate.wait_started(1);
     for (i, (id, priority)) in [("low-a", 0), ("high", 5), ("low-b", 0), ("mid", 3)]
@@ -103,10 +104,15 @@ fn higher_priority_jobs_run_first_fifo_within_a_tier() {
         .enumerate()
     {
         service
-            .submit_to(distinct_job(id, i + 1).with_priority(priority), tx.clone())
+            .submit_sink(
+                distinct_job(id, i + 1).with_priority(priority),
+                sink.clone(),
+                0,
+                false,
+            )
             .unwrap();
     }
-    drop(tx);
+    drop(sink);
     gate.open();
 
     let order: Vec<String> = rx
@@ -189,21 +195,22 @@ fn cancel_group_abandons_only_that_groups_queued_jobs() {
     let gate = Gate::new();
     let service = gated_service(&gate, 1, 64);
     let (tx, rx) = mpsc::channel();
+    let sink = Arc::new(tx);
 
     let mine = service.new_group();
     let other = service.new_group();
     service
-        .submit_grouped(distinct_job("running", 0), tx.clone(), mine, false)
+        .submit_sink(distinct_job("running", 0), sink.clone(), mine, false)
         .unwrap();
     gate.wait_started(1);
     service
-        .submit_grouped(distinct_job("mine-a", 1), tx.clone(), mine, false)
+        .submit_sink(distinct_job("mine-a", 1), sink.clone(), mine, false)
         .unwrap();
     service
-        .submit_grouped(distinct_job("theirs", 2), tx.clone(), other, false)
+        .submit_sink(distinct_job("theirs", 2), sink.clone(), other, false)
         .unwrap();
     service
-        .submit_grouped(distinct_job("mine-b", 3), tx.clone(), mine, false)
+        .submit_sink(distinct_job("mine-b", 3), sink.clone(), mine, false)
         .unwrap();
 
     // Only the two queued jobs of `mine` go; "running" and "theirs" stay.
@@ -212,7 +219,7 @@ fn cancel_group_abandons_only_that_groups_queued_jobs() {
     assert_eq!(service.cancel_group(0), 0, "ungrouped never matches");
 
     gate.open();
-    drop(tx);
+    drop(sink);
     let mut canceled = Vec::new();
     let mut solved = Vec::new();
     for event in rx {

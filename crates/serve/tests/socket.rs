@@ -1,4 +1,4 @@
-//! The socket front-end, end to end over real sockets: the v2 protocol
+//! The socket transport, end to end over real sockets: the v2 protocol
 //! (handshake → capabilities, priority, cancel round-trip, busy
 //! backpressure, stats frame, versioned summary) on TCP; N concurrent
 //! clients multiplexed onto one shared engine with exactly-shared cache
@@ -16,7 +16,7 @@ use engine::protocol::{
 use engine::EngineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rect_addr_serve::{pump, serve_socket, BindAddr, LineClient, Service, ServiceConfig};
+use rect_addr_serve::{pump, serve_socket_event, BindAddr, LineClient, Service, ServiceConfig};
 
 #[test]
 fn bind_addr_classification() {
@@ -60,7 +60,7 @@ fn v2_session_over_tcp() {
             persist: None,
         },
     ));
-    let mut server = serve_socket(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
+    let mut server = serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
 
     let mut client = LineClient::connect(server.local_addr()).unwrap();
     let ack: HelloAck = client.handshake().unwrap();
@@ -150,7 +150,7 @@ fn concurrent_clients_share_one_cache() {
         ServiceConfig::default(),
     ));
     let engine = service.engine().clone();
-    let mut server = serve_socket(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
+    let mut server = serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
     let addr = server.local_addr().clone();
 
     // Every client submits permuted duplicates of the same CLASSES bases.
@@ -230,7 +230,7 @@ fn shutdown_unblocks_idle_connections_and_still_summarizes() {
         EngineConfig::default(),
         ServiceConfig::default(),
     ));
-    let mut server = serve_socket(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
+    let mut server = serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).unwrap();
     let mut client = LineClient::connect(server.local_addr()).unwrap();
     client.send_job(&distinct_job("only", 0)).unwrap();
     let first = client.recv_line().unwrap().expect("job answered");
@@ -262,7 +262,7 @@ fn unix_socket_pump_roundtrip() {
     ));
     let path = std::env::temp_dir().join(format!("rect-addr-test-{}.sock", std::process::id()));
     let addr = BindAddr::Unix(path.clone());
-    let mut server = serve_socket(service, &addr).unwrap();
+    let mut server = serve_socket_event(service, &addr).unwrap();
 
     let jobs = "{\"id\": \"a\", \"matrix\": \"10;01\"}\n\
                 {\"id\": \"b\", \"matrix\": \"01;10\"}\n\
@@ -291,7 +291,7 @@ fn binding_onto_a_regular_file_refuses_instead_of_deleting() {
     let path = std::env::temp_dir().join(format!("rect-addr-notsock-{}", std::process::id()));
     std::fs::write(&path, "precious data").unwrap();
 
-    let err = serve_socket(service, &BindAddr::Unix(path.clone())).unwrap_err();
+    let err = serve_socket_event(service, &BindAddr::Unix(path.clone())).unwrap_err();
     assert!(err.to_string().contains("not a socket"), "{err}");
     assert_eq!(
         std::fs::read_to_string(&path).unwrap(),
