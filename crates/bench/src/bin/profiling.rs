@@ -6,9 +6,11 @@
 //!    point is timed against a per-bit reference implementation on the bench
 //!    matrix shapes. The run *fails* (exit 1) if any kernel is slower than
 //!    its reference: that is the word-packing contract, checked in CI.
-//! 2. **Hot loops** — representative canonization, row-packing, DLX-setup
-//!    and SAT-encoding workloads are driven end-to-end so the `kernel_us_*`
-//!    histograms populate, then their summaries are printed.
+//! 2. **Hot loops** — representative canonization (random matrices plus
+//!    relabeled Paley graphs, which need the individualization search),
+//!    row-packing, DLX-setup and SAT-encoding workloads are driven
+//!    end-to-end so the `kernel_us_*` histograms populate, then their
+//!    summaries are printed.
 //!
 //! Output goes to stdout and `BENCH_profiling.json` (uploaded as a CI
 //! artifact next to `BENCH_engine.json`).
@@ -264,8 +266,9 @@ fn kernel_microbenches() -> Vec<Measurement> {
 }
 
 /// Drives the measured hot loops end-to-end so the `kernel_us_*` histograms
-/// populate: canonization (refine + search), row packing with and without
-/// the DLX exact-cover step, and the SAT pair-constraint encoder.
+/// populate: canonization (refine + search, the search on relabeled Paley
+/// graphs), row packing with and without the DLX exact-cover step, and the
+/// SAT pair-constraint encoder.
 fn drive_hot_loops() {
     let mats: Vec<BitMatrix> = (0..8)
         .map(|i| random_benchmark(10, 10, 0.4, 9_000 + i as u64).matrix)
@@ -284,6 +287,12 @@ fn drive_hot_loops() {
         };
         black_box(ebmf::row_packing(m, &dlx));
         black_box(EbmfEncoder::new(m, 6));
+    }
+    // Refinement alone makes the random matrices above discrete; relabeled
+    // Paley graphs are vertex-transitive, so their canonization runs the
+    // individualization search and automorphism pruning too.
+    for job in traffic::Workload::adversarial(9_100).take(16) {
+        black_box(canonical_form(&job.matrix));
     }
 }
 

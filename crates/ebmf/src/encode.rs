@@ -28,7 +28,7 @@
 use std::time::Instant;
 
 use bitmatrix::{kernel, BitMatrix};
-use sat::{SolveResult, Solver, SolverStats, Var};
+use sat::{CancelToken, SolveResult, Solver, SolverStats, Var};
 
 use crate::{Partition, Rectangle};
 
@@ -193,12 +193,32 @@ impl EbmfEncoder {
     /// # Panics
     ///
     /// See [`EbmfEncoder::new`] / [`EbmfEncoder::with_dont_cares`].
-    #[allow(clippy::needless_range_loop)] // parallel cell/label tables
     pub fn with_encoder_options(
         m: &BitMatrix,
         dont_care: Option<&BitMatrix>,
         options: EncoderOptions,
     ) -> Self {
+        Self::with_encoder_options_cancellable(m, dont_care, options, None)
+            .expect("a build without a cancel token always completes")
+    }
+
+    /// [`EbmfEncoder::with_encoder_options`] under a cancel token, polled
+    /// once per 1-cell of each clause-emission loop and once per label
+    /// among the bound selectors. The pair loop emits `O(cells² · bound)`
+    /// clauses and dominates large builds. Returns `None` once the token
+    /// reads as cancelled, keeping no partial encoding.
+    ///
+    /// # Panics
+    ///
+    /// See [`EbmfEncoder::new`] / [`EbmfEncoder::with_dont_cares`].
+    #[allow(clippy::needless_range_loop)] // parallel cell/label tables
+    pub fn with_encoder_options_cancellable(
+        m: &BitMatrix,
+        dont_care: Option<&BitMatrix>,
+        options: EncoderOptions,
+        cancel: Option<&CancelToken>,
+    ) -> Option<Self> {
+        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
         let EncoderOptions {
             bound,
             symmetry_breaking,
@@ -239,6 +259,9 @@ impl EbmfEncoder {
 
         // Exactly-one label per cell: at-least-one plus the configured AMO.
         for e in 0..t {
+            if cancelled() {
+                return None;
+            }
             solver.add_clause((0..bound).map(|k| var(e, k).positive()));
             match amo {
                 AmoEncoding::Pairwise => {
@@ -308,6 +331,9 @@ impl EbmfEncoder {
                 kernel::andnot_assign(dst, care1);
             }
             for (r1, j1) in kernel::ones(ones1).enumerate() {
+                if cancelled() {
+                    return None;
+                }
                 let e1 = row_cell_start[i1] + r1;
                 let (w1, b1) = (j1 / 64, 1u64 << (j1 % 64));
                 for i2 in (i1 + 1)..nrows {
@@ -370,6 +396,9 @@ impl EbmfEncoder {
                 solver.add_clause([var(0, k).negative()]);
             }
             for e in 1..t {
+                if cancelled() {
+                    return None;
+                }
                 for k in 1..bound {
                     if k > e {
                         solver.add_clause([var(e, k).negative()]);
@@ -388,6 +417,9 @@ impl EbmfEncoder {
         let bound_selectors: Vec<Var> = if assumption_bounds {
             let off: Vec<Var> = (0..bound).map(|_| solver.new_var()).collect();
             for (k, &sel) in off.iter().enumerate() {
+                if cancelled() {
+                    return None;
+                }
                 for e in 0..t {
                     solver.add_clause([sel.negative(), var(e, k).negative()]);
                 }
@@ -397,7 +429,7 @@ impl EbmfEncoder {
             Vec::new()
         };
 
-        EbmfEncoder {
+        Some(EbmfEncoder {
             solver,
             shape: (nrows, ncols),
             cells,
@@ -408,7 +440,7 @@ impl EbmfEncoder {
             options,
             bound_selectors,
             last_sat: false,
-        }
+        })
     }
 
     /// The options this encoder was built with — enough to reconstruct a
@@ -961,6 +993,20 @@ mod tests {
         assert_eq!(enc.solve_at(6), SolveResult::Unknown);
         enc.set_conflict_budget(None);
         assert!(enc.solve_at(6).is_unsat());
+    }
+
+    #[test]
+    fn cancelled_build_returns_no_encoder() {
+        let m: BitMatrix = "110\n011\n111".parse().unwrap();
+        let opts = EncoderOptions::new(3).with_assumption_bounds();
+        let token = CancelToken::new();
+        let mut enc = EbmfEncoder::with_encoder_options_cancellable(&m, None, opts, Some(&token))
+            .expect("an untripped token lets the build finish");
+        assert_eq!(enc.solve_at(3), SolveResult::Sat);
+        token.cancel();
+        assert!(
+            EbmfEncoder::with_encoder_options_cancellable(&m, None, opts, Some(&token)).is_none()
+        );
     }
 
     #[test]

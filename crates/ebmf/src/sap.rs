@@ -390,6 +390,49 @@ impl SapSession {
         }
     }
 
+    /// Builds the session's encoder, reinjecting a pending core. Returns
+    /// `None` when `config.cancel` trips mid-build; the pending core then
+    /// waits for the next run.
+    fn build_encoder(&mut self, config: &SapConfig) -> Option<EbmfEncoder> {
+        let pending = self.pending_core.take();
+        let (capacity, symmetry_breaking) = match &pending {
+            // Rebuild byte-identically to the exporting encoder so the
+            // core's variable numbering lines up.
+            Some(p) => (p.capacity, p.symmetry_breaking),
+            None => (self.best.len() - 1, config.symmetry_breaking),
+        };
+        let enc_opts = crate::EncoderOptions {
+            symmetry_breaking,
+            proof_logging: config.certify,
+            assumption_bounds: true,
+            ..crate::EncoderOptions::new(capacity)
+        };
+        let Some(mut encoder) = EbmfEncoder::with_encoder_options_cancellable(
+            &self.m,
+            None,
+            enc_opts,
+            config.cancel.as_ref(),
+        ) else {
+            self.pending_core = pending;
+            return None;
+        };
+        if let Some(p) = pending {
+            // A structurally-broken core just costs the warm start; the
+            // fresh encoding stays sound either way.
+            if config.certify {
+                // Under certify a reinjected clause must never enter the
+                // trace as an unjustified axiom: re-derive each one with a
+                // bounded refutation of its negation, so it lands as a
+                // checked lemma. Clauses the effort cannot justify are
+                // dropped (warm-start cost only).
+                let _ = encoder.import_core_derived(&p.core, CORE_DERIVE_EFFORT);
+            } else {
+                let _ = encoder.import_core(&p.core);
+            }
+        }
+        Some(encoder)
+    }
+
     /// Runs (or resumes) the depth descent under `config`'s budgets and
     /// returns the current outcome. Proved sessions return immediately.
     pub fn run(&mut self, config: &SapConfig) -> SapOutcome {
@@ -407,106 +450,80 @@ impl SapSession {
         if !self.proved && !skip_sat && self.best.len() > 1 {
             let sat_start = Instant::now();
             if self.encoder.is_none() {
-                let pending = self.pending_core.take();
-                let (capacity, symmetry_breaking) = match &pending {
-                    // Rebuild byte-identically to the exporting encoder so
-                    // the core's variable numbering lines up.
-                    Some(p) => (p.capacity, p.symmetry_breaking),
-                    None => (self.best.len() - 1, config.symmetry_breaking),
-                };
-                let enc_opts = crate::EncoderOptions {
-                    symmetry_breaking,
-                    proof_logging: config.certify,
-                    assumption_bounds: true,
-                    ..crate::EncoderOptions::new(capacity)
-                };
-                let mut encoder = EbmfEncoder::with_encoder_options(&self.m, None, enc_opts);
-                if let Some(p) = pending {
-                    // A structurally-broken core just costs the warm start;
-                    // the fresh encoding stays sound either way.
-                    if config.certify {
-                        // Under certify a reinjected clause must never enter
-                        // the trace as an unjustified axiom: re-derive each
-                        // one with a bounded refutation of its negation, so
-                        // it lands as a checked lemma. Clauses the effort
-                        // cannot justify are dropped (warm-start cost only).
-                        let _ = encoder.import_core_derived(&p.core, CORE_DERIVE_EFFORT);
-                    } else {
-                        let _ = encoder.import_core(&p.core);
-                    }
-                }
-                self.encoder = Some(encoder);
+                self.encoder = self.build_encoder(config);
             }
-            let encoder = self.encoder.as_mut().expect("encoder just ensured");
-            encoder.set_conflict_budget(config.conflict_budget);
-            encoder.set_interrupt(config.cancel.clone());
-            loop {
-                // Resume point: one below the incumbent, clamped to what the
-                // encoding can express (the incumbent may have improved past
-                // the first run's starting capacity via `offer_incumbent`).
-                let b = (self.best.len() - 1).min(encoder.capacity());
-                if b < self.lb.value {
-                    self.proved = true; // |best| == lb.value: matches the floor
-                    break;
-                }
-                if config
-                    .cancel
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled)
-                {
-                    break; // anytime exit: keep the incumbent, optimality unproved
-                }
-                let stats_before = encoder.solver_stats();
-                let tq = Instant::now();
-                let result = if encoder.assumption_bounds() {
-                    // Per-query budget through the resumable pool, so an
-                    // exhausted query can be continued by the next run.
-                    encoder.set_resumable_budget(config.conflict_budget);
-                    encoder.solve_at(b)
-                } else {
-                    encoder.narrow(b);
-                    encoder.solve()
-                };
-                let seconds = tq.elapsed().as_secs_f64();
-                let spent = encoder.solver_stats().since(&stats_before);
-                self.conflicts += spent.conflicts;
-                stats.queries.push(SatQuery {
-                    bound: b,
-                    result,
-                    seconds,
-                    conflicts: spent.conflicts,
-                    decisions: spent.decisions,
-                    propagations: spent.propagations,
-                });
-                match result {
-                    SolveResult::Sat => {
-                        let p = encoder.extract_partition();
-                        debug_assert!(p.validate(&self.m).is_ok());
-                        debug_assert!(p.len() <= b);
-                        self.best = p;
-                        if self.best.len() <= self.lb.value {
+            if let Some(encoder) = self.encoder.as_mut() {
+                encoder.set_conflict_budget(config.conflict_budget);
+                encoder.set_interrupt(config.cancel.clone());
+                loop {
+                    // Resume point: one below the incumbent, clamped to what the
+                    // encoding can express (the incumbent may have improved past
+                    // the first run's starting capacity via `offer_incumbent`).
+                    let b = (self.best.len() - 1).min(encoder.capacity());
+                    if b < self.lb.value {
+                        self.proved = true; // |best| == lb.value: matches the floor
+                        break;
+                    }
+                    if config
+                        .cancel
+                        .as_ref()
+                        .is_some_and(CancelToken::is_cancelled)
+                    {
+                        break; // anytime exit: keep the incumbent, optimality unproved
+                    }
+                    let stats_before = encoder.solver_stats();
+                    let tq = Instant::now();
+                    let result = if encoder.assumption_bounds() {
+                        // Per-query budget through the resumable pool, so an
+                        // exhausted query can be continued by the next run.
+                        encoder.set_resumable_budget(config.conflict_budget);
+                        encoder.solve_at(b)
+                    } else {
+                        encoder.narrow(b);
+                        encoder.solve()
+                    };
+                    let seconds = tq.elapsed().as_secs_f64();
+                    let spent = encoder.solver_stats().since(&stats_before);
+                    self.conflicts += spent.conflicts;
+                    stats.queries.push(SatQuery {
+                        bound: b,
+                        result,
+                        seconds,
+                        conflicts: spent.conflicts,
+                        decisions: spent.decisions,
+                        propagations: spent.propagations,
+                    });
+                    match result {
+                        SolveResult::Sat => {
+                            let p = encoder.extract_partition();
+                            debug_assert!(p.validate(&self.m).is_ok());
+                            debug_assert!(p.len() <= b);
+                            self.best = p;
+                            if self.best.len() <= self.lb.value {
+                                self.proved = true;
+                                break;
+                            }
+                        }
+                        SolveResult::Unsat => {
+                            // r_B > b, and |best| == b + 1.
                             self.proved = true;
+                            if config.certify {
+                                certified = Some(encoder.verify_unsat_proof().is_ok());
+                                certificate =
+                                    encoder.unsat_refutation().map(|p| UnsatCertificate {
+                                        bound: b,
+                                        cnf: p.to_dimacs_cnf(),
+                                        drat: p.to_drat(),
+                                    });
+                            }
                             break;
                         }
+                        SolveResult::Unknown => break, // budget exhausted: anytime exit
                     }
-                    SolveResult::Unsat => {
-                        // r_B > b, and |best| == b + 1.
-                        self.proved = true;
-                        if config.certify {
-                            certified = Some(encoder.verify_unsat_proof().is_ok());
-                            certificate = encoder.unsat_refutation().map(|p| UnsatCertificate {
-                                bound: b,
-                                cnf: p.to_dimacs_cnf(),
-                                drat: p.to_drat(),
-                            });
+                    if let Some(limit) = config.time_limit {
+                        if sat_start.elapsed() > limit {
+                            break;
                         }
-                        break;
-                    }
-                    SolveResult::Unknown => break, // budget exhausted: anytime exit
-                }
-                if let Some(limit) = config.time_limit {
-                    if sat_start.elapsed() > limit {
-                        break;
                     }
                 }
             }
@@ -813,6 +830,35 @@ mod tests {
         assert!(out.partition.validate(&m).is_ok());
         assert!(out.stats.queries.is_empty());
         assert!(!out.proved_optimal);
+    }
+
+    #[test]
+    fn cancelled_encoder_build_keeps_no_encoding_and_the_pending_core() {
+        let m = hard_matrix();
+        let cfg = SapConfig {
+            symmetry_breaking: false,
+            conflict_budget: Some(500),
+            ..SapConfig::default()
+        };
+        let mut donor = SapSession::new(&m, &cfg);
+        donor.run(&cfg);
+        let export = donor.export(100_000);
+        assert!(!export.core.is_empty(), "mid-descent core must be nonempty");
+
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = SapConfig {
+            cancel: Some(token),
+            ..cfg
+        };
+        let mut warm = SapSession::import(&export).expect("genuine export imports");
+        let out = warm.run(&cancelled);
+        assert!(warm.encoder.is_none(), "a cancelled build keeps no encoder");
+        assert!(out.stats.queries.is_empty());
+        assert!(!out.proved_optimal);
+        assert!(out.partition.validate(&m).is_ok());
+        // The learnt core still waits for the next run's build.
+        assert_eq!(warm.export(100_000).core, export.core);
     }
 
     /// A matrix whose descent needs enough conflicts that a small per-run

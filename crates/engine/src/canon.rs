@@ -16,7 +16,12 @@
 //!    neighbours' labels (Weisfeiler–Leman style) until the induced partition
 //!    into label classes stops splitting. The labels are isomorphism
 //!    invariants: corresponding vertices of two permuted copies always carry
-//!    equal labels.
+//!    equal labels. Each side is kept sorted by `(label, index)` (rank
+//!    order), so a round hands every line its neighbours' labels already
+//!    ascending by walking the other side in rank order, and the sort that
+//!    ranks the next round also counts its cells, which is the stability
+//!    probe. Cells, branching targets and leaf orderings are read off the
+//!    same sorted order.
 //! 2. **Individualization** — if refinement stalls with a non-singleton cell
 //!    (e.g. a *biregular* matrix, where every row/column degree ties), the
 //!    search picks an invariant target cell, individualizes each of its
@@ -31,7 +36,9 @@
 //!    composed); vertices mapped onto an already-explored sibling by
 //!    automorphisms that fix the current branching prefix are skipped, as are
 //!    cell-mates whose row/column content is bit-identical (swapping two
-//!    identical lines is always an automorphism).
+//!    identical lines is always an automorphism). Each search node keeps
+//!    the orbits of its prefix-fixing automorphisms in one union-find,
+//!    folding in generators as later siblings discover them.
 //!
 //! The search is exact but worst-case exponential, so it runs under a
 //! configurable budget ([`CanonOptions::max_branches`] individualization
@@ -46,7 +53,8 @@
 //! keys always mean genuinely permutation-equivalent matrices.
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use bitmatrix::{kernel, BitMatrix, BitVec};
 use ebmf::{Partition, Rectangle};
@@ -181,104 +189,154 @@ fn combine(h: u64, x: u64) -> u64 {
     mix(h ^ x.wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
-/// Row and column labels of one refinement state. Equal labels = one cell of
-/// the induced ordered partition; label values are isomorphism invariants.
+/// One side's refinement labels as `(label, index)` pairs sorted
+/// ascending: each run of equal labels is one cell of the ordered
+/// partition, with its members in index order. Label values are
+/// isomorphism invariants.
+#[derive(Debug, Clone)]
+struct SideLabels {
+    sorted: Vec<(u64, usize)>,
+    /// Number of distinct labels, i.e. cells.
+    classes: usize,
+}
+
+impl SideLabels {
+    /// Sorts one entry per index and counts the cells.
+    fn new(mut sorted: Vec<(u64, usize)>) -> Self {
+        let classes = sort_and_count(&mut sorted);
+        SideLabels { sorted, classes }
+    }
+
+    /// The indices in label order.
+    fn order(&self) -> Vec<usize> {
+        self.sorted.iter().map(|&(_, i)| i).collect()
+    }
+
+    /// The labels indexed by line.
+    fn by_index(&self) -> Vec<u64> {
+        let mut labels = vec![0; self.sorted.len()];
+        for &(l, i) in &self.sorted {
+            labels[i] = l;
+        }
+        labels
+    }
+
+    /// Gives the vertex at position `pos` the label `combine(label, salt)`,
+    /// which no cell-mate shares, and moves it to its sorted position. The
+    /// vertex's old cell keeps its other members, so the count grows by
+    /// one unless the new label happens to equal an existing one.
+    fn individualize(&mut self, pos: usize, salt: u64) {
+        let (l, v) = self.sorted.remove(pos);
+        let entry = (combine(l, salt), v);
+        let at = self.sorted.partition_point(|&e| e < entry);
+        let taken = |k: usize| self.sorted.get(k).is_some_and(|e| e.0 == entry.0);
+        if !taken(at) && (at == 0 || !taken(at - 1)) {
+            self.classes += 1;
+        }
+        self.sorted.insert(at, entry);
+    }
+}
+
+/// Sorts `(label, index)` entries and returns the number of distinct
+/// labels.
+fn sort_and_count(entries: &mut [(u64, usize)]) -> usize {
+    entries.sort_unstable();
+    usize::from(!entries.is_empty()) + entries.windows(2).filter(|w| w[0].0 != w[1].0).count()
+}
+
+/// Row and column labels of one refinement state.
 #[derive(Debug, Clone)]
 struct Labels {
-    rows: Vec<u64>,
-    cols: Vec<u64>,
+    rows: SideLabels,
+    cols: SideLabels,
 }
 
-/// Reusable scratch buffers for the refinement loop. One instance lives for
-/// a whole canonization, so the per-round and per-branch label vectors are
-/// allocated once instead of collected fresh every pass.
-#[derive(Default)]
-struct RefineCtx {
-    /// Neighbour-label multiset of the line being hashed.
-    scratch: Vec<u64>,
-    /// Next-round labels, swapped into `Labels` at the end of a pass.
-    next_rows: Vec<u64>,
-    next_cols: Vec<u64>,
-    /// Sort buffer for the class-count probe.
-    sort_buf: Vec<u64>,
-}
-
-/// One refinement round: every row hashes the sorted multiset of its
-/// neighbouring column labels (and vice versa, via the transpose `mt`), so
-/// the cost is proportional to the one-cells, not the full grid.
-fn refine_once(m: &BitMatrix, mt: &BitMatrix, lab: &mut Labels, ctx: &mut RefineCtx) {
-    ctx.next_rows.clear();
-    for i in 0..m.nrows() {
-        ctx.scratch.clear();
-        ctx.scratch.extend(m.row(i).ones().map(|j| lab.cols[j]));
-        ctx.scratch.sort_unstable();
-        let h = ctx
-            .scratch
-            .iter()
-            .fold(mix(lab.rows[i]), |h, &l| combine(h, l));
-        ctx.next_rows.push(h);
-    }
-    ctx.next_cols.clear();
-    for j in 0..m.ncols() {
-        ctx.scratch.clear();
-        ctx.scratch.extend(mt.row(j).ones().map(|i| lab.rows[i]));
-        ctx.scratch.sort_unstable();
-        let h = ctx
-            .scratch
-            .iter()
-            .fold(mix(!lab.cols[j]), |h, &l| combine(h, l));
-        ctx.next_cols.push(h);
-    }
-    std::mem::swap(&mut lab.rows, &mut ctx.next_rows);
-    std::mem::swap(&mut lab.cols, &mut ctx.next_cols);
-}
-
-/// Number of distinct values, as a cheap partition-stability probe.
-fn class_count(labels: &[u64], sort_buf: &mut Vec<u64>) -> usize {
-    sort_buf.clear();
-    sort_buf.extend_from_slice(labels);
-    sort_buf.sort_unstable();
-    let mut distinct = 0;
-    let mut prev = None;
-    for &l in sort_buf.iter() {
-        if prev != Some(l) {
-            distinct += 1;
-            prev = Some(l);
+impl Labels {
+    fn side(&self, side: Side) -> &SideLabels {
+        match side {
+            Side::Row => &self.rows,
+            Side::Col => &self.cols,
         }
     }
-    distinct
+
+    fn side_mut(&mut self, side: Side) -> &mut SideLabels {
+        match side {
+            Side::Row => &mut self.rows,
+            Side::Col => &mut self.cols,
+        }
+    }
+}
+
+/// Computes one side's next-round labels into `out` and returns its class
+/// count. Line `i`'s new label folds its own label, salted by `salt`, with
+/// its neighbours' labels in ascending order. Walking the other side in
+/// its sorted order and pushing each label onto that line's neighbours
+/// (row `j` of `adj` lists them) delivers every line's neighbour labels
+/// already ascending, so no line sorts its own. The closing sort orders
+/// the side for the next round and counts its cells.
+fn hash_side(
+    own: &[(u64, usize)],
+    other: &[(u64, usize)],
+    adj: &BitMatrix,
+    salt: u64,
+    out: &mut Vec<(u64, usize)>,
+) -> usize {
+    out.clear();
+    out.resize(own.len(), (0, 0));
+    for &(l, i) in own {
+        out[i] = (mix(l ^ salt), i);
+    }
+    for &(l, j) in other {
+        for i in kernel::ones(adj.row_words(j)) {
+            out[i].0 = combine(out[i].0, l);
+        }
+    }
+    sort_and_count(out)
 }
 
 /// Refines until the induced class partition stops splitting. Classes only
 /// ever split (a new label is a function of the old label), so stable class
 /// counts mean a stable partition; at most `nrows + ncols` useful rounds.
-fn refine_to_stable(m: &BitMatrix, mt: &BitMatrix, lab: &mut Labels, ctx: &mut RefineCtx) {
-    let mut classes = (
-        class_count(&lab.rows, &mut ctx.sort_buf),
-        class_count(&lab.cols, &mut ctx.sort_buf),
-    );
+fn refine_to_stable(m: &BitMatrix, mt: &BitMatrix, lab: &mut Labels) {
+    let mut next_rows = Vec::with_capacity(m.nrows());
+    let mut next_cols = Vec::with_capacity(m.ncols());
     for _ in 0..=(m.nrows() + m.ncols()) {
-        refine_once(m, mt, lab, ctx);
-        let next = (
-            class_count(&lab.rows, &mut ctx.sort_buf),
-            class_count(&lab.cols, &mut ctx.sort_buf),
+        let rows = hash_side(
+            &lab.rows.sorted,
+            &lab.cols.sorted,
+            mt,
+            Side::Row.salt(),
+            &mut next_rows,
         );
-        if next == classes {
+        let cols = hash_side(
+            &lab.cols.sorted,
+            &lab.rows.sorted,
+            m,
+            Side::Col.salt(),
+            &mut next_cols,
+        );
+        std::mem::swap(&mut lab.rows.sorted, &mut next_rows);
+        std::mem::swap(&mut lab.cols.sorted, &mut next_cols);
+        let stable = (rows, cols) == (lab.rows.classes, lab.cols.classes);
+        (lab.rows.classes, lab.cols.classes) = (rows, cols);
+        if stable {
             break;
         }
-        classes = next;
     }
 }
 
 /// Degree-seeded initial labels (row and column streams salted apart).
 fn initial_labels(m: &BitMatrix, mt: &BitMatrix) -> Labels {
+    let side = |lines: &BitMatrix, salt: u64| {
+        SideLabels::new(
+            (0..lines.nrows())
+                .map(|i| (mix(lines.row(i).count_ones() as u64 ^ salt), i))
+                .collect(),
+        )
+    };
     Labels {
-        rows: (0..m.nrows())
-            .map(|i| mix(m.row(i).count_ones() as u64))
-            .collect(),
-        cols: (0..m.ncols())
-            .map(|j| mix(!(mt.row(j).count_ones() as u64)))
-            .collect(),
+        rows: side(m, Side::Row.salt()),
+        cols: side(mt, Side::Col.salt()),
     }
 }
 
@@ -320,10 +378,21 @@ fn cmp_packed_rows(packed: &[u64], stride: usize, a: usize, b: usize) -> std::cm
 }
 
 /// Which side of the bipartite row/column graph a vertex lives on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Side {
     Row,
     Col,
+}
+
+impl Side {
+    /// XORed into a line's label before hashing, so row and column label
+    /// streams never coincide.
+    fn salt(self) -> u64 {
+        match self {
+            Side::Row => 0,
+            Side::Col => !0,
+        }
+    }
 }
 
 /// An automorphism of the input matrix, as original→original index maps.
@@ -398,81 +467,41 @@ struct Search<'a> {
     generators: Vec<Automorphism>,
     /// Lexicographically minimal leaf so far: (packed rendering, perms).
     best: Option<(Vec<u64>, Vec<usize>, Vec<usize>)>,
-    /// Refinement scratch shared across the whole search.
-    ctx: RefineCtx,
+    /// Time spent in [`refine_to_stable`], root and children alike.
+    refine_time: Duration,
 }
 
 impl Search<'_> {
+    /// [`refine_to_stable`], timed into `refine_time`.
+    fn refine(&mut self, lab: &mut Labels) {
+        let start = Instant::now();
+        refine_to_stable(self.m, self.mt, lab);
+        self.refine_time += start.elapsed();
+    }
+
     /// The invariant branching target: the smallest non-singleton cell,
     /// rows preferred on ties, then smallest label (cell sizes and label
     /// values are isomorphism invariants, so permuted copies pick
-    /// corresponding cells). Returns its members in index order, or `None`
-    /// when the partition is discrete.
-    fn target_cell(&mut self, lab: &Labels) -> Option<(Side, Vec<usize>)> {
-        let mut pick: Option<(usize, u8, u64)> = None;
-        for (side_ord, labels) in [&lab.rows, &lab.cols].into_iter().enumerate() {
-            // Cell sizes via a sorted run scan on the shared sort buffer —
-            // no per-node hash map.
-            let sorted = &mut self.ctx.sort_buf;
-            sorted.clear();
-            sorted.extend_from_slice(labels);
-            sorted.sort_unstable();
-            let mut run_start = 0;
-            while run_start < sorted.len() {
-                let l = sorted[run_start];
-                let mut run_end = run_start + 1;
-                while run_end < sorted.len() && sorted[run_end] == l {
-                    run_end += 1;
+    /// corresponding cells). Returns its side and its range of positions
+    /// in that side's sorted order, or `None` when the partition is
+    /// discrete.
+    fn target_cell(lab: &Labels) -> Option<(Side, Range<usize>)> {
+        let mut pick: Option<(usize, Side, u64, usize)> = None;
+        for side in [Side::Row, Side::Col] {
+            let labels = lab.side(side);
+            if labels.classes == labels.sorted.len() {
+                continue;
+            }
+            let mut start = 0;
+            for run in labels.sorted.chunk_by(|a, b| a.0 == b.0) {
+                let cand = (run.len(), side, run[0].0, start);
+                if run.len() >= 2 && pick.is_none_or(|p| cand < p) {
+                    pick = Some(cand);
                 }
-                let n = run_end - run_start;
-                if n >= 2 {
-                    let cand = (n, side_ord as u8, l);
-                    if pick.is_none_or(|p| cand < p) {
-                        pick = Some(cand);
-                    }
-                }
-                run_start = run_end;
+                start += run.len();
             }
         }
-        let (_, side_ord, label) = pick?;
-        let side = if side_ord == 0 { Side::Row } else { Side::Col };
-        let labels = if side_ord == 0 { &lab.rows } else { &lab.cols };
-        let members = labels
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &l)| (l == label).then_some(i))
-            .collect();
-        Some((side, members))
-    }
-
-    /// Whether `v` maps onto an already-explored sibling under automorphisms
-    /// that fix every vertex of the current prefix (such automorphisms map
-    /// this node's whole subtree onto the sibling's, leaf for leaf), or is
-    /// bit-identical to one (swapping identical lines always fixes the rest
-    /// of the matrix).
-    fn prunable(&mut self, side: Side, v: usize, explored: &[usize]) -> bool {
-        if explored.is_empty() {
-            return false;
-        }
-        let content = match side {
-            Side::Row => self.m,
-            Side::Col => self.mt,
-        };
-        if explored.iter().any(|&u| content.row(u) == content.row(v)) {
-            return true;
-        }
-        let n = content.nrows();
-        let mut orbits = UnionFind::new(n);
-        let mut joined = false;
-        for gen in &self.generators {
-            if self.prefix.iter().all(|&(s, x)| gen.fixes(s, x)) {
-                for (x, &gx) in gen.map(side).iter().enumerate() {
-                    orbits.union(x, gx);
-                }
-                joined = true;
-            }
-        }
-        joined && explored.iter().any(|&u| orbits.find(u) == orbits.find(v))
+        pick.map(|(n, side, _, start)| (side, start..start + n))
     }
 
     /// Renders the candidate matrix under the leaf orderings as packed
@@ -501,14 +530,13 @@ impl Search<'_> {
         out
     }
 
-    /// Handles a discrete partition: orders both sides by label, renders the
-    /// candidate matrix, and either records a new leaf (tracking the
-    /// lexicographic minimum) or derives an automorphism from a repeat.
+    /// Handles a discrete partition: reads both orderings off the sorted
+    /// labels, renders the candidate matrix, and either records a new leaf
+    /// (tracking the lexicographic minimum) or derives an automorphism
+    /// from a repeat.
     fn leaf(&mut self, lab: &Labels) {
-        let mut rp: Vec<usize> = (0..self.m.nrows()).collect();
-        rp.sort_by_key(|&i| lab.rows[i]);
-        let mut cp: Vec<usize> = (0..self.m.ncols()).collect();
-        cp.sort_by_key(|&j| lab.cols[j]);
+        let rp = lab.rows.order();
+        let cp = lab.cols.order();
         let rendered = self.render_leaf(&rp, &cp);
         if let Some((prev_rp, prev_cp)) = self.seen.get(&rendered) {
             // Both orderings map the original onto the same matrix, so
@@ -536,24 +564,51 @@ impl Search<'_> {
     }
 
     /// Explores the subtree below one refined state.
+    ///
+    /// A sibling is pruned when it is bit-identical to an explored one
+    /// (swapping identical lines always fixes the rest of the matrix), or
+    /// when an automorphism fixing every vertex of the prefix maps it onto
+    /// one (such an automorphism maps this node's whole subtree onto the
+    /// sibling's, leaf for leaf). The prefix stays fixed while the
+    /// siblings run, so one union-find of the cell's side holds the orbits
+    /// of those automorphisms; each sibling's check folds in only the
+    /// generators found since the previous check.
     fn explore(&mut self, lab: &Labels) {
-        let Some((side, members)) = self.target_cell(lab) else {
+        let Some((side, cell)) = Self::target_cell(lab) else {
             self.leaf(lab);
             return;
         };
+        let content = match side {
+            Side::Row => self.m,
+            Side::Col => self.mt,
+        };
+        let mut orbits = UnionFind::new(content.nrows());
+        let mut folded = 0;
         let mut explored: Vec<usize> = Vec::new();
-        for &v in &members {
+        for pos in cell {
             if self.exhausted {
                 return;
             }
-            if self.prunable(side, v, &explored) {
-                continue;
-            }
+            let v = lab.side(side).sorted[pos].1;
             // The first member of a cell is a forced descent, not a branch:
             // only genuine siblings consume budget, so `max_branches: 0`
             // still canonizes anything refinement plus pruning settles
             // (identical-line cells, already-discrete partitions).
             if !explored.is_empty() {
+                for gen in &self.generators[folded..] {
+                    if self.prefix.iter().all(|&(s, x)| gen.fixes(s, x)) {
+                        for (x, &gx) in gen.map(side).iter().enumerate() {
+                            orbits.union(x, gx);
+                        }
+                    }
+                }
+                folded = self.generators.len();
+                if explored
+                    .iter()
+                    .any(|&u| content.row(u) == content.row(v) || orbits.find(u) == orbits.find(v))
+                {
+                    continue;
+                }
                 if self.budget == 0 {
                     self.exhausted = true;
                     return;
@@ -565,11 +620,8 @@ impl Search<'_> {
             // of this cell (it depends only on the shared cell label and
             // depth), so permuted copies individualize consistently.
             let salt = 0x1BD1_1BDA_A9FC_1A22 ^ self.prefix.len() as u64;
-            match side {
-                Side::Row => child.rows[v] = combine(child.rows[v], salt),
-                Side::Col => child.cols[v] = combine(child.cols[v], salt),
-            }
-            refine_to_stable(self.m, self.mt, &mut child, &mut self.ctx);
+            child.side_mut(side).individualize(pos, salt);
+            self.refine(&mut child);
             self.prefix.push((side, v));
             self.explore(&child);
             self.prefix.pop();
@@ -583,24 +635,23 @@ impl Search<'_> {
 /// side's current order; alternate until stable. Fast and sound, but
 /// permuted copies of a symmetric matrix may settle differently.
 fn heuristic_perms(m: &BitMatrix, mt: &BitMatrix, lab: &Labels) -> (Vec<usize>, Vec<usize>) {
-    let mut row_perm: Vec<usize> = (0..m.nrows()).collect();
-    let mut col_perm: Vec<usize> = (0..m.ncols()).collect();
-    row_perm.sort_by_key(|&i| lab.rows[i]);
-    col_perm.sort_by_key(|&j| lab.cols[j]);
+    let mut row_perm = lab.rows.order();
+    let mut col_perm = lab.cols.order();
+    let (row_labels, col_labels) = (lab.rows.by_index(), lab.cols.by_index());
     let mut packed: Vec<u64> = Vec::new();
     for _ in 0..32 {
         let mut next_rows = row_perm.clone();
         let stride = pack_rows_under(m, &col_perm, &mut packed);
         next_rows.sort_by(|&a, &b| {
-            lab.rows[a]
-                .cmp(&lab.rows[b])
+            row_labels[a]
+                .cmp(&row_labels[b])
                 .then_with(|| cmp_packed_rows(&packed, stride, a, b))
         });
         let mut next_cols = col_perm.clone();
         let stride = pack_rows_under(mt, &next_rows, &mut packed);
         next_cols.sort_by(|&a, &b| {
-            lab.cols[a]
-                .cmp(&lab.cols[b])
+            col_labels[a]
+                .cmp(&col_labels[b])
                 .then_with(|| cmp_packed_rows(&packed, stride, a, b))
         });
         let stable = next_rows == row_perm && next_cols == col_perm;
@@ -643,22 +694,15 @@ pub fn canonical_form(m: &BitMatrix) -> CanonicalForm {
 
 /// Computes the canonical form of `m` under explicit [`CanonOptions`].
 ///
-/// Refinement costs `O(r · E log E)` over the `E` one-cells; matrices whose
-/// refinement is already discrete (the common case for irregular patterns)
-/// never branch. Symmetric inputs additionally explore up to
-/// `max_branches` individualization branches before falling back to the
-/// heuristic labeling (see the module docs and [`Completeness`]).
+/// A refinement round costs `O(E + n log n)` over the `E` one-cells and
+/// `n` lines; matrices whose refinement is already discrete (the common
+/// case for irregular patterns) never branch. Symmetric inputs
+/// additionally explore up to `max_branches` individualization branches
+/// before falling back to the heuristic labeling (see the module docs and
+/// [`Completeness`]).
 pub fn canonical_form_with(m: &BitMatrix, opts: &CanonOptions) -> CanonicalForm {
     let mt = m.transposed();
-    let mut ctx = RefineCtx::default();
-    let refine_start = Instant::now();
-    let mut lab = initial_labels(m, mt);
-    refine_to_stable(m, mt, &mut lab, &mut ctx);
-    obs::registry()
-        .histogram(obs::names::KERNEL_US_CANON_REFINE)
-        .record(refine_start.elapsed().as_micros() as u64);
-
-    let search_start = Instant::now();
+    let start = Instant::now();
     let mut search = Search {
         m,
         mt,
@@ -668,8 +712,10 @@ pub fn canonical_form_with(m: &BitMatrix, opts: &CanonOptions) -> CanonicalForm 
         seen: HashMap::new(),
         generators: Vec::new(),
         best: None,
-        ctx,
+        refine_time: Duration::ZERO,
     };
+    let mut lab = initial_labels(m, mt);
+    search.refine(&mut lab);
     search.explore(&lab);
 
     let (row_perm, col_perm, completeness) = if search.exhausted {
@@ -679,9 +725,13 @@ pub fn canonical_form_with(m: &BitMatrix, opts: &CanonOptions) -> CanonicalForm 
         let (_, rp, cp) = search.best.expect("finished search visits >= 1 leaf");
         (rp, cp, Completeness::Complete)
     };
+    let elapsed = start.elapsed();
+    obs::registry()
+        .histogram(obs::names::KERNEL_US_CANON_REFINE)
+        .record(search.refine_time.as_micros() as u64);
     obs::registry()
         .histogram(obs::names::KERNEL_US_CANON_SEARCH)
-        .record(search_start.elapsed().as_micros() as u64);
+        .record(elapsed.saturating_sub(search.refine_time).as_micros() as u64);
 
     let matrix = m.submatrix(&row_perm, &col_perm);
     let key = matrix_key(&matrix);

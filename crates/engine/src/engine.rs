@@ -490,6 +490,25 @@ mod tests {
     }
 
     #[test]
+    fn tiny_budget_answers_before_the_encoding_is_built() {
+        // The 40×40 gap matrix's SAT encoding takes about a second to emit
+        // (O(cells² · bound) pair clauses), so only an encoder build that
+        // polls the budget's cancel token answers a 5 ms job in time.
+        let e = engine();
+        let m = ebmf::gen::gap_benchmark(40, 40, 15, 1).matrix;
+        let req = JobRequest::new("gap", m.clone()).with_budget_ms(5);
+        let start = Instant::now();
+        let out = e.solve_with(&m, &e.job_portfolio(&req));
+        let elapsed = start.elapsed();
+        assert!(out.partition.validate(&m).is_ok());
+        assert!(!out.proved_optimal, "the incumbent answers unproved");
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "a 5 ms job answered after {elapsed:?}"
+        );
+    }
+
+    #[test]
     fn per_job_budget_overrides_engine_default() {
         let e = engine();
         let req = JobRequest::parse_line(

@@ -42,10 +42,11 @@ pub mod names {
     /// (for example `kernel_us_canon_refine`); the profiling bench also
     /// records per-kernel micro timings under it.
     pub const KERNEL_US_PREFIX: &str = "kernel_us_";
-    /// Signature-refinement time per canonization (µs).
+    /// Signature-refinement time per canonization: the root refinement
+    /// plus every refinement below an individualized vertex (µs).
     pub const KERNEL_US_CANON_REFINE: &str = "kernel_us_canon_refine";
-    /// Individualization-search time per canonization, including leaf
-    /// rendering and the heuristic fallback (µs).
+    /// The rest of each canonization: initial labels, target cells, leaf
+    /// rendering, automorphism pruning and the heuristic fallback (µs).
     pub const KERNEL_US_CANON_SEARCH: &str = "kernel_us_canon_search";
     /// One row-packing trial: residue decomposition over all rows (µs).
     pub const KERNEL_US_PACK_TRIAL: &str = "kernel_us_pack_trial";

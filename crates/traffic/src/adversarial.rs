@@ -1,20 +1,24 @@
 //! Adversarial inputs: strongly regular graph adjacency matrices.
 //!
-//! The canonizer's individualization search degenerates on matrices whose
-//! row/column signatures refuse to split — exactly the structure of a
-//! strongly regular graph, where every vertex has the same degree and
-//! every pair the same number of common neighbors. Paley graphs (vertices
-//! `0..p`, edge `i ~ j` iff `i − j` is a nonzero quadratic residue mod a
-//! prime `p ≡ 1 (mod 4)`) are the classic worst case: vertex-transitive,
-//! self-complementary, and signature-uniform, so the search burns its
-//! whole branch budget before falling back to the heuristic labeling.
-//! A traffic mix salted with these exercises the budget-exhaustion path
-//! that benign workloads never reach.
+//! Signature refinement cannot split a matrix whose rows and columns all
+//! look alike — exactly the structure of a strongly regular graph, where
+//! every vertex has the same degree and every pair the same number of
+//! common neighbors. Paley graphs (vertices `0..p`, edge `i ~ j` iff
+//! `i − j` is a nonzero quadratic residue mod a prime `p ≡ 1 (mod 4)`)
+//! are the classic case: vertex-transitive, self-complementary and
+//! signature-uniform. Every relabeling therefore makes the canonizer run
+//! its individualization search, and the leaves that search reaches
+//! repeat under automorphisms, which is what its orbit pruning feeds on.
+//! The default branch budget still canonizes each one completely (a few
+//! search nodes per job), so a traffic mix salted with these stresses the
+//! search and the pruning that benign workloads, refined to discrete
+//! partitions, never reach.
 
 use bitmatrix::BitMatrix;
 
 /// Primes (`≡ 1 mod 4`) whose Paley graphs the adversarial mix cycles.
-/// Small enough to solve, large enough to exhaust a canon budget.
+/// Small enough to solve, large enough that every canonization needs the
+/// individualization search.
 pub const PALEY_PRIMES: [usize; 2] = [13, 17];
 
 /// The `p × p` Paley graph adjacency matrix: `M[i][j] = 1` iff `i − j`

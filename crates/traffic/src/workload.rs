@@ -118,8 +118,9 @@ impl Workload {
 
     /// Adversarial traffic: Paley strongly-regular matrices (see
     /// [`paley_matrix`]) cycling [`PALEY_PRIMES`], relabeled on every
-    /// revisit — each job stalls the canonizer's individualization search
-    /// into its budget-exhaustion fallback.
+    /// revisit. Refinement cannot split a vertex-transitive matrix, so each
+    /// job runs the canonizer's individualization search and automorphism
+    /// pruning, which still finish within the default branch budget.
     pub fn adversarial(seed: u64) -> Workload {
         Workload {
             name: "adversarial",
