@@ -5,7 +5,7 @@
 #      25-job stream, and its v2 stats frame must report
 #      open_connections >= 2048.
 #   2. A second process started against the same --state-dir must come
-#      up as a lease *reader*, adopt the first process's snapshot
+#      up as a snapshot *reader*, adopt the first process's snapshot
 #      (persisted_sessions >= 1, snapshot_generation >= 1), and serve
 #      jobs concurrently with the writer.
 set -euo pipefail
@@ -46,8 +46,8 @@ trap scale_cleanup EXIT
 
 rm -rf "$STATE"
 
-# Writer instance: shared state dir, lease on.
-start_server "$SOCK1" --state-dir "$STATE" --lease --snapshot-every 1
+# Writer instance: the first process on the state dir takes its writer lock.
+start_server "$SOCK1" --state-dir "$STATE" --snapshot-every 1
 SERVER1_PID=$LAST_SERVER_PID
 
 # 2048 idle connections held by the ballast client. Its stdin is a pipe
@@ -106,9 +106,9 @@ OPEN=$(json_field_value /tmp/rect-addr-scale-ci-stats1.jsonl open_connections)
 [ -n "$OPEN" ] || fail "stats frame lacks open_connections"
 [ "$OPEN" -ge 2048 ] || fail "open_connections $OPEN < 2048 under ballast"
 
-# Second process, same state dir: it must come up as a lease reader and
-# adopt the writer's snapshot while the writer keeps running.
-start_server "$SOCK2" --state-dir "$STATE" --lease --snapshot-every 1
+# Second process, same state dir: it must come up as a reader and adopt
+# the writer's snapshot while the writer keeps running.
+start_server "$SOCK2" --state-dir "$STATE" --snapshot-every 1
 printf '{"hello": 2}\n{"stats": true}\n' \
   | timeout 120 "$BIN" client "$SOCK2" > /tmp/rect-addr-scale-ci-stats2.jsonl
 SESS=$(json_field_value /tmp/rect-addr-scale-ci-stats2.jsonl persisted_sessions)

@@ -697,7 +697,7 @@ struct ScalingArm {
 }
 
 /// Two service instances sharing one `--state-dir` behind the writer
-/// lease: the second instance must restore the first's warm state and
+/// lock: the second instance must restore the first's warm state and
 /// adopt its snapshot generation, and the pair's combined throughput is
 /// reported against the single instance's.
 struct TwoInstanceMetrics {
@@ -798,16 +798,13 @@ fn scaling_two_instance(stream: &str, jobs: usize, workers: usize) -> TwoInstanc
             },
             ServiceConfig {
                 queue_depth: jobs.max(serve::DEFAULT_QUEUE_DEPTH),
-                persist: Some(PersistConfig::shared(
-                    &dir,
-                    std::time::Duration::from_millis(500),
-                )),
+                persist: Some(PersistConfig::at(&dir)),
                 ..ServiceConfig::default()
             },
         ))
     };
 
-    // Instance 1 (the lease holder) serves the whole stream alone: the
+    // Instance 1 (the lock holder) serves the whole stream alone: the
     // single-instance figure, and the warm state the second instance
     // must pick up.
     let writer = instance();
@@ -821,7 +818,7 @@ fn scaling_two_instance(stream: &str, jobs: usize, workers: usize) -> TwoInstanc
     let single_wall = start.elapsed().as_secs_f64();
     assert!(
         writer.is_snapshot_writer(),
-        "first instance must hold the lease"
+        "first instance must hold the writer lock"
     );
     writer.snapshot_now().expect("writer snapshot");
 
@@ -1124,7 +1121,7 @@ fn main() {
 
     // Phase 8: the horizontally scaled serving tier — the event-driven
     // front-end under idle-connection ballast, then two instances
-    // sharing one state directory behind the writer lease.
+    // sharing one state directory behind the writer lock.
     let scaling = scaling_phase(workers);
     for arm in &scaling.arms {
         eprintln!(

@@ -112,13 +112,13 @@ search branches before falling back to the heuristic labeling; 0 = no
 search), --queue-depth N (submission queue bound; a full queue answers
 busy to protocol-v2 clients), --state-dir DIR (persist warm SAP sessions
 and scheduler statistics across restarts; loaded at startup, snapshotted
-on drain), --snapshot-every N (also snapshot every N completed jobs;
-default 32, 0 = only on drain), --lease (with --state-dir: share the
-directory between several server processes — one holds the snapshot
-writer lease, the rest adopt its snapshots and take over if it dies),
---metrics-dump PATH (write the process's
-counters and latency histograms as JSON: periodically while a --listen
-server runs, once on drain for batch/serve). One job per line: {\"id\": \"l0\",
+on drain; processes may share one: whichever holds DIR/writer.lock
+writes the snapshots, the rest adopt them and take the lock over when
+it is released), --snapshot-every N (also snapshot every N completed
+jobs; default 32, 0 = only on drain), --metrics-dump PATH (write the
+process's counters and latency histograms as JSON: periodically while a
+--listen server runs, once on drain for batch/serve). SIGTERM or SIGINT
+drains a --listen server and exits 0. One job per line: {\"id\": \"l0\",
 \"matrix\": [\"101\", \"010\"], \"budget_ms\": 500}; responses stream back in
 completion order with provenance, cache-hit flag, SAT conflict count and
 the rectangle partition. A {\"hello\": 2} first line negotiates protocol
@@ -626,9 +626,6 @@ fn build_service(rest: &[String]) -> Result<Service, String> {
             if rest.iter().any(|a| a == "--snapshot-every") {
                 return Err("--snapshot-every needs --state-dir".to_string());
             }
-            if rest.iter().any(|a| a == "--lease") {
-                return Err("--lease needs --state-dir".to_string());
-            }
             None
         }
         Some(i) => {
@@ -644,10 +641,7 @@ fn build_service(rest: &[String]) -> Result<Service, String> {
             Some(serve::PersistConfig {
                 state_dir: dir.into(),
                 snapshot_every: (every > 0).then_some(every as u64),
-                lease: rest
-                    .iter()
-                    .any(|a| a == "--lease")
-                    .then_some(engine::lease::DEFAULT_LEASE_TTL),
+                lease: None,
             })
         }
     };
@@ -677,6 +671,9 @@ fn metrics_dump_path(rest: &[String]) -> Result<Option<std::path::PathBuf>, Stri
 /// How often a `serve --listen` process refreshes its `--metrics-dump`
 /// file.
 const METRICS_DUMP_PERIOD: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// How often a `serve --listen` process checks for a stop signal.
+const STOP_POLL_PERIOD: std::time::Duration = std::time::Duration::from_millis(100);
 
 /// Shared core of all batch/serve entry points: build the service from
 /// flags and drive one protocol connection over `input`/`output` (the
@@ -711,12 +708,15 @@ fn run_service_batch<W: std::io::Write>(
 }
 
 /// The socket server behind `serve --listen`: binds, prints the bound
-/// address to stderr, and blocks serving connections until killed. With
-/// `--metrics-dump`, a detached thread rewrites the metrics snapshot
-/// (atomically, tmp + rename) once per [`METRICS_DUMP_PERIOD`] so an
-/// operator — or the CI smoke test — can watch latency percentiles move
-/// while the server runs.
+/// address to stderr, and serves connections until SIGTERM or SIGINT,
+/// which drain the connections and then the service (final snapshot,
+/// writer lock released) before a clean exit. With `--metrics-dump`, a
+/// detached thread rewrites the metrics snapshot (atomically, tmp +
+/// rename) once per [`METRICS_DUMP_PERIOD`] so an operator — or the CI
+/// smoke test — can watch latency percentiles move while the server
+/// runs.
 fn run_serve_listen(addr: &str, rest: &[String]) -> Result<(), String> {
+    serve::sys::catch_stop_signals().map_err(|e| format!("catching stop signals: {e}"))?;
     let dump = metrics_dump_path(rest)?;
     let service = std::sync::Arc::new(build_service(rest)?);
     let addr = serve::BindAddr::parse(addr);
@@ -726,8 +726,8 @@ fn run_serve_listen(addr: &str, rest: &[String]) -> Result<(), String> {
         Ok(limit) => eprintln!("rect-addr: event loop, fd limit {limit}"),
         Err(e) => eprintln!("rect-addr: could not raise fd limit: {e}"),
     }
-    let mut server =
-        serve::serve_socket_event(service, &addr).map_err(|e| format!("binding {addr}: {e}"))?;
+    let mut server = serve::serve_socket_event(std::sync::Arc::clone(&service), &addr)
+        .map_err(|e| format!("binding {addr}: {e}"))?;
     eprintln!("rect-addr: listening on {}", server.local_addr());
     if let Some(path) = dump {
         std::thread::spawn(move || loop {
@@ -736,6 +736,15 @@ fn run_serve_listen(addr: &str, rest: &[String]) -> Result<(), String> {
             }
             std::thread::sleep(METRICS_DUMP_PERIOD);
         });
+    }
+    while !server.is_finished() {
+        if serve::sys::stop_requested() {
+            eprintln!("rect-addr: stop signal received; draining");
+            server.shutdown();
+            service.shutdown();
+            return Ok(());
+        }
+        std::thread::sleep(STOP_POLL_PERIOD);
     }
     server
         .join()
@@ -775,8 +784,9 @@ fn listen_addr(rest: &[String]) -> Result<Option<&String>, String> {
 
 fn cmd_serve(args: &[String], stdin: &mut dyn std::io::Read) -> CliOutput {
     match listen_addr(&args[1..]) {
-        // The socket server runs forever; it only makes sense from the
-        // streaming binary entry point, not the collecting test harness.
+        // The socket server runs until a stop signal; it only makes sense
+        // from the streaming binary entry point, not the collecting test
+        // harness.
         Ok(Some(_)) => {
             CliOutput::err("serve --listen runs only as the binary's streaming mode".to_string())
         }
@@ -1313,17 +1323,6 @@ mod tests {
         let mut sink = Vec::new();
         let args: Vec<String> = vec!["idle".to_string(), "127.0.0.1:9".to_string()];
         assert!(try_run_streaming(&args, &mut sink).is_none());
-    }
-
-    #[test]
-    fn lease_requires_a_state_dir() {
-        let out = run_str(&["batch", "-", "--lease"], "");
-        assert_eq!(out.code, 2);
-        assert!(
-            out.stdout.contains("--lease needs --state-dir"),
-            "{}",
-            out.stdout
-        );
     }
 
     #[test]

@@ -57,7 +57,6 @@ mod cache;
 mod canon;
 #[allow(clippy::module_inception)]
 mod engine;
-pub mod lease;
 pub mod persist;
 mod portfolio;
 mod strategy;

@@ -4,8 +4,8 @@
 //! A restarted server is day-zero cold without this module — every learnt
 //! clause and every bucket's win/cost history dies with the process. The
 //! snapshot spills both to a single versioned, checksummed file in a
-//! `--state-dir`, so the next process warm-starts from day one (and a
-//! future multi-process serve mode can share the directory).
+//! `--state-dir`, so the next process warm-starts from day one, and
+//! several server processes can share the directory.
 //!
 //! Design constraints, in order:
 //!
@@ -15,15 +15,22 @@
 //!   rejected wholesale and the engine cold-starts. Semantic validation
 //!   of each session happens again lazily at rehydration
 //!   ([`SapSession::import`](ebmf::SapSession::import)).
-//! * **Never tear a snapshot.** Saves write to a sibling temp file and
-//!   atomically rename over the live one, so a crash mid-save leaves the
-//!   previous snapshot intact and a reader never observes a partial file.
+//! * **Never tear a snapshot.** Saves write to a sibling temp file, sync
+//!   it, and atomically rename it over the live one (then sync the
+//!   directory), so a crash mid-save leaves the previous snapshot intact,
+//!   a reader never observes a partial file, and a save that returned
+//!   survives a power cut.
+//! * **One writer.** A process writes snapshots only while it holds the
+//!   state dir's [`lock_state_dir`] lock; every other process sharing the
+//!   directory only reads.
 //! * **No format dependencies.** The body is a line-oriented text format
 //!   (the build environment has no serde); the header carries a schema
 //!   version — any bump is a clean cold start by design — and an FNV-1a
 //!   checksum of the body.
 
 use std::fmt::Write as _;
+use std::fs::{File, OpenOptions, TryLockError};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
@@ -41,6 +48,11 @@ pub const SNAPSHOT_SCHEMA: u32 = 1;
 
 /// File name of the snapshot inside a state directory.
 pub const SNAPSHOT_FILE: &str = "engine.snapshot";
+
+/// File name of the writer lock inside a state directory (see
+/// [`lock_state_dir`]). The file is never removed or renamed: a process
+/// locking a replaced file would not exclude one still holding the old.
+pub const LOCK_FILE: &str = "writer.lock";
 
 /// Learnt clauses exported per session by default — bounds the snapshot
 /// to roughly megabytes at the default 128-session store.
@@ -107,6 +119,31 @@ pub struct RestoreStats {
 /// The snapshot path inside `state_dir`.
 pub fn snapshot_path(state_dir: &Path) -> PathBuf {
     state_dir.join(SNAPSHOT_FILE)
+}
+
+/// Takes the state dir's writer lock without blocking: `Ok(Some(file))`
+/// makes the caller the directory's only snapshot writer for as long as
+/// it keeps `file` open, and `Ok(None)` means another open file holds
+/// the lock. The lock is the kernel's (`flock` on Unix): it belongs to
+/// one open file, so two callers in one process contend just as two
+/// processes do, and it is released when the file is closed or its
+/// process exits, killed or not. Creates the directory if needed.
+///
+/// # Errors
+///
+/// Propagates filesystem errors creating or opening the lock file.
+pub fn lock_state_dir(state_dir: &Path) -> std::io::Result<Option<File>> {
+    std::fs::create_dir_all(state_dir)?;
+    let file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(state_dir.join(LOCK_FILE))?;
+    match file.try_lock() {
+        Ok(()) => Ok(Some(file)),
+        Err(TryLockError::WouldBlock) => Ok(None),
+        Err(TryLockError::Error(e)) => Err(e),
+    }
 }
 
 /// FNV-1a 64 over the body bytes — cheap, dependency-free corruption
@@ -213,7 +250,8 @@ fn serialize_body(engine: &Engine, max_core_clauses: usize) -> (String, Snapshot
 }
 
 /// Writes a snapshot of `engine`'s warm state into `state_dir`
-/// atomically (temp file + rename). Creates the directory if needed.
+/// atomically and durably (synced temp file + rename + directory sync).
+/// Creates the directory if needed.
 ///
 /// # Errors
 ///
@@ -238,10 +276,13 @@ pub fn save_snapshot_with(
 
 /// [`save_snapshot_with`] stamping an explicit **generation** into the
 /// snapshot header. Generations are the multi-process flush signal: the
-/// lease-holding writer bumps the number on every flush, and reader
-/// processes poll [`snapshot_generation`] — a number larger than the one
-/// they last installed means a newer warm state is on disk. The header
-/// stays back-compatible in both directions: readers predating
+/// holder of the [`lock_state_dir`] lock bumps the number on every flush,
+/// and the other processes sharing the directory poll
+/// [`snapshot_generation`] — a number larger than the one they last
+/// installed means a newer warm state is on disk. The caller must be the
+/// directory's only writer, as the lock holder is: the temp file's name
+/// is fixed, so two writers would tear each other's temp file. The
+/// header stays back-compatible in both directions: readers predating
 /// generations ignore the extra token, and a two-token header reads as
 /// generation 0.
 ///
@@ -265,8 +306,11 @@ pub fn save_snapshot_gen(
 
     let path = snapshot_path(state_dir);
     let tmp = state_dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-    std::fs::write(&tmp, &file)?;
+    let mut out = File::create(&tmp)?;
+    out.write_all(file.as_bytes())?;
+    out.sync_all()?;
     std::fs::rename(&tmp, &path)?;
+    File::open(state_dir)?.sync_all()?;
     Ok(stats)
 }
 
@@ -775,6 +819,34 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(snapshot_path(&dir), "not a snapshot\n").unwrap();
         assert_eq!(snapshot_generation(&dir), None, "bad magic peeks as absent");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn exactly_one_racer_locks_the_state_dir() {
+        let dir = state_dir("lock-race");
+        // A lease file left by an older build must not matter.
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("writer.lease"), "rect-addr-lease x 0 1\n").unwrap();
+        let barrier = std::sync::Barrier::new(16);
+        let locks: Vec<Option<File>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..16)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        lock_state_dir(&dir).expect("lock file opens")
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(locks.iter().filter(|l| l.is_some()).count(), 1);
+        assert!(lock_state_dir(&dir).unwrap().is_none(), "the lock is held");
+        drop(locks);
+        assert!(
+            lock_state_dir(&dir).unwrap().is_some(),
+            "dropping the winner's file releases the lock"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

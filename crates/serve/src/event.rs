@@ -20,8 +20,8 @@
 //!   only up to [`EventLoopConfig::outbound_cap`] and is then
 //!   disconnected (queued work canceled) instead of growing the heap.
 //!
-//! The process therefore runs this loop plus the worker pool (plus the
-//! lease coordinator and snapshot flushes when configured). Idle
+//! The process therefore runs this loop plus the worker pool (plus one
+//! persister thread when a state dir is configured). Idle
 //! connections cost one registered descriptor and a few hundred bytes of
 //! state — the scaling bench holds thousands of them against a worker
 //! pool sized to the CPU.

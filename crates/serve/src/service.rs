@@ -8,17 +8,17 @@
 //! submitted by client A is a cache hit for client B.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::fs::File;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use engine::lease::Lease;
 use engine::persist::{
-    load_snapshot, save_snapshot_gen, snapshot_generation, SnapshotError, SnapshotStats,
-    DEFAULT_MAX_CORE_CLAUSES,
+    load_snapshot, lock_state_dir, save_snapshot_gen, snapshot_generation, SnapshotError,
+    SnapshotStats, DEFAULT_MAX_CORE_CLAUSES,
 };
 use engine::{CacheStats, Engine, EngineConfig};
 use obs::JobTrace;
@@ -28,24 +28,26 @@ use proto::{Capabilities, ErrorKind, JobError, JobRequest, JobResponse, Timing};
 /// session store's learnt-clause cores and the scheduler's bucket
 /// statistics) to disk. See `engine::persist` for the snapshot format and
 /// its corruption/versioning guarantees.
+///
+/// Any number of services, in one process or several, may share a state
+/// dir. The one holding the dir's writer lock
+/// ([`lock_state_dir`](engine::persist::lock_state_dir)) is its only
+/// snapshot writer; every other one follows it, adopting each newer
+/// snapshot generation into its live engine, and takes the lock over
+/// once the writer releases it (shuts down, exits or is killed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// Directory holding the snapshot (created on first save). Loaded at
-    /// service construction: a valid snapshot warm-starts the engine, a
-    /// missing/corrupt/foreign-schema one cold-starts it.
+    /// Directory holding the snapshot and the writer lock (created at
+    /// service construction). Loaded at service construction: a valid
+    /// snapshot warm-starts the engine, a missing/corrupt/foreign-schema
+    /// one cold-starts it.
     pub state_dir: PathBuf,
     /// Also snapshot after every `N` completed jobs (`None` = only on
     /// [`Service::shutdown`]). A periodic flush is what survives an
     /// unclean kill — `SIGKILL` runs no destructor.
     pub snapshot_every: Option<u64>,
-    /// Multi-process coordination: `Some(ttl)` makes this service contend
-    /// for the state dir's snapshot-writer lease instead of assuming it
-    /// owns the directory. The lease holder flushes snapshots (bumping
-    /// the generation); every other process is a **reader** that polls
-    /// the on-disk generation and adopts newer snapshots into its live
-    /// engine, and takes the lease over if the holder dies (no refresh
-    /// for `ttl`). `None` (the default) keeps the single-process
-    /// behavior: this process always writes.
+    /// The follow period: how often a service that is not the writer
+    /// tries the writer lock and adopts a newer snapshot (`None` = 1 s).
     pub lease: Option<Duration>,
 }
 
@@ -57,15 +59,6 @@ impl PersistConfig {
             state_dir: state_dir.into(),
             snapshot_every: Some(DEFAULT_SNAPSHOT_EVERY),
             lease: None,
-        }
-    }
-
-    /// [`PersistConfig::at`] with lease-based multi-process coordination
-    /// at the given time-to-live.
-    pub fn shared(state_dir: impl Into<PathBuf>, ttl: Duration) -> Self {
-        PersistConfig {
-            lease: Some(ttl),
-            ..PersistConfig::at(state_dir)
         }
     }
 }
@@ -90,6 +83,9 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
 /// Default periodic-flush cadence of [`PersistConfig::at`], in completed
 /// jobs.
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 32;
+
+/// The follow period of a [`PersistConfig`] without one.
+const DEFAULT_FOLLOW_PERIOD: Duration = Duration::from_secs(1);
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -263,6 +259,14 @@ struct Queued {
     trace: Arc<JobTrace>,
 }
 
+/// What the persister thread is woken for.
+#[derive(Default)]
+struct PersisterSignal {
+    /// A flush was asked for since the last one began.
+    flush_due: bool,
+    stop: bool,
+}
+
 #[derive(Default)]
 struct QueueState {
     by_order: BTreeMap<OrderKey, Queued>,
@@ -285,48 +289,39 @@ struct Inner {
     persist: Option<PersistConfig>,
     /// Jobs completed since startup (drives the periodic flush).
     jobs_done: AtomicU64,
-    /// Serializes snapshot writes; `try_lock` skips a flush another
-    /// worker is already performing rather than queueing behind it.
-    snapshot_gate: Mutex<()>,
+    /// The state dir's writer lock while this service holds it (`None`
+    /// without persistence, or while another service writes). Snapshots
+    /// are written under this mutex, so no two flushes overlap.
+    writer: Mutex<Option<File>>,
+    /// Wakes the persister thread.
+    persister_signal: Mutex<PersisterSignal>,
+    persister_wake: Condvar,
     /// Startup snapshot loads rejected for a reason other than
     /// [`SnapshotError::Missing`] (see [`ServiceStats`]).
     snapshot_load_failures: AtomicU64,
     /// Generation of the newest snapshot written *or adopted* by this
     /// process (0 = none yet).
     snapshot_generation: AtomicU64,
-    /// The snapshot-writer lease, when [`PersistConfig::lease`] is set and
-    /// this process currently holds it. `None` in lease mode means this
-    /// process is a reader.
-    lease: Mutex<Option<Lease>>,
-    /// [`PersistConfig::lease`], hoisted for cheap "is lease mode on"
-    /// checks without re-borrowing persist.
-    lease_ttl: Option<Duration>,
     /// Transport connections currently open (socket layers report
     /// open/close through the [`Service`] facade).
     open_connections: AtomicU64,
 }
 
 impl Inner {
-    /// Writes a snapshot now (when persistence is configured). Errors are
-    /// reported on stderr and swallowed: a failed flush must never take
-    /// down serving. With `skip_if_busy`, a flush already in progress on
-    /// another worker makes this one a no-op instead of queueing.
-    fn flush_snapshot(&self, skip_if_busy: bool) -> Option<SnapshotStats> {
+    /// Writes a snapshot now if this service holds the writer lock. Errors
+    /// are reported on stderr and swallowed: a failed flush must never
+    /// take down serving.
+    fn flush_snapshot(&self) -> Option<SnapshotStats> {
         let persist = self.persist.as_ref()?;
-        // In lease mode only the elected writer flushes; readers adopt the
-        // writer's snapshots through the coordinator instead.
-        if self.lease_ttl.is_some() && !self.is_writer() {
+        let writer = self.writer.lock().expect("writer lock slot poisoned");
+        if writer.is_none() {
             return None;
         }
-        let _gate = if skip_if_busy {
-            self.snapshot_gate.try_lock().ok()?
-        } else {
-            self.snapshot_gate.lock().expect("snapshot gate poisoned")
-        };
         let flush_start = Instant::now();
         // Generations stay monotonic across processes: continue from
-        // whichever is newer, the on-disk header (a previous lease holder
-        // may have written since we last did) or our local counter.
+        // whichever is newer, the on-disk header (a load of the previous
+        // writer's last snapshot may have been rejected) or our local
+        // counter.
         let disk_gen = snapshot_generation(&persist.state_dir).unwrap_or(0);
         let generation = disk_gen.max(self.snapshot_generation.load(Ordering::Relaxed)) + 1;
         match save_snapshot_gen(
@@ -353,40 +348,52 @@ impl Inner {
         }
     }
 
-    /// Whether this process may write snapshots right now: always outside
-    /// lease mode, and only while actually holding the lease inside it.
-    /// Verified against the file (one small read), not just the cached
-    /// claim, so a holder stolen from between heartbeats stops writing at
-    /// its next flush rather than its next heartbeat.
-    fn is_writer(&self) -> bool {
-        if self.lease_ttl.is_none() {
-            return true;
-        }
-        self.lease
-            .lock()
-            .expect("lease slot poisoned")
-            .as_ref()
-            .is_some_and(|l| l.held())
-    }
-
-    /// The periodic flush hook, called once per completed job. The flush
-    /// itself runs on a detached thread so the worker goes straight back
-    /// to serving — session-core serialization and the file write happen
-    /// off the job path. The gate's `try_lock` dedups overlapping fires;
-    /// a flush still mid-write at process exit can at worst leave a stale
-    /// `.tmp` sibling (the atomic rename protects the live snapshot).
-    fn note_job_done(self: &Arc<Self>) {
+    /// The periodic flush hook, called once per completed job: every
+    /// `snapshot_every` jobs it asks the persister for a flush, so the
+    /// worker goes straight back to serving.
+    fn note_job_done(&self) {
         let done = self.jobs_done.fetch_add(1, Ordering::Relaxed) + 1;
         obs::registry().counter(obs::names::JOBS_COMPLETED).inc();
         let Some(every) = self.persist.as_ref().and_then(|p| p.snapshot_every) else {
             return;
         };
         if every > 0 && done.is_multiple_of(every) {
-            let inner = Arc::clone(self);
-            std::thread::spawn(move || {
-                inner.flush_snapshot(true);
-            });
+            self.persister_signal
+                .lock()
+                .expect("persister signal poisoned")
+                .flush_due = true;
+            self.persister_wake.notify_one();
         }
+    }
+
+    /// One follow-period step of a service that is not the writer: try
+    /// the writer lock, then adopt any newer snapshot generation. In that
+    /// order, a new writer starts from its predecessor's last snapshot.
+    /// Returns whether this service now holds the lock.
+    fn follow(&self, state_dir: &Path) -> bool {
+        let mut writer = self.writer.lock().expect("writer lock slot poisoned");
+        if let Ok(Some(lock)) = lock_state_dir(state_dir) {
+            *writer = Some(lock);
+            eprintln!(
+                "rect-addr: snapshot writer for {} (took over the writer lock)",
+                state_dir.display()
+            );
+        }
+        let local = self.snapshot_generation.load(Ordering::Relaxed);
+        if snapshot_generation(state_dir).is_some_and(|disk| disk > local) {
+            // A rejected load installs nothing; the next period retries.
+            if let Ok(restored) = load_snapshot(state_dir, &self.engine) {
+                self.snapshot_generation
+                    .store(restored.generation, Ordering::Relaxed);
+                eprintln!(
+                    "rect-addr: adopted snapshot generation {} ({} sessions) from {}",
+                    restored.generation,
+                    restored.sessions,
+                    state_dir.display()
+                );
+            }
+        }
+        writer.is_some()
     }
 }
 
@@ -479,67 +486,44 @@ fn canceled(req: &JobRequest) -> JobResponse {
     )
 }
 
-/// The lease coordinator: a single low-frequency thread (lease mode only)
-/// that keeps this process's role honest. A **holder** heartbeats the
-/// lease each tick and demotes itself to reader if the refresh reveals
-/// the lease was lost. A **reader** adopts any newer on-disk snapshot
-/// generation into the live engine (the writer's flushes propagate
-/// without restarts) and then contends for the lease, taking over within
-/// one TTL of the holder dying.
-fn coordinator_loop(inner: Arc<Inner>, stop: Arc<AtomicBool>) {
-    let Some(ttl) = inner.lease_ttl else { return };
-    let Some(persist) = inner.persist.clone() else {
+/// The persister: one thread per persisting service, the only one that
+/// writes periodic snapshots or follows the state dir. The writer sleeps
+/// until a flush is due; a request arriving mid-flush sets the flag again
+/// and so coalesces into one follow-up flush. Any other service wakes
+/// once per follow period to [`Inner::follow`] the writer. `writer` is
+/// the role the service started in.
+fn persister_loop(inner: &Inner, mut writer: bool) {
+    let Some(persist) = &inner.persist else {
         return;
     };
-    let tick = (ttl / 3).max(Duration::from_millis(20));
-    while !stop.load(Ordering::Relaxed) {
+    let follow_period = persist.lease.unwrap_or(DEFAULT_FOLLOW_PERIOD);
+    loop {
         {
-            let mut slot = inner.lease.lock().expect("lease slot poisoned");
-            match slot.as_ref() {
-                Some(lease) => {
-                    if !lease.refresh() {
-                        eprintln!(
-                            "rect-addr: snapshot-writer lease on {} lost; demoting to reader",
-                            persist.state_dir.display()
-                        );
-                        *slot = None;
-                    }
-                }
-                None => {
-                    // Reader: adopt a newer snapshot before contending, so
-                    // a takeover starts from the dead writer's final state.
-                    let local = inner.snapshot_generation.load(Ordering::Relaxed);
-                    if let Some(disk_gen) = snapshot_generation(&persist.state_dir) {
-                        if disk_gen > local {
-                            // A failed load here is not a cold start: the
-                            // writer may be mid-rename. Retry next tick.
-                            if let Ok(restored) = load_snapshot(&persist.state_dir, &inner.engine) {
-                                inner
-                                    .snapshot_generation
-                                    .store(restored.generation, Ordering::Relaxed);
-                                eprintln!(
-                                    "rect-addr: adopted snapshot generation {} ({} sessions) from {}",
-                                    restored.generation,
-                                    restored.sessions,
-                                    persist.state_dir.display()
-                                );
-                            }
-                        }
-                    }
-                    if let Ok(Some(lease)) = Lease::acquire(&persist.state_dir, ttl) {
-                        eprintln!(
-                            "rect-addr: acquired snapshot-writer lease on {}",
-                            persist.state_dir.display()
-                        );
-                        *slot = Some(lease);
-                    }
-                }
+            let signal = inner
+                .persister_signal
+                .lock()
+                .expect("persister signal poisoned");
+            let mut signal = if writer {
+                inner
+                    .persister_wake
+                    .wait_while(signal, |s| !s.stop && !s.flush_due)
+                    .expect("persister signal poisoned")
+            } else {
+                inner
+                    .persister_wake
+                    .wait_timeout_while(signal, follow_period, |s| !s.stop)
+                    .expect("persister signal poisoned")
+                    .0
+            };
+            if signal.stop {
+                return;
             }
+            signal.flush_due = false;
         }
-        // Sleep in short slices so shutdown never waits a full tick.
-        let deadline = Instant::now() + tick;
-        while !stop.load(Ordering::Relaxed) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
+        if writer {
+            inner.flush_snapshot();
+        } else {
+            writer = inner.follow(&persist.state_dir);
         }
     }
 }
@@ -642,22 +626,38 @@ pub struct Service {
     inner: Arc<Inner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     worker_count: usize,
-    /// The lease coordinator thread (lease mode only).
-    coordinator: Mutex<Option<JoinHandle<()>>>,
-    coord_stop: Arc<AtomicBool>,
+    /// The persister thread (persistence only).
+    persister: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Service {
     /// Spawns the worker pool over an existing (possibly shared) engine.
-    /// With [`ServiceConfig::persist`] set, the state directory's snapshot
-    /// is loaded first — a valid one warm-starts the engine (restored
-    /// sessions rehydrate lazily per canonical class); a missing, corrupt
-    /// or foreign-schema one is rejected wholesale and the engine
-    /// cold-starts, with the rejection reason on stderr.
+    /// With [`ServiceConfig::persist`] set, the service first tries the
+    /// state dir's writer lock (its role, writer or reader, goes to
+    /// stderr), then loads the snapshot — a valid one warm-starts the
+    /// engine (restored sessions rehydrate lazily per canonical class); a
+    /// missing, corrupt or foreign-schema one is rejected wholesale and
+    /// the engine cold-starts, with the rejection reason on stderr. A
+    /// persister thread then flushes or follows (see [`PersistConfig`]).
     pub fn new(engine: Arc<Engine>, config: ServiceConfig) -> Service {
         let mut load_failures = 0u64;
         let mut loaded_generation = 0u64;
+        let mut writer = None;
         if let Some(persist) = &config.persist {
+            // Lock before loading: a writer's predecessor has released the
+            // lock, so the snapshot loaded next is its last one.
+            writer = lock_state_dir(&persist.state_dir).unwrap_or_else(|e| {
+                eprintln!(
+                    "rect-addr: cannot lock {} ({e})",
+                    persist.state_dir.display()
+                );
+                None
+            });
+            eprintln!(
+                "rect-addr: snapshot {} for {}",
+                if writer.is_some() { "writer" } else { "reader" },
+                persist.state_dir.display()
+            );
             match load_snapshot(&persist.state_dir, &engine) {
                 Ok(restored) => {
                     loaded_generation = restored.generation;
@@ -690,33 +690,7 @@ impl Service {
         } else {
             config.workers
         };
-        let lease_ttl = config.persist.as_ref().and_then(|p| p.lease);
-        // One acquisition attempt up front so a lone process is the writer
-        // from its very first flush; the coordinator retries for readers.
-        let initial_lease = match (&config.persist, lease_ttl) {
-            (Some(persist), Some(ttl)) => match Lease::acquire(&persist.state_dir, ttl) {
-                Ok(lease) => {
-                    eprintln!(
-                        "rect-addr: {} for snapshots in {}",
-                        if lease.is_some() {
-                            "elected writer"
-                        } else {
-                            "reader (writer lease held elsewhere)"
-                        },
-                        persist.state_dir.display()
-                    );
-                    lease
-                }
-                Err(e) => {
-                    eprintln!(
-                        "rect-addr: lease acquisition in {} failed ({e}); starting as reader",
-                        persist.state_dir.display()
-                    );
-                    None
-                }
-            },
-            _ => None,
-        };
+        let started_as_writer = writer.is_some();
         let inner = Arc::new(Inner {
             engine,
             state: Mutex::new(QueueState::default()),
@@ -727,11 +701,11 @@ impl Service {
             next_group: AtomicU64::new(1),
             persist: config.persist,
             jobs_done: AtomicU64::new(0),
-            snapshot_gate: Mutex::new(()),
+            writer: Mutex::new(writer),
+            persister_signal: Mutex::new(PersisterSignal::default()),
+            persister_wake: Condvar::new(),
             snapshot_load_failures: AtomicU64::new(load_failures),
             snapshot_generation: AtomicU64::new(loaded_generation),
-            lease: Mutex::new(initial_lease),
-            lease_ttl,
             open_connections: AtomicU64::new(0),
         });
         let workers = (0..worker_count)
@@ -740,18 +714,15 @@ impl Service {
                 std::thread::spawn(move || worker_loop(inner))
             })
             .collect();
-        let coord_stop = Arc::new(AtomicBool::new(false));
-        let coordinator = lease_ttl.map(|_| {
+        let persister = inner.persist.is_some().then(|| {
             let inner = inner.clone();
-            let stop = coord_stop.clone();
-            std::thread::spawn(move || coordinator_loop(inner, stop))
+            std::thread::spawn(move || persister_loop(&inner, started_as_writer))
         });
         Service {
             inner,
             workers: Mutex::new(workers),
             worker_count,
-            coordinator: Mutex::new(coordinator),
-            coord_stop,
+            persister: Mutex::new(persister),
         }
     }
 
@@ -948,18 +919,21 @@ impl Service {
         self.inner.snapshot_generation.load(Ordering::Relaxed)
     }
 
-    /// Whether this process is currently the state dir's snapshot writer.
-    /// Trivially true without a [`PersistConfig::lease`]; under one, true
-    /// only while the lease is held.
+    /// Whether this service holds its state dir's writer lock (never
+    /// without a [`PersistConfig`]).
     pub fn is_snapshot_writer(&self) -> bool {
-        self.inner.is_writer()
+        self.inner
+            .writer
+            .lock()
+            .expect("writer lock slot poisoned")
+            .is_some()
     }
 
-    /// Writes a warm-state snapshot immediately (no-op without a
-    /// [`PersistConfig`]). Returns what was written, or `None` when
-    /// persistence is off or the write failed (reported on stderr).
+    /// Writes a warm-state snapshot immediately. Returns what was written,
+    /// or `None` when persistence is off, another service holds the
+    /// writer lock, or the write failed (reported on stderr).
     pub fn snapshot_now(&self) -> Option<SnapshotStats> {
-        self.inner.flush_snapshot(false)
+        self.inner.flush_snapshot()
     }
 
     /// What this service advertises in the v2 handshake ack.
@@ -985,9 +959,10 @@ impl Service {
     }
 
     /// Stops accepting work, drains the queue (every accepted job is
-    /// answered), joins the workers and — when persistence is configured —
-    /// writes a final snapshot of the drained state. Called automatically
-    /// on drop; idempotent.
+    /// answered), joins the workers, then stops and joins the persister.
+    /// The writer then writes a final snapshot of the drained state and
+    /// releases the writer lock. Called automatically on drop;
+    /// idempotent.
     pub fn shutdown(&self) {
         {
             let mut state = self.inner.state.lock().expect("service queue poisoned");
@@ -996,32 +971,27 @@ impl Service {
         self.inner.work.notify_all();
         self.inner.space.notify_all();
         let workers = std::mem::take(&mut *self.workers.lock().expect("worker list poisoned"));
-        let drained_any = !workers.is_empty();
         for handle in workers {
             let _ = handle.join();
         }
-        // Snapshot exactly once (the first shutdown call joins the
-        // workers; repeats see an empty list). The coordinator stays alive
-        // through the drain — a long drain must not let the lease lapse —
-        // and stops only after the final flush, which releases the lease
-        // so the next contender takes over without waiting out the TTL.
-        if drained_any {
-            self.inner.flush_snapshot(false);
-        }
-        self.coord_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self
-            .coordinator
+        self.inner
+            .persister_signal
             .lock()
-            .expect("coordinator slot poisoned")
-            .take()
-        {
+            .expect("persister signal poisoned")
+            .stop = true;
+        self.inner.persister_wake.notify_all();
+        let persister = self
+            .persister
+            .lock()
+            .expect("persister slot poisoned")
+            .take();
+        if let Some(handle) = persister {
             let _ = handle.join();
         }
-        if drained_any {
-            if let Some(lease) = self.inner.lease.lock().expect("lease slot poisoned").take() {
-                lease.release();
-            }
-        }
+        // Snapshot exactly once: closing the lock file after the final
+        // flush releases the lock, so a repeated call writes nothing.
+        self.inner.flush_snapshot();
+        *self.inner.writer.lock().expect("writer lock slot poisoned") = None;
     }
 }
 

@@ -278,6 +278,12 @@ impl SocketServer {
         }
     }
 
+    /// Whether the readiness loop has exited, so [`SocketServer::join`]
+    /// would return at once.
+    pub fn is_finished(&self) -> bool {
+        self.acceptor.as_ref().is_none_or(JoinHandle::is_finished)
+    }
+
     /// Blocks until the readiness loop exits — after
     /// [`SocketServer::shutdown`] from another thread, or on a fatal
     /// poller error, which is returned so the long-running

@@ -1,6 +1,7 @@
 //! Zero-dependency readiness polling: thin `extern "C"` bindings to the
 //! libc the standard library already links (`epoll` on Linux, portable
-//! `poll(2)` everywhere), wrapped in a safe [`Poller`].
+//! `poll(2)` everywhere), wrapped in a safe [`Poller`]; plus the
+//! stop-signal flag a server drains on ([`catch_stop_signals`]).
 //!
 //! The workspace deliberately carries no external crates, so the
 //! event-driven acceptor cannot lean on `libc`/`mio`; declaring the half
@@ -17,6 +18,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// One readiness report from [`Poller::wait`].
@@ -79,11 +81,17 @@ struct Rlimit {
 
 const RLIMIT_NOFILE: i32 = 7;
 
+const SIGINT: i32 = 2;
+const SIGTERM: i32 = 15;
+/// What `signal(2)` returns on failure.
+const SIG_ERR: usize = usize::MAX;
+
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
     fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
     fn close(fd: i32) -> i32;
+    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
 }
 
 #[cfg(target_os = "linux")]
@@ -144,6 +152,31 @@ pub fn raise_nofile_limit() -> io::Result<u64> {
         return Ok(raised.rlim_cur);
     }
     Ok(lim.rlim_cur)
+}
+
+static STOP_REQUESTED: AtomicBool = AtomicBool::new(false);
+
+extern "C" fn request_stop(_signum: i32) {
+    STOP_REQUESTED.store(true, Ordering::SeqCst);
+}
+
+/// Makes SIGTERM and SIGINT set the process-wide [`stop_requested`] flag
+/// instead of killing the process, so a server can drain before it
+/// exits.
+pub fn catch_stop_signals() -> io::Result<()> {
+    for signum in [SIGTERM, SIGINT] {
+        // SAFETY: the handler has the C signature signal(2) expects and
+        // only stores to a lock-free atomic, which is async-signal-safe.
+        if unsafe { signal(signum, request_stop) } == SIG_ERR {
+            return Err(last_os_error());
+        }
+    }
+    Ok(())
+}
+
+/// Whether SIGTERM or SIGINT arrived since [`catch_stop_signals`].
+pub fn stop_requested() -> bool {
+    STOP_REQUESTED.load(Ordering::SeqCst)
 }
 
 enum Backend {

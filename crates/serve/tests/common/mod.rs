@@ -113,3 +113,14 @@ pub fn distinct_matrix(i: usize) -> bitmatrix::BitMatrix {
 pub fn distinct_job(id: &str, i: usize) -> JobRequest {
     JobRequest::new(id, distinct_matrix(i))
 }
+
+/// The `Threads:` line of `/proc/self/status`: every thread of the
+/// process, so a test reading it needs a test binary of its own.
+pub fn threads() -> usize {
+    std::fs::read_to_string("/proc/self/status")
+        .expect("procfs")
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("Threads: line")
+}

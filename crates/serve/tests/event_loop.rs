@@ -1,16 +1,16 @@
 //! Edge cases of the event-driven socket front-end
-//! ([`serve_socket_event`]) and of the multi-process writer lease:
-//! frames arriving a byte at a time, slow readers hitting the outbound
-//! cap, mid-frame disconnects, and lease takeover with snapshot
-//! generation adoption.
+//! ([`serve_socket_event`]) and of the state dir's writer lock: frames
+//! arriving a byte at a time, slow readers hitting the outbound cap,
+//! mid-frame disconnects, and writer takeover with snapshot generation
+//! adoption.
 
 mod common;
 
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
-use engine::persist::{save_snapshot_gen, DEFAULT_MAX_CORE_CLAUSES};
+use engine::persist::{lock_state_dir, save_snapshot_gen, DEFAULT_MAX_CORE_CLAUSES};
 use engine::{Engine, EngineConfig};
 use proto::{JobResponse, StatsFrame, SummaryFrame};
 use rect_addr_serve::{
@@ -246,42 +246,23 @@ fn mid_frame_disconnect_keeps_server_healthy() {
     server.join().unwrap();
 }
 
-fn now_unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .as_millis() as u64
-}
-
-/// Writes a lease held by a foreign (dead) process expiring `ttl_ms`
-/// from now, as if a writer was killed mid-heartbeat.
-fn plant_foreign_lease(state_dir: &std::path::Path, ttl_ms: u64) {
-    std::fs::create_dir_all(state_dir).unwrap();
-    std::fs::write(
-        engine::lease::lease_path(state_dir),
-        format!("rect-addr-lease deadbeef {} 1\n", now_unix_ms() + ttl_ms),
-    )
-    .unwrap();
-}
-
 /// A reader sharing the state dir adopts newer snapshot generations
-/// while the writer lives, then takes the lease over once the holder
-/// dies (stops refreshing), and its own flushes stay monotonic past
+/// while the writer lives, then takes the writer lock over once the
+/// holder releases it, and its own flushes stay monotonic past
 /// everything on disk.
 #[test]
 fn lease_takeover_adopts_generation_and_promotes_reader() {
-    let dir = std::env::temp_dir().join(format!("rect-addr-lease-takeover-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("rect-addr-lock-takeover-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // "Process A" flushed generation 3 and then got SIGKILLed holding a
-    // lease with ~600ms left on the clock.
+    // "Process A" holds the writer lock and has flushed generation 3.
+    let lock_a = lock_state_dir(&dir).unwrap().expect("fresh dir locks");
     let donor = Engine::new(EngineConfig::default());
     donor.solve(&distinct_matrix(0));
     save_snapshot_gen(&dir, &donor, DEFAULT_MAX_CORE_CLAUSES, 3).unwrap();
-    plant_foreign_lease(&dir, 600);
 
-    // "Process B" starts while A's lease is still live: it must come up
-    // as a reader on A's snapshot.
+    // "Process B" starts while A holds the lock: it must come up as a
+    // reader on A's snapshot, and never write.
     let service = Service::with_engine_config(
         EngineConfig::default(),
         ServiceConfig {
@@ -289,14 +270,16 @@ fn lease_takeover_adopts_generation_and_promotes_reader() {
             queue_depth: 8,
             persist: Some(PersistConfig {
                 snapshot_every: None,
-                ..PersistConfig::shared(&dir, Duration::from_millis(150))
+                lease: Some(Duration::from_millis(50)),
+                ..PersistConfig::at(&dir)
             }),
         },
     );
-    assert!(!service.is_snapshot_writer(), "reader grabbed a live lease");
+    assert!(!service.is_snapshot_writer(), "reader took a held lock");
     assert_eq!(service.snapshot_generation(), 3);
+    assert!(service.snapshot_now().is_none(), "a reader never writes");
 
-    // A's final flush lands generation 4; B's coordinator adopts it.
+    // A's final flush lands generation 4; B's persister adopts it.
     save_snapshot_gen(&dir, &donor, DEFAULT_MAX_CORE_CLAUSES, 4).unwrap();
     assert!(
         wait_until(Duration::from_secs(5), || service.snapshot_generation()
@@ -304,15 +287,15 @@ fn lease_takeover_adopts_generation_and_promotes_reader() {
         "reader never adopted generation 4 (at {})",
         service.snapshot_generation()
     );
+    assert!(!service.is_snapshot_writer(), "the lock is still held");
 
-    // A never refreshes again; once the lease expires B must take over.
+    // A exits: its lock is released, and B must take over.
+    drop(lock_a);
     assert!(
         wait_until(Duration::from_secs(5), || service.is_snapshot_writer()),
-        "reader never took over the expired lease"
+        "reader never took over the released lock"
     );
-    let held = engine::lease::peek(&dir).expect("lease file after takeover");
-    assert_ne!(held.token, "deadbeef");
-    assert_eq!(held.pid, std::process::id());
+    assert!(lock_state_dir(&dir).unwrap().is_none(), "B holds the lock");
 
     // The new writer's flush advances past everything on disk.
     service.snapshot_now().expect("writer flush");
@@ -323,8 +306,7 @@ fn lease_takeover_adopts_generation_and_promotes_reader() {
     );
 
     service.shutdown();
-    // Releasing on shutdown leaves the directory lease-free for the
-    // next contender.
-    assert!(engine::lease::peek(&dir).is_none());
+    // Shutdown releases the lock for the next process.
+    assert!(lock_state_dir(&dir).unwrap().is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,21 +8,11 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{distinct_matrix, gated_engine, Gate};
+use common::{distinct_matrix, gated_engine, threads, Gate};
 use engine::protocol::{ErrorKind, JobResponse, ScheduleRequest, ScheduleSummary};
 use rect_addr_serve::{
     serve_socket_event, BindAddr, LineClient, Service, ServiceConfig, MAX_ACTIVE_SCHEDULES,
 };
-
-/// The `Threads:` line of `/proc/self/status`.
-fn threads() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .expect("procfs")
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|n| n.trim().parse().ok())
-        .expect("Threads: line")
-}
 
 #[test]
 fn schedules_in_flight_add_no_threads() {
