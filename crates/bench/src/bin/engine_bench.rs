@@ -265,14 +265,13 @@ struct CanonArm {
 /// through a fresh engine whose canonizer search budget is `max_branches`,
 /// and reports the cache hit-rate. The complete canonizer (default budget)
 /// makes every copy after a base's first a hit; at budget 0 the heuristic
-/// labeling scatters each class across several entries. SAT and DLX are off
-/// — the phase measures canonization, not solving.
+/// labeling scatters each class across several entries. SAT is off — the
+/// phase measures canonization, not solving.
 fn canon_arm(stream: &str, jobs: usize, max_branches: usize) -> CanonArm {
     let service = Service::with_engine_config(
         EngineConfig {
             portfolio: engine::PortfolioConfig {
                 sap: false,
-                exact_cover: false,
                 packing_trials: 16,
                 ..engine::PortfolioConfig::default()
             },
@@ -1377,7 +1376,7 @@ fn check_baseline(
     let ratio = ws_warm.total_conflicts as f64 / ws_cold.total_conflicts.max(1) as f64;
     let mut ok = true;
     // Cold throughput exercises the full data plane (canonization, the
-    // packing kernels, DLX, SAP) rather than the cache, so it is the gate
+    // floor, the packing kernels, SAP) rather than the cache, so it is the gate
     // that actually guards the word-packed hot loops.
     if let Some(base_cold) = number("cold", "jobs_per_second") {
         let cold_floor = base_cold * (1.0 - BASELINE_TOLERANCE);

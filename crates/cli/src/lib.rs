@@ -107,17 +107,17 @@ USAGE:
 
 Batch/serve options: --workers N, --budget-ms T, --conflicts C, --trials K,
 --no-sat, --shards N (cache shards), --warm-sessions N (0 = cold SAP),
---no-adaptive (always race every strategy), --canon-budget B (canonizer
-search branches before falling back to the heuristic labeling; 0 = no
-search), --queue-depth N (submission queue bound; a full queue answers
-busy to protocol-v2 clients), --state-dir DIR (persist warm SAP sessions
-and scheduler statistics across restarts; loaded at startup, snapshotted
-on drain; processes may share one: whichever holds DIR/writer.lock
-writes the snapshots, the rest adopt them and take the lock over when
-it is released), --snapshot-every N (also snapshot every N completed
-jobs; default 32, 0 = only on drain), --metrics-dump PATH (write the
-process's counters and latency histograms as JSON: periodically while a
---listen server runs, once on drain for batch/serve). SIGTERM or SIGINT
+--canon-budget B (canonizer search branches before falling back to the
+heuristic labeling; 0 = no search), --queue-depth N (submission queue
+bound; a full queue answers busy to protocol-v2 clients), --state-dir DIR
+(persist warm SAP sessions across restarts; loaded at startup,
+snapshotted on drain; processes may share one: whichever holds
+DIR/writer.lock writes the snapshots, the rest adopt them and take the
+lock over when it is released), --snapshot-every N (also snapshot every
+N completed jobs; default 32, 0 = only on drain), --metrics-dump PATH
+(write the process's counters and latency histograms as JSON:
+periodically while a --listen server runs, once on drain for
+batch/serve). SIGTERM or SIGINT
 drains a --listen server and exits 0. One job per line: {\"id\": \"l0\",
 \"matrix\": [\"101\", \"010\"], \"budget_ms\": 500}; responses stream back in
 completion order with provenance, cache-hit flag, SAT conflict count and
@@ -580,8 +580,8 @@ fn cmd_gen(args: &[String]) -> CliOutput {
 }
 
 /// Builds an [`EngineConfig`] from `--workers/--budget-ms/--conflicts/
-/// --trials/--no-sat/--shards/--warm-sessions/--no-adaptive/--canon-budget`
-/// flags. Values are only overridden when their flag is present, so
+/// --trials/--no-sat/--shards/--warm-sessions/--canon-budget` flags.
+/// Values are only overridden when their flag is present, so
 /// [`EngineConfig::default`] stays the single source of truth.
 fn engine_config(rest: &[String]) -> Result<EngineConfig, String> {
     let mut cfg = EngineConfig::default();
@@ -599,9 +599,6 @@ fn engine_config(rest: &[String]) -> Result<EngineConfig, String> {
     }
     if rest.iter().any(|a| a == "--no-sat") {
         cfg.portfolio.sap = false;
-    }
-    if rest.iter().any(|a| a == "--no-adaptive") {
-        cfg.adaptive = false;
     }
     Ok(cfg)
 }
@@ -1226,13 +1223,16 @@ mod tests {
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.cache_shards, 4);
         assert_eq!(cfg.warm_sessions, 0);
-        assert!(!cfg.adaptive);
         assert!(!cfg.portfolio.sap);
         assert_eq!(cfg.canon.max_branches, 17);
         // Defaults untouched when flags are absent.
         let dflt = engine_config(&[]).unwrap();
         assert_eq!(dflt.cache_shards, EngineConfig::default().cache_shards);
-        assert!(dflt.adaptive);
+        // A flag of older releases is ignored, not an error.
+        assert_eq!(
+            engine_config(&["--no-adaptive".to_string()]).unwrap(),
+            EngineConfig::default()
+        );
         assert_eq!(dflt.canon.max_branches, ::engine::DEFAULT_CANON_BUDGET);
     }
 
@@ -1432,12 +1432,12 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let service = build_service(&args).unwrap();
-        // Run one SAT-needing job and drain: the shutdown snapshot must
-        // land in the state dir.
+        // Run one SAT-needing job (Fig. 1b: floor 4, depth 5) and drain:
+        // the shutdown snapshot must land in the state dir.
         let resp = service
             .submit(::engine::protocol::JobRequest::new(
                 "p",
-                "1100\n0011\n1111\n1010".parse().unwrap(),
+                FIG1B.trim_end().parse().unwrap(),
             ))
             .unwrap()
             .wait();

@@ -534,11 +534,6 @@ impl EbmfEncoder {
         self.capacity
     }
 
-    /// Whether this encoder was built with assumption-encoded bounds.
-    pub fn assumption_bounds(&self) -> bool {
-        !self.bound_selectors.is_empty()
-    }
-
     /// Limits each subsequent solve to `budget` conflicts (anytime mode).
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
         self.solver.set_conflict_budget(budget);

@@ -288,12 +288,16 @@ pub fn row_packing(m: &BitMatrix, config: &PackingConfig) -> Partition {
 /// Multi-trial row packing for a race driver: equivalent to running
 /// [`row_packing`] with single-trial configs seeded `seed`, `seed+1`, … and
 /// keeping the best result, but with the trivial baseline, the transpose and
-/// the trial workspace hoisted out of the loop. Polls `cancel` between
-/// trials, so a budget expiry overruns by at most one trial; at least one
-/// trial always completes, so the result is always a valid partition.
+/// the trial workspace hoisted out of the loop. Stops as soon as the best
+/// partition reaches `floor`, a known lower bound on the binary rank (pass
+/// 1 when none is known: a nonzero matrix needs at least one rectangle).
+/// Polls `cancel` between trials, so a budget expiry overruns by at most
+/// one trial; at least one trial always completes unless the trivial
+/// partition already meets the floor.
 pub fn row_packing_cancellable(
     m: &BitMatrix,
     config: &PackingConfig,
+    floor: usize,
     cancel: &CancelToken,
 ) -> Partition {
     let mut best = trivial_partition(m);
@@ -304,7 +308,7 @@ pub fn row_packing_cancellable(
         RowOrder::SparsestFirst | RowOrder::Natural => 1,
     };
     for t in 0..outer as u64 {
-        if best.len() <= 1 {
+        if best.len() <= floor {
             break; // cannot improve further
         }
         if t > 0 && cancel.is_cancelled() {
@@ -561,6 +565,7 @@ mod tests {
                         exact_cover,
                         ..PackingConfig::default()
                     },
+                    1,
                     &CancelToken::new(),
                 );
                 let mut best = trivial_partition(m);
@@ -587,8 +592,20 @@ mod tests {
         let m = fig1b();
         let token = CancelToken::new();
         token.cancel();
-        let p = row_packing_cancellable(&m, &PackingConfig::with_trials(64), &token);
+        let p = row_packing_cancellable(&m, &PackingConfig::with_trials(64), 1, &token);
         assert!(p.validate(&m).is_ok());
         assert!(p.len() <= trivial_partition(&m).len());
+    }
+
+    #[test]
+    fn cancellable_packing_stops_at_the_floor() {
+        // Fig. 3's trivial partition has 5 rectangles and packing finds 4:
+        // a floor of 5 is already met, so no trial runs.
+        let m = fig3();
+        let cfg = PackingConfig::with_trials(64);
+        let token = CancelToken::new();
+        assert_eq!(trivial_partition(&m).len(), 5);
+        assert_eq!(row_packing_cancellable(&m, &cfg, 5, &token).len(), 5);
+        assert_eq!(row_packing_cancellable(&m, &cfg, 4, &token).len(), 4);
     }
 }

@@ -172,10 +172,11 @@ impl SapOutcome {
 
 /// A persistent SAP solver for one matrix, warm-startable across runs.
 ///
-/// The session owns the row-packing incumbent, the lower bound and — once
-/// the descent has started — one incremental [`EbmfEncoder`] whose learnt
-/// clauses survive between [`SapSession::run`] calls. A run that stops on an
-/// exhausted budget leaves the session mid-descent; a later run **resumes**
+/// The session owns the incumbent, the lower bound and — from the first
+/// query until the depth is proved — one incremental [`EbmfEncoder`] whose
+/// learnt clauses survive between [`SapSession::run`] calls. A run that
+/// stops on an exhausted budget leaves the session mid-descent; a later
+/// run **resumes**
 /// from the same depth bound with every learnt clause retained, so the
 /// conflicts already spent are never re-spent. The engine keeps one session
 /// per canonical matrix class for exactly this reason: cache-adjacent jobs
@@ -249,18 +250,29 @@ impl SapSession {
         let lb = lower_bound(m, config.use_fooling_bound);
         let bound_seconds = t1.elapsed().as_secs_f64();
 
-        debug_assert!(best.validate(m).is_ok());
-        let proved = best.len() <= lb.value;
+        SapSession {
+            packing_seconds,
+            bound_seconds,
+            ..Self::seeded(m, best, lb)
+        }
+    }
+
+    /// Creates a session that descends from `incumbent`, a valid partition
+    /// of `m`, towards `lb`, a sound lower bound on its binary rank: the
+    /// first two steps of Algorithm 1, already run by the caller, so
+    /// neither packing nor the bound is computed here.
+    pub fn seeded(m: &BitMatrix, incumbent: Partition, lb: LowerBound) -> Self {
+        debug_assert!(incumbent.validate(m).is_ok());
         SapSession {
             m: m.clone(),
             lb,
-            best,
-            proved,
+            proved: incumbent.len() <= lb.value,
+            best: incumbent,
             encoder: None,
             pending_core: None,
             conflicts: 0,
-            packing_seconds,
-            bound_seconds,
+            packing_seconds: 0.0,
+            bound_seconds: 0.0,
         }
     }
 
@@ -274,13 +286,10 @@ impl SapSession {
             .iter()
             .map(|r| (r.rows().to_indices(), r.cols().to_indices()))
             .collect();
-        // Only assumption-bound encoders are exportable: a permanent
-        // narrowing would bake the reached bound into the clause set, which
-        // a rebuild at full capacity could not reproduce. (Every encoder
-        // this session builds — certify or not — uses assumption bounds;
-        // the filter guards against foreign construction paths only.)
-        let encoder = self.encoder.as_ref().filter(|e| e.assumption_bounds());
-        let (encoder_capacity, symmetry_breaking, core) = match (encoder, &self.pending_core) {
+        // Every encoder this session builds uses assumption bounds, so its
+        // core re-imports into a rebuild at the same capacity.
+        let (encoder_capacity, symmetry_breaking, core) = match (&self.encoder, &self.pending_core)
+        {
             (Some(e), _) => (
                 Some(e.capacity()),
                 e.options().symmetry_breaking,
@@ -302,17 +311,20 @@ impl SapSession {
         }
     }
 
-    /// Rebuilds a session from [`SapSession::export`] output. The packing
-    /// phase is skipped (the exported incumbent replaces it) and the
-    /// learnt-clause core is held back until the first run that actually
-    /// needs the encoder — rehydration is lazy beyond this validation.
+    /// Rebuilds a session from [`SapSession::export`] output, descending
+    /// towards `lb`, a sound lower bound on the export's matrix (the
+    /// caller's [`lower_bound`]). Neither packing nor the bound runs (the
+    /// exported incumbent replaces the one, the caller supplies the other)
+    /// and the learnt-clause core is held back until the first run that
+    /// actually needs the encoder — rehydration is lazy beyond this
+    /// validation.
     ///
     /// # Errors
     ///
     /// Rejects an export whose incumbent is not a valid partition of its
     /// matrix (the telltale of a snapshot mismatch); the caller should
     /// fall back to a cold session.
-    pub fn import(export: &SessionExport) -> Result<SapSession, String> {
+    pub fn import(export: &SessionExport, lb: LowerBound) -> Result<SapSession, String> {
         let (nrows, ncols) = export.matrix.shape();
         let mut best = Partition::empty(nrows, ncols);
         for (rows, cols) in &export.best {
@@ -326,7 +338,6 @@ impl SapSession {
         }
         best.validate(&export.matrix)
             .map_err(|e| format!("exported incumbent invalid: {e}"))?;
-        let lb = lower_bound(&export.matrix, false);
         if export.proved && best.len() > export.matrix.nrows().min(export.matrix.ncols()) {
             return Err("proved incumbent deeper than the trivial bound".to_string());
         }
@@ -386,7 +397,17 @@ impl SapSession {
             self.best = p.clone();
             if self.best.len() <= self.lb.value {
                 self.proved = true;
+                self.drop_encoder_if_proved();
             }
+        }
+    }
+
+    /// A proved session never queries again: frees its encoding (and any
+    /// core waiting for one), which is most of a session's memory.
+    fn drop_encoder_if_proved(&mut self) {
+        if self.proved {
+            self.encoder = None;
+            self.pending_core = None;
         }
     }
 
@@ -473,15 +494,10 @@ impl SapSession {
                     }
                     let stats_before = encoder.solver_stats();
                     let tq = Instant::now();
-                    let result = if encoder.assumption_bounds() {
-                        // Per-query budget through the resumable pool, so an
-                        // exhausted query can be continued by the next run.
-                        encoder.set_resumable_budget(config.conflict_budget);
-                        encoder.solve_at(b)
-                    } else {
-                        encoder.narrow(b);
-                        encoder.solve()
-                    };
+                    // Per-query budget through the resumable pool, so an
+                    // exhausted query can be continued by the next run.
+                    encoder.set_resumable_budget(config.conflict_budget);
+                    let result = encoder.solve_at(b);
                     let seconds = tq.elapsed().as_secs_f64();
                     let spent = encoder.solver_stats().since(&stats_before);
                     self.conflicts += spent.conflicts;
@@ -529,6 +545,7 @@ impl SapSession {
             }
             stats.sat_seconds = sat_start.elapsed().as_secs_f64();
         }
+        self.drop_encoder_if_proved();
 
         SapOutcome {
             partition: self.best.clone(),
@@ -772,7 +789,8 @@ mod tests {
             certify: true,
             ..cfg.clone()
         };
-        let mut warm = SapSession::import(&export).expect("genuine export imports");
+        let mut warm = SapSession::import(&export, lower_bound(&export.matrix, false))
+            .expect("genuine export imports");
         let warm_start = warm.total_conflicts();
         let mut last = warm.run(&certify_cfg);
         let mut rounds = 0u32;
@@ -851,7 +869,8 @@ mod tests {
             cancel: Some(token),
             ..cfg
         };
-        let mut warm = SapSession::import(&export).expect("genuine export imports");
+        let mut warm = SapSession::import(&export, lower_bound(&export.matrix, false))
+            .expect("genuine export imports");
         let out = warm.run(&cancelled);
         assert!(warm.encoder.is_none(), "a cancelled build keeps no encoder");
         assert!(out.stats.queries.is_empty());
@@ -967,7 +986,8 @@ mod tests {
 
         // The rehydrated session must converge with (far) fewer fresh
         // conflicts than a cold session run under the same slicing.
-        let mut warm = SapSession::import(&export).expect("genuine export imports");
+        let mut warm = SapSession::import(&export, lower_bound(&export.matrix, false))
+            .expect("genuine export imports");
         assert_eq!(warm.best().len(), donor.best().len());
         let warm_start = warm.total_conflicts();
         let mut rounds = 0u32;
@@ -1003,7 +1023,8 @@ mod tests {
         let export = donor.export(10_000);
         assert!(export.proved);
 
-        let mut warm = SapSession::import(&export).expect("imports");
+        let mut warm =
+            SapSession::import(&export, lower_bound(&export.matrix, false)).expect("imports");
         assert!(warm.proved_optimal());
         let before = warm.total_conflicts();
         let out = warm.run(&cfg);
@@ -1020,25 +1041,25 @@ mod tests {
         let mut donor = SapSession::new(&m, &cfg);
         donor.run(&cfg);
         let good = donor.export(1_000);
-        assert!(SapSession::import(&good).is_ok());
+        assert!(SapSession::import(&good, lower_bound(&good.matrix, false)).is_ok());
 
         // Out-of-range rectangle indices.
         let mut bad = good.clone();
         bad.best = vec![(vec![7], vec![0])];
-        assert!(SapSession::import(&bad).is_err());
+        assert!(SapSession::import(&bad, lower_bound(&bad.matrix, false)).is_err());
 
         // An incumbent that is not a partition of the matrix.
         let mut bad = good.clone();
         bad.best = vec![(vec![0], vec![0])];
-        assert!(SapSession::import(&bad).is_err());
+        assert!(SapSession::import(&bad, lower_bound(&bad.matrix, false)).is_err());
 
         // An absurd encoder capacity (memory-bomb guard).
         let mut bad = good.clone();
         bad.encoder_capacity = Some(10_000);
-        assert!(SapSession::import(&bad).is_err());
+        assert!(SapSession::import(&bad, lower_bound(&bad.matrix, false)).is_err());
         let mut bad = good;
         bad.encoder_capacity = Some(0);
-        assert!(SapSession::import(&bad).is_err());
+        assert!(SapSession::import(&bad, lower_bound(&bad.matrix, false)).is_err());
     }
 
     #[test]
@@ -1056,7 +1077,8 @@ mod tests {
         assert!(!export.core.is_empty());
         // import → export without any run in between: the parked core must
         // survive the round trip (double-restart scenario).
-        let warm = SapSession::import(&export).expect("imports");
+        let warm =
+            SapSession::import(&export, lower_bound(&export.matrix, false)).expect("imports");
         let again = warm.export(100_000);
         assert_eq!(again.core, export.core);
         assert_eq!(again.encoder_capacity, export.encoder_capacity);

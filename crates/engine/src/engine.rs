@@ -1,5 +1,5 @@
 //! The serving engine: sharded single-flight cache wrapped around the
-//! adaptive strategy race. Streaming transports live one layer up, in the
+//! Algorithm 1 pipeline. Streaming transports live one layer up, in the
 //! `rect-addr-serve` crate's `Service` facade.
 
 use std::sync::Arc;
@@ -12,7 +12,10 @@ use crate::cache::{CacheDecision, CacheStats, CanonicalCache};
 use crate::canon::{canonical_form_with, CanonOptions, CanonicalForm};
 use crate::portfolio::{race_strategies, PortfolioConfig, PortfolioOutcome, Provenance};
 use crate::protocol::{JobRequest, JobResponse};
-use crate::strategy::{AdaptiveScheduler, SessionStore, SolveJob, Strategy};
+use crate::strategy::{SessionStore, SolveJob, Strategy};
+
+/// Available CPUs per default worker (see [`EngineConfig::effective_workers`]).
+const CPUS_PER_WORKER: usize = 4;
 
 /// Configuration of an [`Engine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,7 +23,7 @@ pub struct EngineConfig {
     /// Concurrent solve workers a serving layer should run. `0` means
     /// auto (see [`EngineConfig::effective_workers`]).
     pub workers: usize,
-    /// Defaults for every job's portfolio race (per-job `budget_ms` /
+    /// Defaults for every job's pipeline run (per-job `budget_ms` /
     /// `conflicts` request fields override the budgets).
     pub portfolio: PortfolioConfig,
     /// Maximum entries of the canonical-form cache.
@@ -30,9 +33,6 @@ pub struct EngineConfig {
     /// Warm SAP sessions kept across jobs, keyed by canonical class
     /// (`0` disables warm starts: every SAP run re-encodes from scratch).
     pub warm_sessions: usize,
-    /// Let the scheduler prune strategies that never win in a job's
-    /// (shape, occupancy) bucket. Off = always race everything.
-    pub adaptive: bool,
     /// Canonizer search budget: individualization branches before the
     /// complete labeling falls back to the heuristic one (`--canon-budget`).
     pub canon: CanonOptions,
@@ -46,7 +46,6 @@ impl Default for EngineConfig {
             cache_capacity: 65_536,
             cache_shards: crate::cache::DEFAULT_SHARDS,
             warm_sessions: 128,
-            adaptive: true,
             canon: CanonOptions::default(),
         }
     }
@@ -54,21 +53,19 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// The concrete worker count `workers` implies: the explicit value, or
-    /// (at 0) `available CPUs / portfolio strategies`, rounded up. A job's
-    /// strategies run one after another on its worker's thread, so the
-    /// divisor no longer guards against oversubscription; it keeps the pool
-    /// small, trading throughput for tail latency, memory and start-up
-    /// time: on 2 vCPUs the default is 1 worker, and 2 workers serve more
-    /// jobs/s on the benchmark mixes but with a longer p99 tail.
+    /// (at 0) a quarter of the available CPUs, rounded up. A job's phases
+    /// run one after another on its worker's thread, so the divisor does
+    /// not guard against oversubscription; it keeps the pool small, trading
+    /// throughput for tail latency, memory and start-up time: on 2 vCPUs
+    /// the default is 1 worker, and 2 workers serve more jobs/s on the
+    /// benchmark mixes but with a longer p99 tail.
     pub fn effective_workers(&self) -> usize {
         if self.workers != 0 {
             return self.workers;
         }
-        let strategies =
-            2 + usize::from(self.portfolio.exact_cover) + usize::from(self.portfolio.sap);
         std::thread::available_parallelism()
-            .map_or(4, usize::from)
-            .div_ceil(strategies)
+            .map_or(CPUS_PER_WORKER, usize::from)
+            .div_ceil(CPUS_PER_WORKER)
             .max(1)
     }
 }
@@ -90,19 +87,19 @@ pub struct EngineOutcome {
     /// Wall-clock time spent on this call.
     pub elapsed: Duration,
     /// Self-contained DRAT refutation of the bound below the answered
-    /// depth, when the portfolio ran with
+    /// depth, when the pipeline ran with
     /// [`PortfolioConfig::certify`](crate::PortfolioConfig::certify) and
-    /// this call's race proved optimality from an UNSAT answer. Cache hits
-    /// never carry one: the proof was spent (or never requested) by the
-    /// call that populated the entry.
+    /// this call's SAP phase proved optimality from an UNSAT answer. Cache
+    /// hits never carry one: the proof was spent (or never requested) by
+    /// the call that populated the entry.
     pub certificate: Option<ebmf::UnsatCertificate>,
 }
 
-/// The concurrent portfolio-solving engine.
+/// The concurrent solving engine.
 ///
-/// Shares one permutation-invariant result cache (sharded, single-flight),
-/// one warm SAP-session store and one adaptive scheduler across all jobs;
-/// safe to use from multiple threads through a shared reference.
+/// Shares one permutation-invariant result cache (sharded, single-flight)
+/// and one warm SAP-session store across all jobs; safe to use from
+/// multiple threads through a shared reference.
 ///
 /// # Examples
 ///
@@ -127,7 +124,6 @@ pub struct EngineOutcome {
 pub struct Engine {
     config: EngineConfig,
     cache: CanonicalCache,
-    scheduler: AdaptiveScheduler,
     warm: Option<Arc<SessionStore>>,
     /// Sessions installed from a disk snapshot (see [`crate::persist`]).
     restored_sessions: std::sync::atomic::AtomicU64,
@@ -145,18 +141,17 @@ impl Engine {
         Engine {
             config,
             cache,
-            scheduler: AdaptiveScheduler::new(),
             warm,
             restored_sessions: std::sync::atomic::AtomicU64::new(0),
             custom: None,
         }
     }
 
-    /// Creates an engine racing exactly `strategies` instead of the
-    /// built-in roster — the extension point of the [`Strategy`] trait (also
-    /// how the single-flight tests count `Strategy::run` invocations). The
-    /// portfolio `sap`/`exact_cover` toggles do not apply to a custom set;
-    /// budgets and the cache/scheduler wiring do.
+    /// Creates an engine whose pipeline runs exactly `strategies`, in
+    /// order, instead of the built-in roster — the extension point of the
+    /// [`Strategy`] trait (also how the single-flight tests count
+    /// `Strategy::run` invocations). The portfolio `sap` toggle does not
+    /// apply to a custom set; the floor, budgets and cache wiring do.
     pub fn with_strategies(config: EngineConfig, strategies: Vec<Arc<dyn Strategy>>) -> Self {
         assert!(!strategies.is_empty(), "engine needs at least one strategy");
         let mut engine = Engine::new(config);
@@ -186,12 +181,6 @@ impl Engine {
         self.warm.as_ref().map_or(0, |s| s.len())
     }
 
-    /// Races whose SAT phase the budget-aware scheduler skipped on bucket
-    /// evidence (buckets where packing always proves).
-    pub fn budget_skips(&self) -> u64 {
-        self.scheduler.budget_skips()
-    }
-
     /// Sessions restored from a disk snapshot at load time (see
     /// [`crate::persist::load_snapshot`]); 0 on a cold start.
     pub fn restored_sessions(&self) -> u64 {
@@ -209,11 +198,6 @@ impl Engine {
         self.warm.as_ref()
     }
 
-    /// The adaptive scheduler (bucket statistics live here).
-    pub(crate) fn scheduler(&self) -> &AdaptiveScheduler {
-        &self.scheduler
-    }
-
     /// The strategy roster for one job under `portfolio`.
     fn strategies_for(&self, portfolio: &PortfolioConfig) -> Vec<Arc<dyn Strategy>> {
         if let Some(custom) = &self.custom {
@@ -222,10 +206,7 @@ impl Engine {
         crate::portfolio::build_strategies_with(portfolio, self.warm.clone())
     }
 
-    /// Runs the (scheduler-filtered, budget-aware) strategy race for one
-    /// job. An explicit conflict budget (request field or engine default)
-    /// always wins; otherwise the scheduler's learnt per-bucket budget
-    /// caps the SAT phase.
+    /// Runs the pipeline for one job.
     fn race(
         &self,
         m: &BitMatrix,
@@ -238,23 +219,7 @@ impl Engine {
             canon: Some(canon),
             incumbent,
         };
-        let candidates = self.strategies_for(portfolio);
-        let mut budget = portfolio.budget();
-        let selected: Vec<Arc<dyn Strategy>> = if self.config.adaptive {
-            let plan = self.scheduler.plan(m, &candidates, &job);
-            if budget.conflicts.is_none() {
-                budget.conflicts = plan.conflict_budget;
-            }
-            plan.picked
-                .into_iter()
-                .map(|i| candidates[i].clone())
-                .collect()
-        } else {
-            candidates
-        };
-        let out = race_strategies(&job, &selected, &budget);
-        self.scheduler
-            .record(m, out.provenance, out.proved_optimal, out.sat_conflicts);
+        let out = race_strategies(&job, &self.strategies_for(portfolio), &portfolio.budget());
         obs::registry()
             .histogram(obs::names::RACE_US)
             .record_duration(out.elapsed);
@@ -421,8 +386,18 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::portfolio::{build_strategies, build_strategies_with};
+    use crate::strategy::{StrategyBudget, StrategyOutcome};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sat::CancelToken;
+    use std::sync::Mutex;
+
+    fn fig1b() -> BitMatrix {
+        "101100\n010011\n101010\n010101\n111000\n000111"
+            .parse()
+            .unwrap()
+    }
 
     fn engine() -> Engine {
         Engine::new(EngineConfig {
@@ -461,14 +436,13 @@ mod tests {
     #[test]
     fn unproved_cache_entry_is_improved_by_generous_budget() {
         let e = engine();
-        // Rank-gap matrix: real rank 2 < r_B = 3, so heuristics can't prove
+        // Fig. 1b: real-rank floor 4 < r_B = 5, so no heuristic can prove
         // optimality and a starved race caches an unproved bound.
-        let m: BitMatrix = "1100\n0011\n1111\n1010".parse().unwrap();
+        let m = fig1b();
         let starved = PortfolioConfig {
             time_budget: Some(Duration::ZERO),
             conflict_budget: Some(1),
             packing_trials: 1,
-            exact_cover: false,
             sap: true,
             ..PortfolioConfig::default()
         };
@@ -482,7 +456,7 @@ mod tests {
             second.proved_optimal,
             "generous budget must prove the gap matrix"
         );
-        assert_eq!(second.partition.len(), 3);
+        assert_eq!(second.partition.len(), 5);
 
         // Now the proved entry short-circuits.
         let third = e.solve(&m);
@@ -522,36 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_skips_accumulate_in_always_proving_buckets() {
-        let e = engine();
-        // All-ones matrices of nearby shapes share one (shape, occupancy)
-        // bucket and are always proved by packing (depth 1) — after the
-        // learning threshold the engine stops launching the SAT phase.
-        let shapes: [(usize, usize); 10] = [
-            (5, 5),
-            (5, 6),
-            (5, 7),
-            (6, 5),
-            (6, 6),
-            (6, 7),
-            (7, 5),
-            (7, 6),
-            (7, 7),
-            (5, 8),
-        ];
-        for (r, c) in shapes {
-            let out = e.solve(&BitMatrix::ones(r, c));
-            assert!(out.proved_optimal);
-            assert_eq!(out.partition.len(), 1);
-        }
-        assert!(
-            e.budget_skips() >= 1,
-            "SAT phase must be skipped once the bucket always proves: {:?}",
-            e.budget_skips()
-        );
-    }
-
-    #[test]
     fn traced_solve_fills_engine_stages() {
         let e = engine();
         let trace = obs::JobTrace::new();
@@ -559,7 +503,7 @@ mod tests {
         let resp = e.solve_job_traced(&req, &trace);
         assert!(resp.ok);
         assert_eq!(resp.timing, None, "attaching timing is the server's call");
-        // A cache miss races strategy threads: the race stage is real time.
+        // A cache miss runs the pipeline: the race stage is real time.
         assert!(trace.race_us() > 0, "race stage must be recorded");
         // The engine never stamps the lifetime stages.
         assert_eq!(trace.queue_us(), 0);
@@ -578,9 +522,7 @@ mod tests {
         // The paper's Fig. 1b matrix: depth 5 with a rank floor of 4, so
         // optimality can only be concluded from an UNSAT answer at b=4 and
         // a certified solve must export that refutation.
-        let m: BitMatrix = "101100\n010011\n101010\n010101\n111000\n000111"
-            .parse()
-            .unwrap();
+        let m = fig1b();
         let req = JobRequest::new("c", m.clone()).with_certify(true);
         let resp = e.solve_job(&req);
         assert!(resp.ok && resp.proved_optimal);
@@ -601,12 +543,7 @@ mod tests {
     #[test]
     fn uncertified_jobs_never_carry_a_certificate() {
         let e = engine();
-        let resp = e.solve_job(&JobRequest::new(
-            "plain",
-            "101100\n010011\n101010\n010101\n111000\n000111"
-                .parse()
-                .unwrap(),
-        ));
+        let resp = e.solve_job(&JobRequest::new("plain", fig1b()));
         assert!(resp.ok && resp.proved_optimal);
         assert!(resp.certificate.is_none(), "certification is opt-in");
     }
@@ -614,10 +551,184 @@ mod tests {
     #[test]
     fn warm_sessions_park_after_sap_races() {
         let e = engine();
-        // The gap matrix needs SAP; its session must be parked afterwards.
-        let m: BitMatrix = "1100\n0011\n1111\n1010".parse().unwrap();
+        // Fig. 1b needs SAP; its proved session must be parked afterwards.
+        let m = fig1b();
         let out = e.solve(&m);
         assert!(out.proved_optimal);
         assert!(e.warm_sessions() >= 1, "session must be parked for reuse");
+    }
+
+    #[test]
+    fn default_worker_count_does_not_depend_on_the_roster() {
+        let heuristic_only = EngineConfig {
+            portfolio: PortfolioConfig {
+                sap: false,
+                ..PortfolioConfig::default()
+            },
+            ..EngineConfig::default()
+        };
+        assert_eq!(
+            heuristic_only.effective_workers(),
+            EngineConfig::default().effective_workers()
+        );
+        let explicit = EngineConfig {
+            workers: 3,
+            ..EngineConfig::default()
+        };
+        assert_eq!(explicit.effective_workers(), 3);
+    }
+
+    /// Each phase run of a [`Recorded`] roster: the phase's name and the
+    /// depth of the incumbent it was handed.
+    type Calls = Arc<Mutex<Vec<(&'static str, Option<usize>)>>>;
+
+    /// Wraps a phase and records its runs.
+    #[derive(Debug)]
+    struct Recorded {
+        inner: Arc<dyn Strategy>,
+        calls: Calls,
+    }
+
+    impl Strategy for Recorded {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn provenance(&self) -> Provenance {
+            self.inner.provenance()
+        }
+
+        fn run(
+            &self,
+            job: &SolveJob<'_>,
+            budget: &StrategyBudget,
+            cancel: &CancelToken,
+        ) -> StrategyOutcome {
+            let incumbent = job.incumbent.map(Partition::len);
+            self.calls.lock().unwrap().push((self.name(), incumbent));
+            self.inner.run(job, budget, cancel)
+        }
+    }
+
+    /// The default engine's roster, recorded, through
+    /// [`Engine::with_strategies`].
+    fn recorded_engine() -> (Engine, Calls) {
+        let config = EngineConfig::default();
+        let store = Arc::new(SessionStore::new(config.warm_sessions));
+        let calls = Calls::default();
+        let roster = build_strategies_with(&config.portfolio, Some(store))
+            .into_iter()
+            .map(|inner| {
+                Arc::new(Recorded {
+                    inner,
+                    calls: calls.clone(),
+                }) as Arc<dyn Strategy>
+            })
+            .collect();
+        (Engine::with_strategies(config, roster), calls)
+    }
+
+    /// Solves `m` on a fresh recorded engine: the outcome and the phases
+    /// that ran.
+    fn pipeline(m: &BitMatrix) -> (EngineOutcome, Vec<(&'static str, Option<usize>)>) {
+        let (e, calls) = recorded_engine();
+        let out = e.solve(m);
+        assert!(out.partition.validate(m).is_ok());
+        let calls = calls.lock().unwrap().clone();
+        (out, calls)
+    }
+
+    #[test]
+    fn the_trivial_partition_ends_the_pipeline_when_it_meets_the_floor() {
+        for m in [BitMatrix::identity(5), BitMatrix::ones(4, 6)] {
+            let (out, calls) = pipeline(&m);
+            assert_eq!(calls, [("trivial", None)], "{m}");
+            assert!(out.proved_optimal);
+            assert_eq!(out.provenance, Provenance::Trivial);
+        }
+    }
+
+    #[test]
+    fn packing_that_meets_the_floor_is_proved_without_sap() {
+        // Real rank 3; the trivial partition has 4 rectangles and packing
+        // finds 3.
+        let m: BitMatrix = "1100\n0011\n1111\n1010".parse().unwrap();
+        let (out, calls) = pipeline(&m);
+        let names: Vec<&str> = calls.iter().map(|c| c.0).collect();
+        assert_eq!(names, ["trivial", "packing"]);
+        assert!(out.proved_optimal);
+        assert_eq!(out.partition.len(), 3);
+        assert_eq!(out.provenance, Provenance::Packing);
+    }
+
+    #[test]
+    fn sap_descends_from_the_packing_incumbent() {
+        // Fig. 1b: floor 4, and both heuristics stop at 5, so SAP gets the
+        // depth-5 incumbent and proves it with one UNSAT query.
+        let (out, calls) = pipeline(&fig1b());
+        let sap: Vec<_> = calls.iter().filter(|c| c.0 == "sap").collect();
+        assert_eq!(sap, [&("sap", Some(5))]);
+        assert!(out.proved_optimal);
+        assert_eq!(out.partition.len(), 5);
+        assert_eq!(out.provenance, Provenance::Sap);
+    }
+
+    #[test]
+    fn unproved_sessions_park_only_once_their_class_recurs() {
+        let e = engine();
+        let m = ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix;
+        let req = JobRequest::new("g", m).with_conflicts(1);
+        let first = e.solve_job(&req);
+        assert!(
+            !first.proved_optimal,
+            "one conflict per query cannot prove it"
+        );
+        assert_eq!(e.warm_sessions(), 0, "a first touch parks nothing");
+        e.solve_job(&req);
+        assert_eq!(e.warm_sessions(), 1, "the recurrence parks its session");
+    }
+
+    #[test]
+    fn a_proved_session_is_parked_without_its_encoding() {
+        let e = engine();
+        let out = e.solve(&ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix);
+        assert!(out.proved_optimal);
+        let parked = e.warm_store().unwrap().export_all(usize::MAX);
+        assert_eq!(parked.len(), 1);
+        let (_, export) = &parked[0];
+        assert!(export.proved);
+        assert!(export.core.is_empty(), "a proved session keeps no core");
+        assert_eq!(export.encoder_capacity, None);
+    }
+
+    #[test]
+    fn cold_and_warm_rosters_agree() {
+        // The cold roster solves in the job's coordinates, the warm one in
+        // canonical coordinates through the session store.
+        let config = PortfolioConfig {
+            time_budget: None,
+            ..PortfolioConfig::default()
+        };
+        let cold = build_strategies(&config);
+        let warm = build_strategies_with(&config, Some(Arc::new(SessionStore::new(128))));
+        let mut rng = StdRng::seed_from_u64(7);
+        for i in 0..100 {
+            let occupancy = 0.1 + 0.8 * (i % 9) as f64 / 8.0;
+            let m = bitmatrix::random_matrix(10, 10, occupancy, &mut rng);
+            let canon = crate::canonical_form(&m);
+            let job = SolveJob {
+                matrix: &m,
+                canon: Some(&canon),
+                incumbent: None,
+            };
+            let a = race_strategies(&job, &cold, &config.budget());
+            let b = race_strategies(&job, &warm, &config.budget());
+            assert!(a.partition.validate(&m).is_ok() && b.partition.validate(&m).is_ok());
+            assert_eq!(
+                (a.partition.len(), a.proved_optimal),
+                (b.partition.len(), b.proved_optimal),
+                "{m}"
+            );
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! The `rect-addr` serving engine: concurrent portfolio solving with
+//! The `rect-addr` serving engine: concurrent solving with
 //! permutation-invariant caching and a streaming batch protocol.
 //!
 //! The solver crates answer one matrix at a time; real workloads — per-layer
@@ -20,17 +20,18 @@
 //!   [`CanonicalCache::begin`] adds **single-flight** coalescing: W
 //!   concurrent jobs on one canonical key run exactly one solve while the
 //!   other W − 1 wait on the result;
-//! * [`Strategy`] — the unified trait behind every solver (`trivial`,
-//!   `row_packing` ± DLX, full `sap`), raced as trait objects by
-//!   [`race_strategies`] / [`portfolio_solve`] under wall-clock and
-//!   conflict budgets, with mid-query SAT cancellation via
+//! * [`race_strategies`] — the paper's Algorithm 1 as the engine's
+//!   pipeline: the real-rank floor once per job, then the [`Strategy`]
+//!   phases (`trivial`, `packing`, `sap`) in order, each from the best
+//!   partition so far, stopping as soon as it meets the floor; wall-clock
+//!   and conflict budgets cancel the SAT phase mid-query via
 //!   [`CancelToken`];
 //! * [`SessionStore`] — warm [`SapSession`](ebmf::SapSession)s keyed by
 //!   canonical class: cache-adjacent jobs *resume* the incremental SAT
-//!   descent (learnt clauses retained) instead of re-encoding;
-//! * [`AdaptiveScheduler`] — provenance win statistics per (shape,
-//!   occupancy) bucket, pruning strategies that never win there;
-//! * [`Engine`] — the cache-wrapped adaptive race, solving one
+//!   descent (learnt clauses retained) instead of re-encoding. A session
+//!   is parked once proved (without its encoding) or once its class
+//!   recurs;
+//! * [`Engine`] — the cache-wrapped pipeline, solving one
 //!   [`protocol`] job at a time ([`Engine::solve_job`]). Streaming
 //!   transports live one layer up: the `rect-addr-serve` crate's
 //!   `Service` facade multiplexes stdin/stdout and socket connections
@@ -75,14 +76,14 @@ pub use canon::{
 };
 pub use engine::{Engine, EngineConfig, EngineOutcome};
 pub use portfolio::{
-    build_strategies, build_strategies_with, portfolio_solve, race_strategies, PortfolioConfig,
-    PortfolioOutcome, Provenance,
+    build_strategies, build_strategies_with, race_strategies, PortfolioConfig, PortfolioOutcome,
+    Provenance,
 };
 /// Re-export of the SAT cancel token appearing in [`Strategy::run`]'s
 /// signature, so downstream crates can implement strategies without
 /// depending on the `sat` crate directly.
 pub use sat::CancelToken;
 pub use strategy::{
-    AdaptiveScheduler, BucketStats, PackingStrategy, RacePlan, SapStrategy, SessionStore, SolveJob,
-    Strategy, StrategyBudget, StrategyOutcome, TrivialStrategy,
+    PackingStrategy, SapStrategy, SessionStore, SolveJob, Strategy, StrategyBudget,
+    StrategyOutcome, TrivialStrategy,
 };

@@ -1,11 +1,12 @@
-//! Disk persistence of the engine's warm state: the session store's
-//! learnt-clause cores and the adaptive scheduler's bucket statistics.
+//! Disk persistence of the engine's warm state: the session store's parked
+//! SAP sessions — proved incumbents, and the learnt-clause cores of the
+//! unproved ones.
 //!
-//! A restarted server is day-zero cold without this module — every learnt
-//! clause and every bucket's win/cost history dies with the process. The
-//! snapshot spills both to a single versioned, checksummed file in a
-//! `--state-dir`, so the next process warm-starts from day one, and
-//! several server processes can share the directory.
+//! A restarted server is day-zero cold without this module — every proof
+//! and every learnt clause dies with the process. The snapshot spills the
+//! sessions to a single versioned, checksummed file in a `--state-dir`, so
+//! the next process warm-starts from day one, and several server processes
+//! can share the directory.
 //!
 //! Design constraints, in order:
 //!
@@ -38,13 +39,13 @@ use bitmatrix::BitMatrix;
 use ebmf::SessionExport;
 
 use crate::canon::matrix_key;
-use crate::strategy::BucketStats;
-use crate::{Engine, Provenance};
+use crate::Engine;
 
 /// Schema version of the snapshot format. Bumping it invalidates every
 /// existing snapshot (clean cold start) — the upgrade story is
-/// deliberately "re-learn", never "migrate".
-pub const SNAPSHOT_SCHEMA: u32 = 1;
+/// deliberately "re-learn", never "migrate". Version 2 dropped the
+/// scheduler's bucket section.
+pub const SNAPSHOT_SCHEMA: u32 = 2;
 
 /// File name of the snapshot inside a state directory.
 pub const SNAPSHOT_FILE: &str = "engine.snapshot";
@@ -98,8 +99,6 @@ impl std::error::Error for SnapshotError {}
 pub struct SnapshotStats {
     /// Sessions serialized.
     pub sessions: usize,
-    /// Scheduler buckets serialized.
-    pub buckets: usize,
     /// Snapshot size on disk.
     pub bytes: usize,
 }
@@ -109,8 +108,6 @@ pub struct SnapshotStats {
 pub struct RestoreStats {
     /// Sessions installed into the store (spilled; rehydrated lazily).
     pub sessions: usize,
-    /// Scheduler buckets installed.
-    pub buckets: usize,
     /// The snapshot's generation number (0 for snapshots written before
     /// generations existed, or by writers that don't count them).
     pub generation: u64,
@@ -181,25 +178,10 @@ fn parse_indices(token: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-/// Serializes the engine's durable state (scheduler buckets + every
-/// parked session) into the snapshot body.
+/// Serializes the engine's durable state (every parked session) into the
+/// snapshot body.
 fn serialize_body(engine: &Engine, max_core_clauses: usize) -> (String, SnapshotStats) {
     let mut body = String::new();
-
-    let buckets = engine.scheduler().export_buckets();
-    let _ = writeln!(body, "buckets {}", buckets.len());
-    for ((r, c, d), s) in &buckets {
-        let _ = write!(body, "b {r} {c} {d} {}", s.jobs);
-        for w in s.wins {
-            let _ = write!(body, " {w}");
-        }
-        let _ = writeln!(
-            body,
-            " {} {} {}",
-            s.proved_without_sat, s.sat_races, s.sat_conflicts
-        );
-    }
-
     let sessions: Vec<(String, SessionExport)> = engine
         .warm_store()
         .map(|store| store.export_all(max_core_clauses))
@@ -243,7 +225,6 @@ fn serialize_body(engine: &Engine, max_core_clauses: usize) -> (String, Snapshot
 
     let stats = SnapshotStats {
         sessions: sessions.len(),
-        buckets: buckets.len(),
         bytes: 0, // filled in by the caller once the header is known
     };
     (body, stats)
@@ -355,63 +336,13 @@ fn checked_count(n: usize, what: &str) -> Result<usize, SnapshotError> {
     Ok(n)
 }
 
-/// The deserialized snapshot payload, not yet installed anywhere.
-struct Parsed {
-    buckets: Vec<((u8, u8, u8), BucketStats)>,
-    sessions: Vec<SessionExport>,
-}
-
-fn parse_body(body: &str) -> Result<Parsed, SnapshotError> {
+/// Parses the snapshot body into the sessions it holds, not yet installed
+/// anywhere.
+fn parse_body(body: &str) -> Result<Vec<SessionExport>, SnapshotError> {
     let mut lines = Lines {
         iter: body.lines(),
         line_no: 2, // header lines already consumed
     };
-
-    let header = lines.next("buckets header")?;
-    let mut t = header.split_whitespace();
-    if t.next() != Some("buckets") {
-        return Err(lines.corrupt("expected `buckets <n>`"));
-    }
-    let nbuckets = checked_count(
-        parse_usize(t.next(), "bucket count").map_err(|e| lines.corrupt(e))?,
-        "bucket",
-    )?;
-    let mut buckets = Vec::new();
-    for _ in 0..nbuckets {
-        let line = lines.next("bucket record")?;
-        let mut t = line.split_whitespace();
-        if t.next() != Some("b") {
-            return Err(lines.corrupt("expected `b ...` bucket record"));
-        }
-        let parse = |t: &mut std::str::SplitWhitespace<'_>, what: &str| parse_u64(t.next(), what);
-        let key = (
-            parse(&mut t, "rows-log").map_err(|e| lines.corrupt(e))? as u8,
-            parse(&mut t, "cols-log").map_err(|e| lines.corrupt(e))? as u8,
-            parse(&mut t, "decile").map_err(|e| lines.corrupt(e))? as u8,
-        );
-        let jobs = parse(&mut t, "jobs").map_err(|e| lines.corrupt(e))?;
-        let mut wins = [0u64; Provenance::COUNT];
-        for (i, w) in wins.iter_mut().enumerate() {
-            *w = parse(&mut t, &format!("win[{i}]")).map_err(|e| lines.corrupt(e))?;
-        }
-        let proved_without_sat =
-            parse(&mut t, "proved_without_sat").map_err(|e| lines.corrupt(e))?;
-        let sat_races = parse(&mut t, "sat_races").map_err(|e| lines.corrupt(e))?;
-        let sat_conflicts = parse(&mut t, "sat_conflicts").map_err(|e| lines.corrupt(e))?;
-        if t.next().is_some() {
-            return Err(lines.corrupt("trailing tokens on bucket record"));
-        }
-        buckets.push((
-            key,
-            BucketStats {
-                jobs,
-                wins,
-                proved_without_sat,
-                sat_races,
-                sat_conflicts,
-            },
-        ));
-    }
 
     let header = lines.next("sessions header")?;
     let mut t = header.split_whitespace();
@@ -533,14 +464,14 @@ fn parse_body(body: &str) -> Result<Parsed, SnapshotError> {
     if lines.iter.next().is_some() {
         return Err(SnapshotError::Corrupt("trailing data after records".into()));
     }
-    Ok(Parsed { buckets, sessions })
+    Ok(sessions)
 }
 
 /// Reads and validates the snapshot in `state_dir` and installs it into
-/// `engine`: scheduler buckets merge (live counters win), sessions land
-/// **spilled** in the store — rehydrated lazily by the first job of each
-/// canonical class ([`crate::SessionStore::take`]). Also records the
-/// restored-session count behind [`Engine::restored_sessions`].
+/// `engine`: sessions land **spilled** in the store (live entries win) —
+/// rehydrated lazily by the first job of each canonical class
+/// ([`crate::SessionStore::take`]). Also records the restored-session
+/// count behind [`Engine::restored_sessions`].
 ///
 /// # Errors
 ///
@@ -594,12 +525,10 @@ pub fn load_snapshot(state_dir: &Path, engine: &Engine) -> Result<RestoreStats, 
 
     let parsed = parse_body(body)?;
 
-    // Validation done — install. Bucket stats run their own consistency
-    // filter; sessions install spilled under their re-derived keys.
-    let buckets = engine.scheduler().install_buckets(parsed.buckets);
+    // Validation done — install, spilled, under the re-derived keys.
     let mut sessions = 0usize;
     if let Some(store) = engine.warm_store() {
-        for export in parsed.sessions {
+        for export in parsed {
             let key = matrix_key(&export.matrix);
             if store.install_spilled(&key, export) {
                 sessions += 1;
@@ -610,7 +539,6 @@ pub fn load_snapshot(state_dir: &Path, engine: &Engine) -> Result<RestoreStats, 
         .restored_sessions_counter()
         .fetch_add(sessions as u64, Ordering::Relaxed);
     Ok(RestoreStats {
-        buckets,
         sessions,
         generation,
     })
@@ -668,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_restores_sessions_and_buckets() {
+    fn snapshot_roundtrip_restores_sessions() {
         let dir = state_dir("roundtrip");
         let donor = hard_engine();
         let cold_conflicts = solve_hard(&donor);
@@ -676,12 +604,10 @@ mod tests {
         assert!(donor.warm_sessions() >= 1);
         let saved = save_snapshot(&dir, &donor).expect("save");
         assert!(saved.sessions >= 1);
-        assert!(saved.buckets >= 1);
 
         let fresh = hard_engine();
         let restored = load_snapshot(&dir, &fresh).expect("load");
         assert_eq!(restored.sessions, saved.sessions);
-        assert_eq!(restored.buckets, saved.buckets);
         assert_eq!(fresh.restored_sessions(), restored.sessions as u64);
         assert_eq!(fresh.warm_sessions(), saved.sessions, "spilled slots count");
 
@@ -764,7 +690,7 @@ mod tests {
     fn future_schema_is_a_clean_cold_start() {
         let dir = state_dir("schema");
         std::fs::create_dir_all(&dir).unwrap();
-        let body = "buckets 0\nsessions 0\n";
+        let body = "sessions 0\n";
         let file = format!(
             "{MAGIC} {}\nchecksum {:016x}\n{body}",
             SNAPSHOT_SCHEMA + 1,
@@ -777,6 +703,29 @@ mod tests {
             Err(SnapshotError::SchemaMismatch { .. })
         ));
         assert_eq!(fresh.warm_sessions(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_snapshot_with_buckets_is_a_clean_cold_start() {
+        let dir = state_dir("schema-v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let body = "buckets 1\nb 4 4 5 8 0 8 0 0 0 8 0 0\nsessions 0\n";
+        let file = format!(
+            "{MAGIC} 1 3\nchecksum {:016x}\n{body}",
+            fnv1a(body.as_bytes())
+        );
+        std::fs::write(snapshot_path(&dir), file).unwrap();
+        let fresh = hard_engine();
+        assert!(matches!(
+            load_snapshot(&dir, &fresh),
+            Err(SnapshotError::SchemaMismatch { found: 1 })
+        ));
+        assert_eq!(
+            snapshot_generation(&dir),
+            None,
+            "a v1 header peeks as absent"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -798,8 +747,8 @@ mod tests {
     fn pre_generation_snapshot_reads_as_generation_zero() {
         let dir = state_dir("pregen");
         std::fs::create_dir_all(&dir).unwrap();
-        // A two-token header exactly as PR 5 wrote it.
-        let body = "buckets 0\nsessions 0\n";
+        // A two-token header, as writers predating generations wrote it.
+        let body = "sessions 0\n";
         let file = format!(
             "{MAGIC} {SNAPSHOT_SCHEMA}\nchecksum {:016x}\n{body}",
             fnv1a(body.as_bytes())

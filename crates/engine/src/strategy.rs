@@ -1,16 +1,11 @@
-//! The unified strategy abstraction behind the portfolio: every solver —
-//! trivial baseline, shuffled row packing (± DLX), the full SAP descent —
-//! implements one [`Strategy`] trait and is raced as a trait object.
+//! The phases of the engine's pipeline (paper Algorithm 1): the trivial
+//! partition, shuffled row packing (Algorithm 2) and the SAP descent, each
+//! one [`Strategy`] run by [`race_strategies`](crate::race_strategies) in
+//! roster order.
 //!
-//! Two engine-level services live here too:
-//!
-//! * [`SessionStore`] — warm [`SapSession`]s keyed by canonical form, so a
-//!   later job on the same permutation class *resumes* the SAT descent
-//!   (learnt clauses, activities, incumbent) instead of re-encoding;
-//! * [`AdaptiveScheduler`] — provenance win statistics per (shape,
-//!   occupancy) bucket, used to stop racing strategies that never win in a
-//!   bucket once enough evidence has accumulated, with periodic
-//!   re-exploration so a policy can recover.
+//! [`SessionStore`] lives here too: warm [`SapSession`]s keyed by canonical
+//! form, so a later job on the same permutation class *resumes* the SAT
+//! descent (learnt clauses, activities, incumbent) instead of re-encoding.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +14,8 @@ use std::time::Duration;
 
 use bitmatrix::BitMatrix;
 use ebmf::{
-    sap, trivial_partition, PackingConfig, Partition, SapConfig, SapSession, SessionExport,
+    lower_bound, trivial_partition, LowerBound, PackingConfig, Partition, SapConfig, SapSession,
+    SessionExport,
 };
 use sat::CancelToken;
 
@@ -34,8 +30,9 @@ pub struct SolveJob<'a> {
     /// Canonical form of `matrix` when the caller computed one. Strategies
     /// that keep per-class state (warm SAP sessions) key it off this.
     pub canon: Option<&'a CanonicalForm>,
-    /// A known-valid upper bound (e.g. an unproved cache entry), in
-    /// `matrix` coordinates, for strategies that can descend from it.
+    /// A known-valid upper bound, in `matrix` coordinates, for strategies
+    /// that can descend from it: inside a race, the best partition of the
+    /// phases so far (or the job's cached one, when that is better).
     pub incumbent: Option<&'a Partition>,
 }
 
@@ -52,6 +49,15 @@ pub struct StrategyBudget {
     /// Record clausal proofs so a proving strategy can attach a
     /// self-contained DRAT certificate to its outcome.
     pub certify: bool,
+    /// The job's real-rank floor (paper Eq. 3), a sound lower bound on its
+    /// binary rank. [`race_strategies`](crate::race_strategies) computes it
+    /// once per job, so no phase computes it again, and a phase may stop
+    /// as soon as its partition reaches it. `None` outside a race.
+    pub floor: Option<LowerBound>,
+    /// The job's class was answered before: it arrived with a cached,
+    /// unproved incumbent. Per-class state that would only pay off on a
+    /// recurrence (an unproved SAP session) is kept for such jobs.
+    pub recurring: bool,
 }
 
 /// Result of one [`Strategy::run`].
@@ -71,7 +77,7 @@ pub struct StrategyOutcome {
     pub certificate: Option<ebmf::UnsatCertificate>,
 }
 
-/// A solving strategy raced by the portfolio.
+/// One phase of the engine's pipeline.
 ///
 /// Implementations must be cheap to share (`Send + Sync`): one instance
 /// serves every job of an [`Engine`](crate::Engine), concurrently.
@@ -79,12 +85,14 @@ pub trait Strategy: Send + Sync + std::fmt::Debug {
     /// Stable display name.
     fn name(&self) -> &'static str;
 
-    /// The provenance tag reported when this strategy wins.
+    /// The provenance tag reported when this strategy's answer wins.
     fn provenance(&self) -> Provenance;
 
     /// Coarse relative cost estimate for `job` (lower = expected to report
-    /// sooner). Used by the scheduler to order launches; not a promise.
-    fn estimate(&self, job: &SolveJob<'_>) -> f64;
+    /// sooner). Nothing calls it: phases run in roster order.
+    fn estimate(&self, _job: &SolveJob<'_>) -> f64 {
+        0.0
+    }
 
     /// Solves `job` under `budget`, polling `cancel` cooperatively: once
     /// the token trips the strategy must return its best incumbent quickly.
@@ -96,8 +104,8 @@ pub trait Strategy: Send + Sync + std::fmt::Debug {
     ) -> StrategyOutcome;
 }
 
-/// The `min(#rows, #cols)` baseline (paper §III-B): microseconds, never
-/// optimal beyond depth ≤ 1, guarantees the race always has an incumbent.
+/// The `min(#rows, #cols)` baseline (paper §III-B): microseconds, and the
+/// pipeline's first incumbent. The race proves it when it meets the floor.
 #[derive(Debug, Default)]
 pub struct TrivialStrategy;
 
@@ -110,73 +118,29 @@ impl Strategy for TrivialStrategy {
         Provenance::Trivial
     }
 
-    fn estimate(&self, job: &SolveJob<'_>) -> f64 {
-        let (r, c) = job.matrix.shape();
-        (r + c) as f64 * 1e-6
-    }
-
     fn run(&self, job: &SolveJob<'_>, _: &StrategyBudget, _: &CancelToken) -> StrategyOutcome {
-        let partition = trivial_partition(job.matrix);
-        let proved_optimal = partition.len() <= 1;
         StrategyOutcome {
-            partition,
-            proved_optimal,
+            partition: trivial_partition(job.matrix),
+            proved_optimal: false,
             conflicts: 0,
             certificate: None,
         }
     }
 }
 
-/// Shuffled greedy row packing (paper Algorithm 2), optionally upgraded with
-/// the DLX exact-cover step (paper §VI). Cancellable per trial.
-#[derive(Debug)]
-pub struct PackingStrategy {
-    /// Run the DLX exact-cover upgrade on every trial.
-    pub exact_cover: bool,
-}
-
-/// Runs `trials` single-shuffle packing passes, polling the cancel token
-/// between passes so a budget expiry stops the heuristic at trial
-/// granularity (the residual overrun is one trial, not the whole batch).
-/// Always completes at least one trial so a valid partition exists.
-///
-/// Delegates to [`ebmf::row_packing_cancellable`], which hoists the trivial
-/// baseline, the transpose, and the packed trial workspace out of the trial
-/// loop instead of recomputing them per pass.
-pub(crate) fn cancellable_packing(
-    m: &BitMatrix,
-    trials: usize,
-    exact_cover: bool,
-    token: &CancelToken,
-) -> Partition {
-    let cfg = PackingConfig {
-        trials,
-        exact_cover,
-        ..PackingConfig::default()
-    };
-    ebmf::row_packing_cancellable(m, &cfg, token)
-}
+/// Shuffled greedy row packing (paper Algorithm 2): up to
+/// [`StrategyBudget::packing_trials`] trials, stopping at the floor.
+/// Cancellable per trial.
+#[derive(Debug, Default)]
+pub struct PackingStrategy;
 
 impl Strategy for PackingStrategy {
     fn name(&self) -> &'static str {
-        if self.exact_cover {
-            "packing-dlx"
-        } else {
-            "packing"
-        }
+        "packing"
     }
 
     fn provenance(&self) -> Provenance {
-        if self.exact_cover {
-            Provenance::PackingDlx
-        } else {
-            Provenance::Packing
-        }
-    }
-
-    fn estimate(&self, job: &SolveJob<'_>) -> f64 {
-        let cells = job.matrix.count_ones() as f64;
-        cells * if self.exact_cover { 1e-4 } else { 1e-5 }
+        Provenance::Packing
     }
 
     fn run(
@@ -185,12 +149,15 @@ impl Strategy for PackingStrategy {
         budget: &StrategyBudget,
         cancel: &CancelToken,
     ) -> StrategyOutcome {
-        let partition =
-            cancellable_packing(job.matrix, budget.packing_trials, self.exact_cover, cancel);
-        let proved_optimal = partition.len() <= 1;
+        let partition = ebmf::row_packing_cancellable(
+            job.matrix,
+            &PackingConfig::with_trials(budget.packing_trials),
+            budget.floor.map_or(1, |lb| lb.value),
+            cancel,
+        );
         StrategyOutcome {
             partition,
-            proved_optimal,
+            proved_optimal: false,
             conflicts: 0,
             certificate: None,
         }
@@ -241,9 +208,10 @@ impl SessionStore {
     }
 
     /// Removes and returns the session for `key`, if present, rehydrating
-    /// a spilled entry on the way out (`None` if rehydration fails — the
-    /// caller cold-starts, which is always sound).
-    pub fn take(&self, key: &str) -> Option<SapSession> {
+    /// a spilled entry on the way out towards `floor`, the class's lower
+    /// bound (`None` if rehydration fails — the caller cold-starts, which
+    /// is always sound).
+    pub fn take(&self, key: &str, floor: LowerBound) -> Option<SapSession> {
         let slot = self
             .map
             .lock()
@@ -251,7 +219,7 @@ impl SessionStore {
             .remove(key)?;
         match slot {
             SessionSlot::Live(session) => Some(*session),
-            SessionSlot::Spilled(export) => match SapSession::import(&export) {
+            SessionSlot::Spilled(export) => match SapSession::import(&export, floor) {
                 Ok(session) => {
                     self.rehydrated.fetch_add(1, Ordering::Relaxed);
                     Some(session)
@@ -318,10 +286,12 @@ impl SessionStore {
     }
 }
 
-/// The full SAP descent (paper Algorithm 1) — the only strategy that can
-/// prove optimality beyond depth ≤ 1. With a [`SessionStore`] attached, jobs
-/// carrying a canonical form resume the per-class incremental SAT session
-/// (warm start); without one, every run is a cold `sap` call.
+/// The SAP descent (paper Algorithm 1, step 3) — the only strategy that
+/// can prove optimality above the floor. It starts from the job's
+/// incumbent and the budget's floor instead of packing again. With a
+/// [`SessionStore`] attached, jobs carrying a canonical form resume the
+/// per-class incremental SAT session (warm start); without one, every run
+/// encodes from scratch.
 pub struct SapStrategy {
     warm: Option<Arc<SessionStore>>,
 }
@@ -335,21 +305,6 @@ impl SapStrategy {
     /// A warm strategy resuming sessions from `store`.
     pub fn warm(store: Arc<SessionStore>) -> Self {
         SapStrategy { warm: Some(store) }
-    }
-
-    fn sap_config(budget: &StrategyBudget, cancel: &CancelToken) -> SapConfig {
-        SapConfig {
-            // Keep the internal packing seed tiny: the dedicated packing
-            // strategies already race, and seeding trials cannot be
-            // cancelled — a weaker starting bound only costs SAT queries,
-            // which can.
-            packing: PackingConfig::with_trials(budget.packing_trials.clamp(1, 4)),
-            conflict_budget: budget.conflicts,
-            time_limit: budget.time,
-            cancel: Some(cancel.clone()),
-            certify: budget.certify,
-            ..SapConfig::default()
-        }
     }
 }
 
@@ -370,282 +325,77 @@ impl Strategy for SapStrategy {
         Provenance::Sap
     }
 
-    fn estimate(&self, job: &SolveJob<'_>) -> f64 {
-        // SAT cost grows sharply with the number of 1-cells.
-        let cells = job.matrix.count_ones() as f64;
-        cells * cells * 1e-4
-    }
-
+    /// Parks a warm session only where a later job can use it: once proved
+    /// (it then answers its class without an encoding, across restarts
+    /// too), or when its class has recurred — the session came out of the
+    /// store, or the job carried a cached incumbent. An unproved session
+    /// holds its whole encoding, about 1 MiB even for a 10×10 matrix.
     fn run(
         &self,
         job: &SolveJob<'_>,
         budget: &StrategyBudget,
         cancel: &CancelToken,
     ) -> StrategyOutcome {
-        let cfg = Self::sap_config(budget, cancel);
-        if let (Some(canon), Some(store)) = (job.canon, &self.warm) {
-            // Warm path: resume (or open) the canonical class's session.
-            let mut session = store
-                .take(canon.key())
-                .unwrap_or_else(|| SapSession::new(&canon.matrix, &cfg));
-            if let Some(inc) = job.incumbent {
-                session.offer_incumbent(&canon.partition_to_canonical(inc));
-            }
-            let before = session.total_conflicts();
-            let out = session.run(&cfg);
-            let conflicts = session.total_conflicts() - before;
-            let partition = canon.partition_to_original(&out.partition);
-            debug_assert!(partition.validate(job.matrix).is_ok());
-            let proved_optimal = out.proved_optimal;
-            store.put(canon.key(), session);
-            obs::registry()
-                .histogram(obs::names::SAT_CONFLICTS)
-                .record(conflicts);
-            StrategyOutcome {
-                partition,
-                proved_optimal,
-                conflicts,
-                // The certificate refutes a *depth bound* of the canonical
-                // matrix; depth is permutation-invariant, so it stands for
-                // the original coordinates unchanged.
-                certificate: out.certificate,
-            }
-        } else {
-            let out = sap(job.matrix, &cfg);
-            let conflicts = out.stats.queries.iter().map(|q| q.conflicts).sum();
-            obs::registry()
-                .histogram(obs::names::SAT_CONFLICTS)
-                .record(conflicts);
-            StrategyOutcome {
-                partition: out.partition,
-                proved_optimal: out.proved_optimal,
-                conflicts,
-                certificate: out.certificate,
-            }
-        }
-    }
-}
-
-/// Shape/occupancy bucket key: `(⌈log2 rows⌉, ⌈log2 cols⌉, occupancy
-/// decile)`. Coarse on purpose — buckets must accumulate samples quickly.
-pub(crate) fn bucket_key(m: &BitMatrix) -> (u8, u8, u8) {
-    let log2 = |n: usize| (usize::BITS - n.max(1).leading_zeros()) as u8;
-    let (r, c) = m.shape();
-    let cells = (r * c).max(1);
-    let decile = (m.count_ones() * 10 / cells).min(9) as u8;
-    (log2(r), log2(c), decile)
-}
-
-/// Win and cost counters of one (shape, occupancy) bucket.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BucketStats {
-    /// Races recorded in this bucket.
-    pub jobs: u64,
-    /// Wins per provenance ([`Provenance::index`]).
-    pub wins: [u64; Provenance::COUNT],
-    /// Races proved optimal by a non-SAT strategy — the evidence behind
-    /// skipping the SAT phase entirely in always-trivial buckets.
-    pub proved_without_sat: u64,
-    /// Races that spent at least one SAT conflict.
-    pub sat_races: u64,
-    /// Total SAT conflicts across those races (mean = per-job budget seed).
-    pub sat_conflicts: u64,
-}
-
-impl BucketStats {
-    /// Mean SAT conflict cost of the bucket's conflict-spending races.
-    pub fn mean_sat_conflicts(&self) -> Option<u64> {
-        (self.sat_races > 0).then(|| self.sat_conflicts / self.sat_races)
-    }
-}
-
-/// One planned race: the strategy subset plus the budget decisions learnt
-/// from the job's bucket.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RacePlan {
-    /// Indices into the candidate roster, cheapest estimate first.
-    pub picked: Vec<usize>,
-    /// Learnt per-job conflict budget (bucket mean × multiple); `None`
-    /// when the bucket has no evidence yet or this is an explore round.
-    pub conflict_budget: Option<u64>,
-    /// The SAT strategy was left out because the bucket always proves
-    /// without it.
-    pub sat_skipped: bool,
-    /// This is a full-exploration round (no pruning, no learnt budget).
-    pub explore: bool,
-}
-
-/// Provenance-learning, **budget-aware** scheduler: picks the strategy
-/// subset *and* the conflict budget for a job from the win/cost history of
-/// its (shape, occupancy) bucket.
-///
-/// Policy: race **everything** until a bucket holds
-/// [`AdaptiveScheduler::MIN_SAMPLES`] races, and again on every
-/// [`AdaptiveScheduler::EXPLORE_EVERY`]-th race (so a strategy that starts
-/// winning — e.g. after budgets change — is rediscovered, and a learnt
-/// budget that turned out too tight is re-measured). In between:
-///
-/// * a strategy that has never won in the bucket is left out of the race;
-///   the trivial baseline (the floor incumbent) is always kept;
-/// * the SAP prover is normally always kept — **except** in buckets where
-///   every recorded race was proved optimal *without* SAT
-///   ([`BucketStats::proved_without_sat`]): there the SAT phase is skipped
-///   entirely (counted in [`AdaptiveScheduler::budget_skips`]). One
-///   unproved race resets the evidence and brings SAP straight back;
-/// * when the bucket has accumulated SAT cost samples, the per-job
-///   conflict budget is set to the recorded mean times
-///   [`AdaptiveScheduler::BUDGET_MULTIPLE`] (floored at
-///   [`AdaptiveScheduler::MIN_BUDGET`]) instead of one global budget — an
-///   outlier job stops burning a worker long after its siblings proved.
-///
-/// Selected strategies are ordered cheapest-estimate first.
-#[derive(Debug, Default)]
-pub struct AdaptiveScheduler {
-    buckets: Mutex<HashMap<(u8, u8, u8), BucketStats>>,
-    budget_skips: AtomicU64,
-}
-
-impl AdaptiveScheduler {
-    /// Races to observe in a bucket before pruning starts.
-    pub const MIN_SAMPLES: u64 = 8;
-    /// Cadence of full-exploration races after pruning starts.
-    pub const EXPLORE_EVERY: u64 = 16;
-    /// Learnt per-job conflict budget = bucket mean × this multiple.
-    pub const BUDGET_MULTIPLE: u64 = 4;
-    /// Floor of the learnt conflict budget, so a bucket of cheap proofs
-    /// never starves a slightly harder newcomer outright.
-    pub const MIN_BUDGET: u64 = 256;
-
-    /// Creates a scheduler with no history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Plans the race for `m`: the strategy subset (indices into
-    /// `candidates`, cheapest estimate first) plus the learnt budget
-    /// decisions of `m`'s bucket.
-    pub fn plan(
-        &self,
-        m: &BitMatrix,
-        candidates: &[Arc<dyn Strategy>],
-        job: &SolveJob<'_>,
-    ) -> RacePlan {
-        let stats = {
-            let buckets = self.buckets.lock().expect("scheduler poisoned");
-            buckets.get(&bucket_key(m)).copied().unwrap_or_default()
+        let cfg = SapConfig {
+            conflict_budget: budget.conflicts,
+            time_limit: budget.time,
+            cancel: Some(cancel.clone()),
+            certify: budget.certify,
+            ..SapConfig::default()
         };
-        let explore = stats.jobs < Self::MIN_SAMPLES || stats.jobs % Self::EXPLORE_EVERY == 0;
-        // Skip the SAT phase only on unanimous evidence: every recorded
-        // race proved without it. The every-16th explore round re-tests.
-        let skip_sat = !explore && stats.proved_without_sat == stats.jobs;
-        let mut picked: Vec<usize> = (0..candidates.len())
-            .filter(|&i| {
-                if explore {
-                    return true;
+        // Outside a race nothing handed these down: the trivial partition
+        // and the real rank stand in.
+        let incumbent = job
+            .incumbent
+            .cloned()
+            .unwrap_or_else(|| trivial_partition(job.matrix));
+        let floor = budget
+            .floor
+            .unwrap_or_else(|| lower_bound(job.matrix, false));
+        // Warm sessions live in canonical coordinates, cold ones in the
+        // job's.
+        let warm = job.canon.zip(self.warm.as_ref());
+        let (mut session, recurred) = match warm {
+            Some((canon, store)) => {
+                let incumbent = canon.partition_to_canonical(&incumbent);
+                match store.take(canon.key(), floor) {
+                    Some(mut session) => {
+                        session.offer_incumbent(&incumbent);
+                        (session, true)
+                    }
+                    None => (
+                        SapSession::seeded(&canon.matrix, incumbent, floor),
+                        budget.recurring,
+                    ),
                 }
-                let s = &candidates[i];
-                match s.provenance() {
-                    // The baseline incumbent is never pruned.
-                    Provenance::Trivial => true,
-                    // The only prover is kept unless the bucket proves
-                    // without it every single time.
-                    Provenance::Sap => !skip_sat,
-                    _ => stats.wins[s.provenance().index()] > 0,
-                }
-            })
-            .collect();
-        if picked.is_empty() {
-            picked = (0..candidates.len()).collect();
-        }
-        picked.sort_by(|&a, &b| {
-            candidates[a]
-                .estimate(job)
-                .total_cmp(&candidates[b].estimate(job))
-        });
-        let sat_skipped = skip_sat
-            && candidates.iter().any(|s| s.provenance() == Provenance::Sap)
-            && picked
-                .iter()
-                .all(|&i| candidates[i].provenance() != Provenance::Sap);
-        if sat_skipped {
-            self.budget_skips.fetch_add(1, Ordering::Relaxed);
-        }
-        let conflict_budget = if explore || sat_skipped || stats.sat_races < Self::MIN_SAMPLES {
-            None
-        } else {
-            stats
-                .mean_sat_conflicts()
-                .map(|mean| (mean.saturating_mul(Self::BUDGET_MULTIPLE)).max(Self::MIN_BUDGET))
-        };
-        RacePlan {
-            picked,
-            conflict_budget,
-            sat_skipped,
-            explore,
-        }
-    }
-
-    /// Records a race outcome for `m`'s bucket.
-    pub fn record(&self, m: &BitMatrix, winner: Provenance, proved: bool, sat_conflicts: u64) {
-        let mut buckets = self.buckets.lock().expect("scheduler poisoned");
-        let stats = buckets.entry(bucket_key(m)).or_default();
-        stats.jobs += 1;
-        stats.wins[winner.index()] += 1;
-        if proved && winner != Provenance::Sap {
-            stats.proved_without_sat += 1;
-        }
-        if sat_conflicts > 0 {
-            stats.sat_races += 1;
-            stats.sat_conflicts += sat_conflicts;
-        }
-    }
-
-    /// The recorded statistics of `m`'s bucket, if any.
-    pub fn bucket(&self, m: &BitMatrix) -> Option<BucketStats> {
-        self.buckets
-            .lock()
-            .expect("scheduler poisoned")
-            .get(&bucket_key(m))
-            .copied()
-    }
-
-    /// Races whose SAT phase was skipped on bucket evidence.
-    pub fn budget_skips(&self) -> u64 {
-        self.budget_skips.load(Ordering::Relaxed)
-    }
-
-    /// Every bucket's statistics — the snapshot save path.
-    pub fn export_buckets(&self) -> Vec<((u8, u8, u8), BucketStats)> {
-        self.buckets
-            .lock()
-            .expect("scheduler poisoned")
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect()
-    }
-
-    /// Installs bucket statistics (snapshot restore path). Buckets already
-    /// holding live counters are left alone — memory beats disk.
-    pub fn install_buckets<I: IntoIterator<Item = ((u8, u8, u8), BucketStats)>>(
-        &self,
-        buckets: I,
-    ) -> usize {
-        let mut map = self.buckets.lock().expect("scheduler poisoned");
-        let mut installed = 0usize;
-        for (key, stats) in buckets {
-            if stats.jobs == 0
-                || stats.wins.iter().sum::<u64>() != stats.jobs
-                || stats.proved_without_sat > stats.jobs
-                || stats.sat_races > stats.jobs
-            {
-                continue; // internally inconsistent: refuse quietly
             }
-            map.entry(key).or_insert_with(|| {
-                installed += 1;
-                stats
-            });
+            None => (SapSession::seeded(job.matrix, incumbent, floor), false),
+        };
+        let before = session.total_conflicts();
+        let out = session.run(&cfg);
+        let conflicts = session.total_conflicts() - before;
+        obs::registry()
+            .histogram(obs::names::SAT_CONFLICTS)
+            .record(conflicts);
+        let partition = match warm {
+            Some((canon, store)) => {
+                if out.proved_optimal || recurred {
+                    store.put(canon.key(), session);
+                }
+                canon.partition_to_original(&out.partition)
+            }
+            None => out.partition,
+        };
+        debug_assert!(partition.validate(job.matrix).is_ok());
+        StrategyOutcome {
+            partition,
+            proved_optimal: out.proved_optimal,
+            conflicts,
+            // A certificate refutes a *depth bound*; depth is permutation-
+            // invariant, so one from canonical coordinates stands for the
+            // job's matrix unchanged.
+            certificate: out.certificate,
         }
-        installed
     }
 }
 
@@ -666,14 +416,15 @@ mod tests {
             conflicts: None,
             packing_trials: 8,
             certify: false,
+            floor: None,
+            recurring: false,
         }
     }
 
     fn all_strategies() -> Vec<Arc<dyn Strategy>> {
         vec![
             Arc::new(TrivialStrategy),
-            Arc::new(PackingStrategy { exact_cover: false }),
-            Arc::new(PackingStrategy { exact_cover: true }),
+            Arc::new(PackingStrategy),
             Arc::new(SapStrategy::cold()),
         ]
     }
@@ -758,204 +509,8 @@ mod tests {
         store.put("a", a);
         store.put("b", b);
         assert_eq!(store.len(), 1);
-        assert!(store.take("a").is_some());
-        assert!(store.take("b").is_none());
-    }
-
-    #[test]
-    fn scheduler_prunes_never_winners_but_keeps_prover_and_baseline() {
-        let m = fig1b();
-        let strategies = all_strategies();
-        let sched = AdaptiveScheduler::new();
-        let job = SolveJob {
-            matrix: &m,
-            canon: None,
-            incumbent: None,
-        };
-
-        // Cold bucket: everything races.
-        assert_eq!(
-            sched.plan(&m, &strategies, &job).picked.len(),
-            strategies.len()
-        );
-
-        // Record enough races where only plain packing ever wins (without
-        // proving — the SAT phase stays warranted).
-        for _ in 0..AdaptiveScheduler::MIN_SAMPLES {
-            sched.record(&m, Provenance::Packing, false, 0);
-        }
-        let plan = sched.plan(&m, &strategies, &job);
-        let names: Vec<&str> = plan.picked.iter().map(|&i| strategies[i].name()).collect();
-        assert!(
-            names.contains(&"trivial"),
-            "baseline always kept: {names:?}"
-        );
-        assert!(names.contains(&"sap"), "prover always kept: {names:?}");
-        assert!(names.contains(&"packing"), "winner kept: {names:?}");
-        assert!(
-            !names.contains(&"packing-dlx"),
-            "never-winner pruned: {names:?}"
-        );
-        assert!(!plan.sat_skipped);
-
-        // Exploration cadence brings the pruned strategy back periodically.
-        let mut explored = false;
-        for _ in 0..AdaptiveScheduler::EXPLORE_EVERY {
-            sched.record(&m, Provenance::Packing, false, 0);
-            if sched.plan(&m, &strategies, &job).picked.len() == strategies.len() {
-                explored = true;
-            }
-        }
-        assert!(explored, "periodic re-exploration must happen");
-    }
-
-    #[test]
-    fn scheduler_orders_by_estimate() {
-        let m = fig1b();
-        let strategies = all_strategies();
-        let job = SolveJob {
-            matrix: &m,
-            canon: None,
-            incumbent: None,
-        };
-        let picked = AdaptiveScheduler::new().plan(&m, &strategies, &job).picked;
-        let costs: Vec<f64> = picked
-            .iter()
-            .map(|&i| strategies[i].estimate(&job))
-            .collect();
-        assert!(costs.windows(2).all(|w| w[0] <= w[1]), "{costs:?}");
-    }
-
-    #[test]
-    fn scheduler_skips_sat_in_always_proving_buckets() {
-        let m = fig1b();
-        let strategies = all_strategies();
-        let sched = AdaptiveScheduler::new();
-        let job = SolveJob {
-            matrix: &m,
-            canon: None,
-            incumbent: None,
-        };
-        // Every race proves via packing: past the learning threshold the
-        // SAT phase is dropped from the plan.
-        for _ in 0..AdaptiveScheduler::MIN_SAMPLES {
-            sched.record(&m, Provenance::Packing, true, 0);
-        }
-        let plan = sched.plan(&m, &strategies, &job);
-        let names: Vec<&str> = plan.picked.iter().map(|&i| strategies[i].name()).collect();
-        assert!(plan.sat_skipped, "SAT must be skipped: {names:?}");
-        assert!(!names.contains(&"sap"), "{names:?}");
-        assert!(names.contains(&"trivial"), "{names:?}");
-        assert_eq!(sched.budget_skips(), 1);
-
-        // The every-16th explore round re-tests the full roster …
-        let mut explored_with_sap = false;
-        for _ in 0..AdaptiveScheduler::EXPLORE_EVERY {
-            sched.record(&m, Provenance::Packing, true, 0);
-            let p = sched.plan(&m, &strategies, &job);
-            if p.explore {
-                let names: Vec<&str> = p.picked.iter().map(|&i| strategies[i].name()).collect();
-                assert!(names.contains(&"sap"), "explore races everything");
-                explored_with_sap = true;
-            }
-        }
-        assert!(explored_with_sap, "escape hatch must fire every 16th race");
-
-        // … and one unproved race resets the evidence: SAP returns at once.
-        sched.record(&m, Provenance::Packing, false, 0);
-        let plan = sched.plan(&m, &strategies, &job);
-        let names: Vec<&str> = plan.picked.iter().map(|&i| strategies[i].name()).collect();
-        assert!(!plan.sat_skipped);
-        assert!(names.contains(&"sap"), "one unproved race revives SAP");
-    }
-
-    #[test]
-    fn scheduler_learns_per_job_conflict_budget_from_bucket_mean() {
-        let m = fig1b();
-        let strategies = all_strategies();
-        let sched = AdaptiveScheduler::new();
-        let job = SolveJob {
-            matrix: &m,
-            canon: None,
-            incumbent: None,
-        };
-        // SAP proves each time at ~1000 conflicts: the learnt budget tracks
-        // the mean times the multiple.
-        for _ in 0..AdaptiveScheduler::MIN_SAMPLES {
-            sched.record(&m, Provenance::Sap, true, 1_000);
-        }
-        let plan = sched.plan(&m, &strategies, &job);
-        assert!(!plan.explore && !plan.sat_skipped);
-        assert_eq!(
-            plan.conflict_budget,
-            Some(1_000 * AdaptiveScheduler::BUDGET_MULTIPLE)
-        );
-        let stats = sched.bucket(&m).unwrap();
-        assert_eq!(stats.mean_sat_conflicts(), Some(1_000));
-
-        // Tiny means are floored so newcomers are not starved outright.
-        let cheap = AdaptiveScheduler::new();
-        for _ in 0..AdaptiveScheduler::MIN_SAMPLES {
-            cheap.record(&m, Provenance::Sap, true, 1);
-        }
-        assert_eq!(
-            cheap.plan(&m, &strategies, &job).conflict_budget,
-            Some(AdaptiveScheduler::MIN_BUDGET)
-        );
-
-        // Explore rounds run unbudgeted (the re-measure escape hatch).
-        for _ in 0..AdaptiveScheduler::EXPLORE_EVERY {
-            sched.record(&m, Provenance::Sap, true, 1_000);
-            let p = sched.plan(&m, &strategies, &job);
-            if p.explore {
-                assert_eq!(p.conflict_budget, None, "explore must be unbudgeted");
-            }
-        }
-    }
-
-    #[test]
-    fn scheduler_bucket_export_roundtrips_and_rejects_garbage() {
-        let m = fig1b();
-        let sched = AdaptiveScheduler::new();
-        for _ in 0..5 {
-            sched.record(&m, Provenance::Sap, true, 700);
-        }
-        let exported = sched.export_buckets();
-        assert_eq!(exported.len(), 1);
-
-        let fresh = AdaptiveScheduler::new();
-        assert_eq!(fresh.install_buckets(exported.clone()), 1);
-        assert_eq!(fresh.bucket(&m), sched.bucket(&m));
-
-        // Live counters are never overwritten by a snapshot.
-        fresh.record(&m, Provenance::Packing, false, 0);
-        let live = fresh.bucket(&m).unwrap();
-        assert_eq!(fresh.install_buckets(exported), 0);
-        assert_eq!(fresh.bucket(&m), Some(live));
-
-        // Internally inconsistent stats are refused.
-        let garbage = vec![(
-            (1u8, 1u8, 1u8),
-            BucketStats {
-                jobs: 2,
-                wins: [9, 0, 0, 0, 0],
-                ..BucketStats::default()
-            },
-        )];
-        assert_eq!(AdaptiveScheduler::new().install_buckets(garbage), 0);
-    }
-
-    #[test]
-    fn bucket_key_separates_shapes_and_occupancy() {
-        let dense = BitMatrix::ones(8, 8);
-        let sparse = BitMatrix::identity(8);
-        let wide = BitMatrix::ones(8, 32);
-        assert_ne!(bucket_key(&dense), bucket_key(&sparse));
-        assert_ne!(bucket_key(&dense), bucket_key(&wide));
-        // Same power-of-two size band and occupancy: same bucket.
-        assert_eq!(
-            bucket_key(&BitMatrix::ones(7, 7)),
-            bucket_key(&BitMatrix::ones(6, 6))
-        );
+        let floor = |n| lower_bound(&BitMatrix::identity(n), false);
+        assert!(store.take("a", floor(2)).is_some());
+        assert!(store.take("b", floor(3)).is_none());
     }
 }

@@ -7,6 +7,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use rect_addr_engine::persist::{load_snapshot, save_snapshot, snapshot_path, SnapshotError};
+use rect_addr_engine::protocol::JobRequest;
 use rect_addr_engine::{Engine, EngineConfig};
 
 fn engine() -> Engine {
@@ -17,8 +18,9 @@ fn engine() -> Engine {
 }
 
 /// One genuine snapshot's bytes, built once: a donor engine solves a
-/// SAT-hard rank-gap instance (parking a warm session with a real learnt
-/// core) and snapshots it.
+/// SAT-hard rank-gap instance twice under a conflict budget too small to
+/// prove it (so the recurrence parks an unproved warm session with a real
+/// learnt core) and snapshots it.
 fn genuine_snapshot() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -27,12 +29,23 @@ fn genuine_snapshot() -> &'static [u8] {
         let _ = std::fs::remove_dir_all(&dir);
         let donor = engine();
         let m = ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix;
-        let out = donor.solve(&m);
-        assert!(out.partition.validate(&m).is_ok());
+        let req = JobRequest::new("gap", m.clone()).with_conflicts(20);
+        for _ in 0..2 {
+            let out = donor.solve_job(&req);
+            assert!(
+                out.ok && !out.proved_optimal,
+                "the budget must not prove it"
+            );
+        }
         assert!(donor.warm_sessions() >= 1);
         save_snapshot(&dir, &donor).expect("donor snapshot");
         let bytes = std::fs::read(snapshot_path(&dir)).expect("read snapshot");
         let _ = std::fs::remove_dir_all(&dir);
+        let text = String::from_utf8_lossy(&bytes);
+        assert!(
+            text.contains("\nc "),
+            "the snapshot must carry core records"
+        );
         bytes
     })
 }

@@ -26,7 +26,7 @@ pub mod names {
     /// Time blocked on another worker's in-flight solve of the same
     /// canonical key (µs).
     pub const FLIGHT_WAIT_US: &str = "flight_wait_us";
-    /// Wall time of one strategy race (µs).
+    /// Wall time of one pipeline run: the floor plus its phases (µs).
     pub const RACE_US: &str = "race_us";
     /// End-to-end job latency including queue wait (µs).
     pub const JOB_US: &str = "job_us";
@@ -34,9 +34,8 @@ pub mod names {
     pub const SAT_CONFLICTS: &str = "sat_conflicts";
     /// Snapshot flush duration (µs).
     pub const SNAPSHOT_FLUSH_US: &str = "snapshot_flush_us";
-    /// Per-strategy race duration histograms are named with this
-    /// prefix followed by the strategy name (for example
-    /// `strategy_us_sap`).
+    /// Per-phase duration histograms are named with this prefix followed
+    /// by the phase's strategy name (for example `strategy_us_sap`).
     pub const STRATEGY_US_PREFIX: &str = "strategy_us_";
     /// Data-plane kernel/hot-loop timing histograms share this prefix
     /// (for example `kernel_us_canon_refine`); the profiling bench also

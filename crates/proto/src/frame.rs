@@ -160,7 +160,8 @@ impl ClientFrame {
 pub struct Capabilities {
     /// Shards of the canonical-form cache.
     pub shards: u64,
-    /// Strategy roster the portfolio races (stable protocol names).
+    /// Phases of the server's pipeline, in run order (stable protocol
+    /// names).
     pub strategies: Vec<String>,
     /// Canonizer search budget (individualization branches).
     pub canon_budget: u64,
@@ -478,9 +479,6 @@ pub struct StatsFrame {
     /// Warm SAP sessions restored from the disk snapshot at startup
     /// (0 on a cold start or when persistence is off).
     pub persisted_sessions: u64,
-    /// Races whose SAT phase the budget-aware scheduler skipped because
-    /// the job's bucket always proves without it.
-    pub budget_skips: u64,
     /// Jobs whose response carried an optimality certificate (absent in
     /// frames from servers predating certification → 0).
     pub certified_jobs: u64,
@@ -523,7 +521,7 @@ impl StatsFrame {
             "{{\"stats\": true, \"protocol\": {}, \"cache\": {{\"hits\": {}, \"misses\": {}, \
              \"entries\": {}, \"evictions\": {}, \"flight_waits\": {}, \"canon_complete\": {}, \
              \"canon_heuristic\": {}}}, \"queue\": {{\"depth\": {}, \"len\": {}}}, \
-             \"warm_sessions\": {}, \"persisted_sessions\": {}, \"budget_skips\": {}, \
+             \"warm_sessions\": {}, \"persisted_sessions\": {}, \
              \"certified_jobs\": {}, \"schedule_jobs\": {}, \"schedule_layers\": {}, \
              \"snapshot_load_failures\": {}, \"open_connections\": {}, \
              \"snapshot_generation\": {}, \"canon_heuristic_hot\": [",
@@ -539,7 +537,6 @@ impl StatsFrame {
             self.queue_len,
             s.warm_sessions,
             self.persisted_sessions,
-            self.budget_skips,
             self.certified_jobs,
             self.schedule_jobs,
             self.schedule_layers,
@@ -599,8 +596,9 @@ impl StatsFrame {
             },
             queue_depth: num(queue, "depth"),
             queue_len: num(queue, "len"),
+            // Older servers also send `budget_skips`; like any unknown
+            // key, it is ignored.
             persisted_sessions: num(&json, "persisted_sessions"),
-            budget_skips: num(&json, "budget_skips"),
             certified_jobs: num(&json, "certified_jobs"),
             schedule_jobs: num(&json, "schedule_jobs"),
             schedule_layers: num(&json, "schedule_layers"),
@@ -868,7 +866,6 @@ mod tests {
             queue_depth: 64,
             queue_len: 3,
             persisted_sessions: 17,
-            budget_skips: 5,
             certified_jobs: 7,
             schedule_jobs: 2,
             schedule_layers: 6,
@@ -881,11 +878,12 @@ mod tests {
             snapshot_generation: 12,
             latency: BTreeMap::new(),
         };
-        let parsed = StatsFrame::parse_line(&frame.to_json_line()).unwrap();
+        let line = frame.to_json_line();
+        assert!(!line.contains("budget_skips"), "{line}");
+        let parsed = StatsFrame::parse_line(&line).unwrap();
         assert_eq!(parsed.snapshot.cache_hits, 10);
         assert_eq!(parsed.queue_len, 3);
         assert_eq!(parsed.persisted_sessions, 17);
-        assert_eq!(parsed.budget_skips, 5);
         assert_eq!(parsed.certified_jobs, 7);
         assert_eq!(parsed.schedule_jobs, 2);
         assert_eq!(parsed.schedule_layers, 6);
@@ -901,7 +899,6 @@ mod tests {
              \"canon_heuristic_hot\": []}";
         let legacy = StatsFrame::parse_line(legacy_line).unwrap();
         assert_eq!(legacy.persisted_sessions, 0);
-        assert_eq!(legacy.budget_skips, 0);
         assert_eq!(legacy.snapshot.cache_hits, 1);
         assert_eq!(parsed.canon_heuristic_hot.len(), 1);
         assert_eq!(

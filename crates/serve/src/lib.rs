@@ -19,10 +19,9 @@
 //!   jobs and emits the summary trailer on end-of-input.
 //! * [`serve_socket_event`] — the socket transport: one readiness loop
 //!   owning every Unix-domain/TCP connection, fanning them all into one
-//!   shared service, so the canonical cache, warm SAP sessions and
-//!   adaptive scheduler are shared across clients. The process runs that
-//!   loop plus the worker pool however many connections or schedules are
-//!   open. [`LineClient`]/[`pump`] are the matching client side.
+//!   shared service, so the canonical cache and the warm SAP sessions
+//!   are shared across clients. The process runs that loop plus the
+//!   worker pool however many connections or schedules are open. [`LineClient`]/[`pump`] are the matching client side.
 //!
 //! # Examples
 //!

@@ -3,9 +3,9 @@
 //!
 //! Every transport (the stdin/stdout loop, each socket connection, a
 //! library consumer calling [`Service::submit`]) multiplexes onto the same
-//! service, so the canonical-form cache, the warm SAP sessions and the
-//! adaptive scheduler are shared across all of them — a duplicate
-//! submitted by client A is a cache hit for client B.
+//! service, so the canonical-form cache and the warm SAP sessions are
+//! shared across all of them — a duplicate submitted by client A is a
+//! cache hit for client B.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
@@ -25,9 +25,8 @@ use obs::JobTrace;
 use proto::{Capabilities, ErrorKind, JobError, JobRequest, JobResponse, Timing};
 
 /// Where and how often a [`Service`] spills the engine's warm state (the
-/// session store's learnt-clause cores and the scheduler's bucket
-/// statistics) to disk. See `engine::persist` for the snapshot format and
-/// its corruption/versioning guarantees.
+/// session store's parked SAP sessions) to disk. See `engine::persist`
+/// for the snapshot format and its corruption/versioning guarantees.
 ///
 /// Any number of services, in one process or several, may share a state
 /// dir. The one holding the dir's writer lock
@@ -219,8 +218,6 @@ pub struct ServiceStats {
     pub queue_len: usize,
     /// Warm sessions restored from the disk snapshot at startup.
     pub persisted_sessions: u64,
-    /// Races whose SAT phase the budget-aware scheduler skipped.
-    pub budget_skips: u64,
     /// Hottest heuristic-labeled cache keys (canonizer-aware admission
     /// candidates), hottest first.
     pub hot_heuristic_keys: Vec<(String, u64)>,
@@ -661,11 +658,10 @@ impl Service {
             match load_snapshot(&persist.state_dir, &engine) {
                 Ok(restored) => {
                     loaded_generation = restored.generation;
-                    if restored.sessions > 0 || restored.buckets > 0 {
+                    if restored.sessions > 0 {
                         eprintln!(
-                            "rect-addr: restored {} warm sessions and {} scheduler buckets from {}",
+                            "rect-addr: restored {} warm sessions from {}",
                             restored.sessions,
-                            restored.buckets,
                             persist.state_dir.display()
                         );
                     }
@@ -886,7 +882,6 @@ impl Service {
             queue_depth: self.inner.queue_depth,
             queue_len,
             persisted_sessions: self.inner.engine.restored_sessions(),
-            budget_skips: self.inner.engine.budget_skips(),
             hot_heuristic_keys: self.inner.engine.hot_heuristic_keys(8),
             certified_jobs: obs::registry().counter(obs::names::CERTIFIED_JOBS).get(),
             schedule_jobs: obs::registry().counter(obs::names::SCHEDULE_JOBS).get(),
@@ -940,9 +935,6 @@ impl Service {
     pub fn capabilities(&self) -> Capabilities {
         let cfg = self.inner.engine.config();
         let mut strategies = vec!["trivial".to_string(), "packing".to_string()];
-        if cfg.portfolio.exact_cover {
-            strategies.push("packing-dlx".to_string());
-        }
         if cfg.portfolio.sap {
             strategies.push("sap".to_string());
         }

@@ -546,7 +546,6 @@ fn stats_frame(service: &Service) -> StatsFrame {
         queue_depth: stats.queue_depth as u64,
         queue_len: stats.queue_len as u64,
         persisted_sessions: stats.persisted_sessions,
-        budget_skips: stats.budget_skips,
         certified_jobs: stats.certified_jobs,
         schedule_jobs: stats.schedule_jobs,
         schedule_layers: stats.schedule_layers,

@@ -92,7 +92,6 @@ impl Strategy for GateStrategy {
 pub fn gated_engine(gate: &Arc<Gate>, workers: usize) -> Arc<Engine> {
     let config = EngineConfig {
         workers,
-        adaptive: false,
         ..EngineConfig::default()
     };
     Arc::new(Engine::with_strategies(

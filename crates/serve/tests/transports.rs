@@ -17,8 +17,8 @@ use traffic::Workload;
 /// Zipf jobs with the awkward lines mixed in: a malformed line, a blank
 /// line, a CRLF line, a cancel of an unknown id, a 3-layer schedule, and a
 /// final line without a newline. The schedule's 8×8 stripes share no
-/// canonical class (nor scheduler bucket) with the 6×6 jobs, so where its
-/// later layers fall among the jobs cannot change any answer. No stats
+/// canonical class with the 6×6 jobs, so where its later layers fall
+/// among the jobs cannot change any answer. No stats
 /// frame: its queue length and connection count are the moment's, and the
 /// blocking transport counts no connection by design.
 fn stream(v2: bool) -> Vec<u8> {
