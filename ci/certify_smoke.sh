@@ -8,7 +8,9 @@
 #   3. a v2 socket session that opts into `certificate` at handshake gets
 #      the proof object on its certified response, the stats frame counts
 #      it in `certified_jobs`, and a session *without* the opt-in never
-#      sees the field.
+#      sees the field;
+#   4. a certify job that resumes a warm session learnt without proof
+#      logging still gets its certificate, and the server keeps answering.
 set -euo pipefail
 source "$(dirname "$0")/lib.sh"
 
@@ -80,6 +82,23 @@ grep '"id": "plain"' "$OUT" | grep -q '"certificate"' \
   && fail "certificate leaked onto a non-opted connection"
 grep '"id": "plain"' "$OUT" | grep -q '"ok": true' \
   || fail "non-opted certify job must still solve"
+
+# Two starved jobs park a warm session learnt without proof logging; the
+# certify job that resumes it must still carry its certificate, and the
+# server must go on answering (the client's timeout catches a wedge).
+GAP=$("$BIN" gen gap 10 10 3 2 | tr '\n' ';' | sed 's/;*$//')
+{ echo '{"hello": 2, "certificate": true}'
+  echo "{\"id\": \"w1\", \"matrix\": \"$GAP\", \"conflicts\": 1}"
+  echo "{\"id\": \"w2\", \"matrix\": \"$GAP\", \"conflicts\": 1}"
+  echo "{\"id\": \"wc\", \"matrix\": \"$GAP\", \"certify\": true}"
+  echo '{"id": "after", "matrix": "10;01"}'
+} > "$JOBS"
+timeout 120 "$BIN" client "$SOCK" < "$JOBS" > "$OUT" \
+  || fail "the server stopped answering after a warm certify job"
+grep '"id": "wc"' "$OUT" | grep -q '"certificate": {"bound"' \
+  || fail "a certify job that resumed a warm session lacks its certificate"
+grep -q '"id": "after"' "$OUT" \
+  || fail "the job after the warm certify job was not answered"
 
 stop_server
 

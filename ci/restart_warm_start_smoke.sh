@@ -3,7 +3,9 @@
 # SAT-hard job stream, kill the process, restart it against the same
 # directory, and assert (1) the restarted server's v2 stats frame reports
 # restored sessions and (2) the second run's responses sum to fewer SAT
-# conflicts than the first — the persisted learnt-clause core did the work.
+# conflicts than the first: run 1 proves the class, and the snapshot's
+# proved session (stored without a learnt core) answers run 2 with no SAT
+# search.
 set -euo pipefail
 source "$(dirname "$0")/lib.sh"
 
@@ -17,9 +19,8 @@ CLEANUP_DIRS+=("$STATE")
 
 rm -rf "$STATE"
 
-# A rank-gap instance whose SAP descent costs thousands of conflicts; the
-# 2500-conflict per-job budget forces the descent to span several jobs,
-# all resuming one warm session.
+# A rank-gap instance whose SAP descent costs about two thousand
+# conflicts, inside the 2500-conflict per-job budget.
 MATRIX=$("$BIN" gen gap 12 12 4 0 | tr '\n' ';' | sed 's/;*$//')
 {
   echo '{"hello": 2}'

@@ -350,8 +350,9 @@ struct PersistMetrics {
 }
 
 /// Phase 5: solve → snapshot → simulated-restart reload → re-solve. The
-/// reloaded engine rehydrates the proved session's learnt core per
-/// canonical class, so the second pass spends a fraction of the first's
+/// first pass proves the class, so the snapshot holds its proved session
+/// (which keeps no learnt core) and the reloaded engine answers from it
+/// with no SAT search: the second pass spends a fraction of the first's
 /// conflicts (the `persist` block's `reload_ratio`, gated < 0.6 by
 /// `--check`).
 fn persist_phase(rounds: usize, conflict_budget: u64) -> PersistMetrics {
@@ -798,7 +799,6 @@ fn scaling_two_instance(stream: &str, jobs: usize, workers: usize) -> TwoInstanc
             ServiceConfig {
                 queue_depth: jobs.max(serve::DEFAULT_QUEUE_DEPTH),
                 persist: Some(PersistConfig::at(&dir)),
-                ..ServiceConfig::default()
             },
         ))
     };

@@ -45,7 +45,7 @@ use ebmf::{
     complete_ebmf, lower_bound, row_packing, sap, validate_completion, PackingConfig, SapConfig,
 };
 use engine::EngineConfig;
-use linalg::max_fooling_set;
+use linalg::{max_fooling_set, rank_gf2};
 use qaddress::{AddressingSchedule, Pulse, QubitArray};
 use serve::{serve_connection, Service, ServiceConfig};
 
@@ -106,7 +106,7 @@ USAGE:
   rect-addr help | --version
 
 Batch/serve options: --workers N, --budget-ms T, --conflicts C, --trials K,
---no-sat, --shards N (cache shards), --warm-sessions N (0 = cold SAP),
+--no-sat, --warm-sessions N (0 = cold SAP),
 --canon-budget B (canonizer search branches before falling back to the
 heuristic labeling; 0 = no search), --queue-depth N (submission queue
 bound; a full queue answers busy to protocol-v2 clients), --state-dir DIR
@@ -336,7 +336,7 @@ fn cmd_rank(m: &BitMatrix, _rest: &[String]) -> Result<String, String> {
             " (GF(p) lower bound)"
         },
     );
-    let _ = writeln!(s, "GF(2) rank       {}", lb.gf2_rank);
+    let _ = writeln!(s, "GF(2) rank       {}", rank_gf2(m));
     let _ = writeln!(
         s,
         "fooling set      {}{}  {:?}",
@@ -580,14 +580,13 @@ fn cmd_gen(args: &[String]) -> CliOutput {
 }
 
 /// Builds an [`EngineConfig`] from `--workers/--budget-ms/--conflicts/
-/// --trials/--no-sat/--shards/--warm-sessions/--canon-budget` flags.
+/// --trials/--no-sat/--warm-sessions/--canon-budget` flags.
 /// Values are only overridden when their flag is present, so
 /// [`EngineConfig::default`] stays the single source of truth.
 fn engine_config(rest: &[String]) -> Result<EngineConfig, String> {
     let mut cfg = EngineConfig::default();
     cfg.workers = parse_flag(rest, "--workers", cfg.workers)?;
     cfg.portfolio.packing_trials = parse_flag(rest, "--trials", cfg.portfolio.packing_trials)?;
-    cfg.cache_shards = parse_flag(rest, "--shards", cfg.cache_shards)?.max(1);
     cfg.warm_sessions = parse_flag(rest, "--warm-sessions", cfg.warm_sessions)?;
     cfg.canon.max_branches = parse_flag(rest, "--canon-budget", cfg.canon.max_branches)?;
     if rest.iter().any(|a| a == "--budget-ms") {
@@ -646,7 +645,6 @@ fn build_service(rest: &[String]) -> Result<Service, String> {
         engine,
         ServiceConfig {
             queue_depth,
-            workers: 0, // follow the engine's worker setting
             persist,
         },
     ))
@@ -1221,18 +1219,17 @@ mod tests {
         .collect();
         let cfg = engine_config(&args).unwrap();
         assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.cache_shards, 4);
         assert_eq!(cfg.warm_sessions, 0);
         assert!(!cfg.portfolio.sap);
         assert_eq!(cfg.canon.max_branches, 17);
         // Defaults untouched when flags are absent.
         let dflt = engine_config(&[]).unwrap();
-        assert_eq!(dflt.cache_shards, EngineConfig::default().cache_shards);
-        // A flag of older releases is ignored, not an error.
-        assert_eq!(
-            engine_config(&["--no-adaptive".to_string()]).unwrap(),
-            EngineConfig::default()
-        );
+        assert_eq!(dflt, EngineConfig::default());
+        // Flags of older releases are ignored, not errors.
+        for old in [&["--no-adaptive"][..], &["--shards", "4"]] {
+            let old: Vec<String> = old.iter().map(|s| s.to_string()).collect();
+            assert_eq!(engine_config(&old).unwrap(), EngineConfig::default());
+        }
         assert_eq!(dflt.canon.max_branches, ::engine::DEFAULT_CANON_BUDGET);
     }
 

@@ -3,21 +3,20 @@
 //! Soundness is what matters for Algorithm 1: any lower bound ≤ `r_B(M)` may
 //! terminate the descending SAT loop and certify optimality when the
 //! incumbent partition matches it. The paper uses the real rank (its Eq. 3);
-//! we additionally expose the GF(2) rank (also sound — disjoint rectangles
-//! sum without carries) and the greedy fooling-set size (sound by the
-//! distinctness argument of §II), each of which can dominate the others on
-//! particular matrices.
+//! we additionally expose the greedy fooling-set size (sound by the
+//! distinctness argument of §II), which can dominate the real rank on
+//! particular matrices. The GF(2) rank is sound too, but never exceeds the
+//! real rank of a 0/1 matrix (a minor that is odd is nonzero), so it is not
+//! part of the bound.
 
 use bitmatrix::BitMatrix;
-use linalg::{greedy_fooling_set, rank_gf2, real_rank, RealRank};
+use linalg::{greedy_fooling_set, real_rank, RealRank};
 
 /// Which bound produced the final value of a [`LowerBound`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundSource {
     /// Real (rational) rank, paper Eq. 3.
     RealRank,
-    /// Rank over GF(2).
-    Gf2Rank,
     /// Greedy fooling-set size.
     FoolingSet,
 }
@@ -29,22 +28,19 @@ pub struct LowerBound {
     pub value: usize,
     /// The real-rank component (always computed).
     pub real_rank: RealRank,
-    /// The GF(2)-rank component.
-    pub gf2_rank: usize,
     /// The greedy fooling-set component (0 when disabled).
     pub fooling: usize,
     /// Which component attained `value`.
     pub source: BoundSource,
 }
 
-/// Computes the combined lower bound `max(rank_ℝ, rank_GF(2), fooling)`.
+/// Computes the combined lower bound `max(rank_ℝ, fooling)`.
 ///
 /// `use_fooling` toggles the greedy fooling-set component; the paper-faithful
 /// configuration of [`sap`](crate::sap) keeps it off so the termination
 /// bound matches Algorithm 1 exactly.
 pub fn lower_bound(m: &BitMatrix, use_fooling: bool) -> LowerBound {
     let rr = real_rank(m);
-    let g2 = rank_gf2(m);
     let fool = if use_fooling {
         greedy_fooling_set(m).size()
     } else {
@@ -52,7 +48,6 @@ pub fn lower_bound(m: &BitMatrix, use_fooling: bool) -> LowerBound {
     };
     let (value, source) = [
         (rr.rank, BoundSource::RealRank),
-        (g2, BoundSource::Gf2Rank),
         (fool, BoundSource::FoolingSet),
     ]
     .into_iter()
@@ -61,7 +56,6 @@ pub fn lower_bound(m: &BitMatrix, use_fooling: bool) -> LowerBound {
     LowerBound {
         value,
         real_rank: rr,
-        gf2_rank: g2,
         fooling: fool,
         source,
     }
@@ -70,6 +64,9 @@ pub fn lower_bound(m: &BitMatrix, use_fooling: bool) -> LowerBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn identity_bound_is_n() {
@@ -83,7 +80,7 @@ mod tests {
         let m: BitMatrix = "011\n101\n110".parse().unwrap();
         let lb = lower_bound(&m, false);
         assert_eq!(lb.real_rank.rank, 3);
-        assert_eq!(lb.gf2_rank, 2);
+        assert_eq!(linalg::rank_gf2(&m), 2);
         assert_eq!(lb.value, 3);
         assert_eq!(lb.source, BoundSource::RealRank);
     }
@@ -109,5 +106,26 @@ mod tests {
         let lb = lower_bound(&BitMatrix::identity(3), false);
         assert_eq!(lb.fooling, 0);
         assert_eq!(lb.value, 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Up to 30×30 the floor is the exact real rank, and the GF(2)
+        /// rank never exceeds it, so leaving GF(2) out never lowers it.
+        #[test]
+        fn floor_is_the_exact_real_rank(
+            seed in any::<u64>(),
+            rows in 1usize..=30,
+            cols in 1usize..=30,
+            density in 1usize..=9,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = bitmatrix::random_matrix(rows, cols, density as f64 / 10.0, &mut rng);
+            let rr = real_rank(&m);
+            prop_assert!(rr.exact);
+            prop_assert_eq!(lower_bound(&m, false).value, rr.rank);
+            prop_assert!(linalg::rank_gf2(&m) <= rr.rank);
+        }
     }
 }

@@ -65,7 +65,7 @@ pub struct EncoderOptions {
     /// At-most-one encoding for the per-cell label constraint.
     pub amo: AmoEncoding,
     /// Record a clausal proof so UNSAT answers can be independently
-    /// verified (see [`EbmfEncoder::verify_unsat_proof`]).
+    /// verified (see [`EbmfEncoder::unsat_refutation`]).
     pub proof_logging: bool,
     /// Encode the depth bound through **assumption selector literals**
     /// instead of permanent ban clauses: one selector `off[k]` per label with
@@ -539,21 +539,10 @@ impl EbmfEncoder {
         self.solver.set_conflict_budget(budget);
     }
 
-    /// Installs a resumable conflict pool shared across
-    /// [`EbmfEncoder::solve_at`] queries (see
-    /// [`Solver::set_resumable_budget`](sat::Solver::set_resumable_budget)).
+    /// Alias of [`EbmfEncoder::set_conflict_budget`], kept for the
+    /// benchmark client that calls it.
     pub fn set_resumable_budget(&mut self, budget: Option<u64>) {
-        self.solver.set_resumable_budget(budget);
-    }
-
-    /// Tops up the resumable conflict pool.
-    pub fn add_budget(&mut self, extra: u64) {
-        self.solver.add_budget(extra);
-    }
-
-    /// Conflicts left in the resumable pool (`None` = no pool).
-    pub fn remaining_budget(&self) -> Option<u64> {
-        self.solver.remaining_budget()
+        self.set_conflict_budget(budget);
     }
 
     /// Installs (or clears) a cooperative interrupt on the underlying SAT
@@ -615,8 +604,8 @@ impl EbmfEncoder {
         res
     }
 
-    /// Queries `r_B(M) ≤ bound` through the assumption selectors, drawing
-    /// conflicts from the resumable pool when one is installed. Unlike
+    /// Queries `r_B(M) ≤ bound` through the assumption selectors, under the
+    /// per-call budget of [`EbmfEncoder::set_conflict_budget`]. Unlike
     /// [`EbmfEncoder::narrow`] + [`EbmfEncoder::solve`], the bound may move
     /// in **either** direction between calls, and every learnt clause is
     /// shared across all queries — this is the warm-start entry point.
@@ -649,14 +638,7 @@ impl EbmfEncoder {
             .iter()
             .map(|s| s.positive())
             .collect();
-        // Draw from the resumable pool when one is installed; otherwise
-        // honor the per-call budget of `set_conflict_budget` like `solve`
-        // does, so switching encodings never silently unbounds a query.
-        let res = if self.solver.remaining_budget().is_some() {
-            self.solver.solve_under_assumptions(&assumptions)
-        } else {
-            self.solver.solve_with_assumptions(&assumptions)
-        };
+        let res = self.solver.solve_with_assumptions(&assumptions);
         self.last_sat = res.is_sat();
         res
     }
@@ -696,21 +678,6 @@ impl EbmfEncoder {
     /// Whether cell `(i, j)` is a don't-care for this encoder.
     pub fn is_dont_care(&self, i: usize, j: usize) -> bool {
         self.status[i][j] == CellStatus::DontCare
-    }
-
-    /// Verifies the recorded clausal proof of the last UNSAT answer with
-    /// the independent RUP checker (requires
-    /// [`EncoderOptions::proof_logging`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the checker's [`sat::ProofError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if proof logging was not enabled at construction.
-    pub fn verify_unsat_proof(&self) -> Result<(), sat::ProofError> {
-        self.solver.verify_unsat_proof()
     }
 }
 
@@ -943,8 +910,9 @@ mod tests {
     #[test]
     fn assumption_bounds_resume_from_exhausted_pool() {
         // Identity 7 at bound 6 without symmetry breaking is pigeonhole-hard;
-        // a tiny resumable pool must be exhausted at least once and, after
-        // refills, conclude UNSAT using the clauses learnt in earlier slices.
+        // a tiny per-call budget must be exhausted at least once and, after
+        // more calls, conclude UNSAT using the clauses learnt in earlier
+        // slices.
         let m = BitMatrix::identity(7);
         let mut enc = EbmfEncoder::with_encoder_options(
             &m,
@@ -954,27 +922,25 @@ mod tests {
                 ..EncoderOptions::new(6).with_assumption_bounds()
             },
         );
-        enc.set_resumable_budget(Some(20));
-        let mut refills = 0u32;
+        enc.set_conflict_budget(Some(20));
+        let mut slices = 0u32;
         let result = loop {
             match enc.solve_at(6) {
                 SolveResult::Unknown => {
-                    assert_eq!(enc.remaining_budget(), Some(0));
-                    enc.add_budget(20);
-                    refills += 1;
-                    assert!(refills < 10_000, "must terminate");
+                    slices += 1;
+                    assert!(slices < 10_000, "must terminate");
                 }
                 done => break done,
             }
         };
         assert!(result.is_unsat());
-        assert!(refills > 0, "instance must exhaust the first pool slice");
+        assert!(slices > 0, "instance must exhaust the first slice");
     }
 
     #[test]
     fn assumption_bounds_honor_per_call_budget_without_pool() {
-        // No resumable pool installed: solve_at must still respect the
-        // per-call conflict budget instead of running unbounded.
+        // solve_at respects the per-call conflict budget instead of
+        // running unbounded.
         let m = BitMatrix::identity(7);
         let mut enc = EbmfEncoder::with_encoder_options(
             &m,

@@ -29,11 +29,13 @@ pub enum RowOrder {
     /// Rows with fewer 1s first (the paper's rejected compromise #2; kept
     /// for the ablation benchmark).
     SparsestFirst,
-    /// Natural order 0, 1, 2, … (single deterministic trial).
-    Natural,
 }
 
-/// Configuration of the row-packing heuristic.
+/// DLX node budget per row when [`PackingConfig::exact_cover`] is on.
+const EXACT_COVER_BUDGET: u64 = 20_000;
+
+/// Configuration of the row-packing heuristic. Every run packs both the
+/// matrix and its transpose and keeps the better result, as the paper does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackingConfig {
     /// Number of shuffled trials (per orientation).
@@ -45,13 +47,9 @@ pub struct PackingConfig {
     /// Enable the basis update of Algorithm 2 lines 9–16 (the paper's
     /// rejected compromise #1 disables it; kept for the ablation benchmark).
     pub basis_update: bool,
-    /// Also run on the transpose and keep the better result (the paper does).
-    pub transpose: bool,
     /// Decompose rows by *exact cover* over the basis (Algorithm X) instead
     /// of greedy first-fit — the paper's §VI future-work idea.
     pub exact_cover: bool,
-    /// DLX node budget per row when `exact_cover` is on.
-    pub exact_cover_budget: u64,
 }
 
 impl Default for PackingConfig {
@@ -61,9 +59,7 @@ impl Default for PackingConfig {
             seed: 0,
             order: RowOrder::Shuffle,
             basis_update: true,
-            transpose: true,
             exact_cover: false,
-            exact_cover_budget: 20_000,
         }
     }
 }
@@ -159,7 +155,7 @@ impl PackWorkspace {
                 continue;
             }
             // Decompose the row over the current basis.
-            if config.exact_cover && self.nrect > 0 && self.exact_cover_step(t, config) {
+            if config.exact_cover && self.nrect > 0 && self.exact_cover_step(t) {
                 continue; // fully decomposed, no residue
             }
             // Greedy first-fit (Algorithm 2 lines 4–7).
@@ -205,7 +201,7 @@ impl PackWorkspace {
     /// exact disjoint cover by basis vectors contained in it; on success
     /// marks the covering rectangles' membership bit for shuffled row `t`
     /// and returns `true`.
-    fn exact_cover_step(&mut self, t: usize, config: &PackingConfig) -> bool {
+    fn exact_cover_step(&mut self, t: usize) -> bool {
         let cs = self.cstride;
         let rs = self.rstride;
         let setup = Instant::now();
@@ -232,7 +228,7 @@ impl PackWorkspace {
         let rect_rows = &mut self.rect_rows;
         let candidates = &self.candidates;
         let mut found = false;
-        self.dlx.run(config.exact_cover_budget, |sol| {
+        self.dlx.run(EXACT_COVER_BUDGET, |sol| {
             for &r in sol {
                 let k = candidates[r];
                 rect_rows[k * rs + t / 64] |= 1 << (t % 64);
@@ -273,8 +269,8 @@ pub fn row_packing_once(m: &BitMatrix, order: &[usize], config: &PackingConfig) 
     ws.to_partition(m, order)
 }
 
-/// Full row-packing heuristic: `trials` passes over shuffled row orders (and
-/// the transpose, when configured), returning the best partition found,
+/// Full row-packing heuristic: `trials` passes over shuffled row orders of
+/// the matrix and of its transpose, returning the best partition found,
 /// never worse than [`trivial_partition`].
 pub fn row_packing(m: &BitMatrix, config: &PackingConfig) -> Partition {
     let mut best = trivial_partition(m);
@@ -304,8 +300,8 @@ pub fn row_packing_cancellable(
     let mut ws = PackWorkspace::new();
     let outer = match config.order {
         RowOrder::Shuffle => config.trials.max(1),
-        // Deterministic orders: extra trials are identical.
-        RowOrder::SparsestFirst | RowOrder::Natural => 1,
+        // A deterministic order: extra trials are identical.
+        RowOrder::SparsestFirst => 1,
     };
     for t in 0..outer as u64 {
         if best.len() <= floor {
@@ -324,10 +320,10 @@ pub fn row_packing_cancellable(
     best
 }
 
-/// Runs `config.trials` packing passes on `m` (and its transpose, when
-/// configured), improving `best` in place. One `StdRng` seeded from
-/// `config.seed` drives every shuffle, both orientations included, matching
-/// the historical trial stream exactly.
+/// Runs `config.trials` packing passes on `m` and on its transpose,
+/// improving `best` in place. One `StdRng` seeded from `config.seed` drives
+/// every shuffle, both orientations included, matching the historical trial
+/// stream exactly.
 fn run_orientations(
     m: &BitMatrix,
     config: &PackingConfig,
@@ -335,22 +331,16 @@ fn run_orientations(
     best: &mut Partition,
 ) {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let orientations: &[bool] = if config.transpose {
-        &[false, true]
-    } else {
-        &[false]
-    };
-    for &transposed in orientations {
+    for transposed in [false, true] {
         let target: &BitMatrix = if transposed { m.transposed() } else { m };
         let trials = match config.order {
             RowOrder::Shuffle => config.trials,
-            // Deterministic orders: extra trials are identical.
-            RowOrder::SparsestFirst | RowOrder::Natural => 1,
+            // A deterministic order: extra trials are identical.
+            RowOrder::SparsestFirst => 1,
         };
         for _ in 0..trials {
             let order: Vec<usize> = match config.order {
                 RowOrder::Shuffle => random_permutation(target.nrows(), &mut rng),
-                RowOrder::Natural => (0..target.nrows()).collect(),
                 RowOrder::SparsestFirst => {
                     let mut idx: Vec<usize> = (0..target.nrows()).collect();
                     idx.sort_by_key(|&i| target.row(i).count_ones());

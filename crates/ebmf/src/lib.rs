@@ -68,7 +68,7 @@ pub use partition::{Partition, PartitionError};
 pub use rect::Rectangle;
 pub use sap::{
     binary_rank, sap, SapConfig, SapOutcome, SapSession, SapStats, SatQuery, SessionExport,
-    UnsatCertificate,
+    UnsatCertificate, DEFAULT_MAX_CORE_CLAUSES,
 };
 pub use tensor::{tensor_bounds, tensor_partition, TensorBounds};
 

@@ -19,15 +19,13 @@ use crate::{
 };
 
 /// Configuration of the [`sap`] solver.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SapConfig {
     /// Configuration of the row-packing phase.
     pub packing: PackingConfig,
     /// Include the greedy fooling-set bound in the termination bound.
     /// Off by default: the paper's Algorithm 1 terminates on the real rank.
     pub use_fooling_bound: bool,
-    /// Emit value-precedence symmetry breaking clauses (recommended).
-    pub symmetry_breaking: bool,
     /// Conflict budget per SAT query (`None` = run to completion).
     pub conflict_budget: Option<u64>,
     /// Wall-clock limit for the whole SAT phase, checked between queries.
@@ -35,12 +33,12 @@ pub struct SapConfig {
     /// Skip the SAT phase entirely when the matrix has more 1-cells than
     /// this (the paper's 100×100 instances are "too large for SMT").
     pub max_sat_cells: Option<usize>,
-    /// Record a clausal proof and replay it through the independent RUP
-    /// checker whenever optimality is concluded from an UNSAT answer. The
-    /// verdict lands in [`SapOutcome::certified`] and the self-contained
-    /// DRAT refutation in [`SapOutcome::certificate`]. Works on warm
-    /// (resumed / rehydrated) sessions too: rehydrated cores are re-derived
-    /// clause by clause so the trace stays self-justifying.
+    /// Record a clausal proof, exported as a self-contained DRAT refutation
+    /// in [`SapOutcome::certificate`] whenever optimality is concluded from
+    /// an UNSAT answer. Works on warm (resumed / rehydrated) sessions too:
+    /// a core learnt without logging, restored from disk or left by an
+    /// uncertified run, is re-derived clause by clause in a logging
+    /// rebuild, so the trace stays self-justifying.
     pub certify: bool,
     /// Cooperative cancellation: when the token trips, the SAT phase stops
     /// at its next conflict or decision (even mid-query) and the best
@@ -48,21 +46,6 @@ pub struct SapConfig {
     /// how the `rect-addr-engine` portfolio runner reclaims a worker whose
     /// time budget expired.
     pub cancel: Option<CancelToken>,
-}
-
-impl Default for SapConfig {
-    fn default() -> Self {
-        SapConfig {
-            packing: PackingConfig::default(),
-            use_fooling_bound: false,
-            symmetry_breaking: true,
-            conflict_budget: None,
-            time_limit: None,
-            max_sat_cells: None,
-            certify: false,
-            cancel: None,
-        }
-    }
 }
 
 impl SapConfig {
@@ -75,7 +58,12 @@ impl SapConfig {
     }
 }
 
-/// Per-clause conflict budget when a rehydrated core is re-derived under
+/// Learnt clauses a core keeps by default, the strongest first: bounds a
+/// snapshot to roughly megabytes at the engine's default 128-session
+/// store, and the re-derivation a certified rebuild pays.
+pub const DEFAULT_MAX_CORE_CLAUSES: usize = 4096;
+
+/// Per-clause conflict budget when a learnt core is re-derived under
 /// [`SapConfig::certify`]. Most exported clauses re-derive by propagation
 /// alone or within a handful of conflicts (they were consequences of the
 /// same formula); the cap bounds the worst case so rehydration never costs
@@ -149,14 +137,10 @@ pub struct SapOutcome {
     pub lower_bound: LowerBound,
     /// The real-rank component (reported in the paper's Table I/Fig. 4).
     pub real_rank: RealRank,
-    /// When [`SapConfig::certify`] is set and optimality was concluded from
-    /// an UNSAT answer: `Some(true)` iff the recorded clausal proof passed
-    /// the independent RUP checker. `None` when optimality needed no SAT
-    /// proof (heuristic met the rank floor) or certification was off.
-    pub certified: Option<bool>,
-    /// The exportable refutation behind a `certified` verdict: present
+    /// The exportable refutation of the bound below the incumbent: present
     /// exactly when certification was on and an UNSAT answer concluded the
-    /// descent (cold **or** warm). `None` whenever `certified` is `None`.
+    /// descent (cold **or** warm). `None` when optimality needed no SAT
+    /// proof (the incumbent met the floor) or certification was off.
     pub certificate: Option<UnsatCertificate>,
     /// Phase timings and the SAT query log.
     pub stats: SapStats,
@@ -211,7 +195,6 @@ pub struct SapSession {
 #[derive(Debug, Clone)]
 struct PendingCore {
     capacity: usize,
-    symmetry_breaking: bool,
     core: Vec<Vec<i64>>,
 }
 
@@ -228,12 +211,8 @@ pub struct SessionExport {
     pub best: Vec<(Vec<usize>, Vec<usize>)>,
     /// Whether the incumbent depth was proved equal to the binary rank.
     pub proved: bool,
-    /// SAT conflicts spent across all runs so far (bookkeeping only).
-    pub conflicts: u64,
     /// Label capacity of the encoder, when a descent had started.
     pub encoder_capacity: Option<usize>,
-    /// Whether the encoder was built with symmetry breaking.
-    pub symmetry_breaking: bool,
     /// The learnt-clause core in DIMACS literal coding (empty when no
     /// descent had started).
     pub core: Vec<Vec<i64>>,
@@ -288,25 +267,18 @@ impl SapSession {
             .collect();
         // Every encoder this session builds uses assumption bounds, so its
         // core re-imports into a rebuild at the same capacity.
-        let (encoder_capacity, symmetry_breaking, core) = match (&self.encoder, &self.pending_core)
-        {
-            (Some(e), _) => (
-                Some(e.capacity()),
-                e.options().symmetry_breaking,
-                e.export_core(max_core_clauses),
-            ),
+        let (encoder_capacity, core) = match (&self.encoder, &self.pending_core) {
+            (Some(e), _) => (Some(e.capacity()), e.export_core(max_core_clauses)),
             // Rehydrated but never queried since: pass the parked core
             // through unchanged, so back-to-back restarts don't shed it.
-            (None, Some(p)) => (Some(p.capacity), p.symmetry_breaking, p.core.clone()),
-            (None, None) => (None, true, Vec::new()),
+            (None, Some(p)) => (Some(p.capacity), p.core.clone()),
+            (None, None) => (None, Vec::new()),
         };
         SessionExport {
             matrix: self.m.clone(),
             best,
             proved: self.proved,
-            conflicts: self.conflicts,
             encoder_capacity,
-            symmetry_breaking,
             core,
         }
     }
@@ -352,7 +324,6 @@ impl SapSession {
         }
         let pending_core = export.encoder_capacity.map(|capacity| PendingCore {
             capacity,
-            symmetry_breaking: export.symmetry_breaking,
             core: export.core.clone(),
         });
         Ok(SapSession {
@@ -362,7 +333,7 @@ impl SapSession {
             proved: export.proved,
             encoder: None,
             pending_core,
-            conflicts: export.conflicts,
+            conflicts: 0,
             packing_seconds: 0.0,
             bound_seconds: 0.0,
         })
@@ -383,7 +354,8 @@ impl SapSession {
         self.proved
     }
 
-    /// Total SAT conflicts spent across all runs of this session.
+    /// Total SAT conflicts spent across all runs of this session since it
+    /// was created or imported.
     pub fn total_conflicts(&self) -> u64 {
         self.conflicts
     }
@@ -416,14 +388,10 @@ impl SapSession {
     /// waits for the next run.
     fn build_encoder(&mut self, config: &SapConfig) -> Option<EbmfEncoder> {
         let pending = self.pending_core.take();
-        let (capacity, symmetry_breaking) = match &pending {
-            // Rebuild byte-identically to the exporting encoder so the
-            // core's variable numbering lines up.
-            Some(p) => (p.capacity, p.symmetry_breaking),
-            None => (self.best.len() - 1, config.symmetry_breaking),
-        };
+        // Rebuild byte-identically to the exporting encoder so the core's
+        // variable numbering lines up.
+        let capacity = pending.as_ref().map_or(self.best.len() - 1, |p| p.capacity);
         let enc_opts = crate::EncoderOptions {
-            symmetry_breaking,
             proof_logging: config.certify,
             assumption_bounds: true,
             ..crate::EncoderOptions::new(capacity)
@@ -466,10 +434,21 @@ impl SapSession {
             .max_sat_cells
             .is_some_and(|max| self.m.count_ones() > max);
 
-        let mut certified = None;
         let mut certificate = None;
         if !self.proved && !skip_sat && self.best.len() > 1 {
             let sat_start = Instant::now();
+            // A certificate needs every lemma in one trace: an encoder that
+            // learnt without logging hands its core to a logging rebuild,
+            // which re-derives it as for a session restored from disk.
+            if let Some(e) = self
+                .encoder
+                .take_if(|e| config.certify && !e.options().proof_logging)
+            {
+                self.pending_core = Some(PendingCore {
+                    capacity: e.capacity(),
+                    core: e.export_core(DEFAULT_MAX_CORE_CLAUSES),
+                });
+            }
             if self.encoder.is_none() {
                 self.encoder = self.build_encoder(config);
             }
@@ -494,9 +473,6 @@ impl SapSession {
                     }
                     let stats_before = encoder.solver_stats();
                     let tq = Instant::now();
-                    // Per-query budget through the resumable pool, so an
-                    // exhausted query can be continued by the next run.
-                    encoder.set_resumable_budget(config.conflict_budget);
                     let result = encoder.solve_at(b);
                     let seconds = tq.elapsed().as_secs_f64();
                     let spent = encoder.solver_stats().since(&stats_before);
@@ -524,7 +500,6 @@ impl SapSession {
                             // r_B > b, and |best| == b + 1.
                             self.proved = true;
                             if config.certify {
-                                certified = Some(encoder.verify_unsat_proof().is_ok());
                                 certificate =
                                     encoder.unsat_refutation().map(|p| UnsatCertificate {
                                         bound: b,
@@ -552,7 +527,6 @@ impl SapSession {
             proved_optimal: self.proved,
             lower_bound: self.lb,
             real_rank: self.lb.real_rank,
-            certified,
             certificate,
             stats,
         }
@@ -694,8 +668,8 @@ mod tests {
     #[test]
     fn certified_optimality_on_fig1b() {
         // Fig. 1b's optimality rests on an UNSAT answer at b = 4 (the rank
-        // floor is only 4); with `certify` the proof is replayed through
-        // the independent RUP checker.
+        // floor is only 4); with `certify` the standalone checker accepts
+        // the exported proof.
         let m: BitMatrix = "101100\n010011\n101010\n010101\n111000\n000111"
             .parse()
             .unwrap();
@@ -706,11 +680,8 @@ mod tests {
         let out = sap(&m, &cfg);
         assert!(out.proved_optimal);
         assert_eq!(out.depth(), 5);
-        assert_eq!(
-            out.certified,
-            Some(true),
-            "RUP checker must accept the proof"
-        );
+        let cert = out.certificate.expect("UNSAT at 4 is certified");
+        certcheck::check_certificate(&cert.cnf, &cert.drat).expect("checker must accept the proof");
     }
 
     #[test]
@@ -723,7 +694,6 @@ mod tests {
             ..SapConfig::default()
         };
         let out = sap(&m, &cfg);
-        assert_eq!(out.certified, Some(true));
         let cert = out.certificate.expect("certificate present");
         assert_eq!(cert.bound, 4, "Fig. 1b optimality rests on UNSAT at 4");
         assert!(cert.cnf.starts_with("p cnf "));
@@ -738,8 +708,7 @@ mod tests {
         // budget mid-descent and *resumes* — with certify on the whole way.
         let m = hard_matrix();
         let cfg = SapConfig {
-            symmetry_breaking: false,
-            conflict_budget: Some(500),
+            conflict_budget: Some(SLICE),
             packing: PackingConfig::with_trials(4),
             certify: true,
             ..SapConfig::default()
@@ -753,13 +722,10 @@ mod tests {
             assert!(runs < 10_000, "session must converge");
         }
         assert!(runs > 1, "first slice must exhaust its budget");
-        assert_eq!(
-            last.certified,
-            Some(true),
-            "warm-path proof must check like a cold one"
-        );
         let cert = last.certificate.expect("warm UNSAT emits a certificate");
         assert_eq!(cert.bound + 1, last.partition.len());
+        certcheck::check_certificate(&cert.cnf, &cert.drat)
+            .expect("warm-path proof must check like a cold one");
     }
 
     #[test]
@@ -770,8 +736,7 @@ mod tests {
         // (b) actually resume — not silently restart from scratch.
         let m = hard_matrix();
         let cfg = SapConfig {
-            symmetry_breaking: false,
-            conflict_budget: Some(500),
+            conflict_budget: Some(SLICE),
             packing: PackingConfig::with_trials(4),
             ..SapConfig::default()
         };
@@ -799,8 +764,10 @@ mod tests {
             rounds += 1;
             assert!(rounds < 10_000, "rehydrated certify session must converge");
         }
-        assert_eq!(last.certified, Some(true), "rehydrated proof must verify");
-        assert!(last.certificate.is_some());
+        let cert = last
+            .certificate
+            .expect("rehydrated UNSAT emits a certificate");
+        certcheck::check_certificate(&cert.cnf, &cert.drat).expect("rehydrated proof must verify");
         let warm_spent = warm.total_conflicts() - warm_start;
 
         let mut cold = SapSession::new(&m, &cfg);
@@ -828,7 +795,7 @@ mod tests {
             },
         );
         assert!(out.proved_optimal);
-        assert_eq!(out.certified, None);
+        assert!(out.certificate.is_none());
     }
 
     #[test]
@@ -854,8 +821,7 @@ mod tests {
     fn cancelled_encoder_build_keeps_no_encoding_and_the_pending_core() {
         let m = hard_matrix();
         let cfg = SapConfig {
-            symmetry_breaking: false,
-            conflict_budget: Some(500),
+            conflict_budget: Some(SLICE),
             ..SapConfig::default()
         };
         let mut donor = SapSession::new(&m, &cfg);
@@ -880,10 +846,13 @@ mod tests {
         assert_eq!(warm.export(100_000).core, export.core);
     }
 
-    /// A matrix whose descent needs enough conflicts that a small per-run
+    /// Conflicts per run in the sliced-descent tests: a few times less
+    /// than [`hard_matrix`]'s descent needs.
+    const SLICE: u64 = 5;
+
+    /// A matrix whose descent needs enough conflicts that a [`SLICE`]
     /// budget leaves the session mid-descent at least once (a rank-gap
-    /// instance whose final UNSAT query costs thousands of conflicts when
-    /// symmetry breaking is off).
+    /// instance whose final UNSAT query costs about 30 conflicts).
     fn hard_matrix() -> BitMatrix {
         crate::gen::gap_benchmark(10, 10, 3, 2).matrix
     }
@@ -892,9 +861,7 @@ mod tests {
     fn session_resumes_descent_across_runs() {
         let m = hard_matrix();
         let cfg = SapConfig {
-            // No symmetry breaking keeps the final UNSAT query hard.
-            symmetry_breaking: false,
-            conflict_budget: Some(500),
+            conflict_budget: Some(SLICE),
             packing: PackingConfig::with_trials(4),
             ..SapConfig::default()
         };
@@ -924,7 +891,7 @@ mod tests {
         assert!(unlimited.proved_optimal);
         let single_shot: u64 = unlimited.stats.queries.iter().map(|q| q.conflicts).sum();
         assert!(
-            session.total_conflicts() <= single_shot.max(500) * 3,
+            session.total_conflicts() <= single_shot.max(SLICE) * 3,
             "warm resume must not blow up: {} vs single-shot {}",
             session.total_conflicts(),
             single_shot
@@ -966,8 +933,7 @@ mod tests {
     fn exported_session_roundtrips_and_resumes_cheaper() {
         let m = hard_matrix();
         let cfg = SapConfig {
-            symmetry_breaking: false,
-            conflict_budget: Some(500),
+            conflict_budget: Some(SLICE),
             packing: PackingConfig::with_trials(4),
             ..SapConfig::default()
         };
@@ -1066,8 +1032,7 @@ mod tests {
     fn reexport_without_rehydration_keeps_the_core() {
         let m = hard_matrix();
         let cfg = SapConfig {
-            symmetry_breaking: false,
-            conflict_budget: Some(500),
+            conflict_budget: Some(SLICE),
             packing: PackingConfig::with_trials(4),
             ..SapConfig::default()
         };

@@ -26,10 +26,9 @@ pub struct EngineConfig {
     /// Defaults for every job's pipeline run (per-job `budget_ms` /
     /// `conflicts` request fields override the budgets).
     pub portfolio: PortfolioConfig,
-    /// Maximum entries of the canonical-form cache.
+    /// Maximum entries of the canonical-form cache, split over
+    /// [`DEFAULT_SHARDS`](crate::DEFAULT_SHARDS) shards.
     pub cache_capacity: usize,
-    /// Shards the cache key space is split into (≥ 1).
-    pub cache_shards: usize,
     /// Warm SAP sessions kept across jobs, keyed by canonical class
     /// (`0` disables warm starts: every SAP run re-encodes from scratch).
     pub warm_sessions: usize,
@@ -44,7 +43,6 @@ impl Default for EngineConfig {
             workers: 0,
             portfolio: PortfolioConfig::default(),
             cache_capacity: 65_536,
-            cache_shards: crate::cache::DEFAULT_SHARDS,
             warm_sessions: 128,
             canon: CanonOptions::default(),
         }
@@ -135,7 +133,7 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine with an empty cache.
     pub fn new(config: EngineConfig) -> Self {
-        let cache = CanonicalCache::with_shards(config.cache_capacity, config.cache_shards);
+        let cache = CanonicalCache::new(config.cache_capacity);
         let warm =
             (config.warm_sessions > 0).then(|| Arc::new(SessionStore::new(config.warm_sessions)));
         Engine {
@@ -689,11 +687,32 @@ mod tests {
     }
 
     #[test]
+    fn a_certify_job_that_resumes_an_uncertified_session_is_certified() {
+        // Two starved jobs park the class's session, whose encoder learnt
+        // without proof logging; the certify job that resumes it must
+        // still prove the class and export a refutation that checks.
+        let e = engine();
+        let m = ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix;
+        let starved = JobRequest::new("g", m.clone()).with_conflicts(1);
+        e.solve_job(&starved);
+        e.solve_job(&starved);
+        assert_eq!(e.warm_sessions(), 1, "the recurrence parks its session");
+        let resp = e.solve_job(&JobRequest::new("c", m).with_certify(true));
+        assert!(resp.ok && resp.proved_optimal);
+        let cert = resp
+            .certificate
+            .expect("a certify job proved by UNSAT carries its refutation");
+        assert_eq!(cert.bound + 1, resp.depth, "refutes the bound below");
+        certcheck::check_certificate(&cert.cnf, &cert.drat)
+            .expect("the resumed descent's certificate must pass the standalone checker");
+    }
+
+    #[test]
     fn a_proved_session_is_parked_without_its_encoding() {
         let e = engine();
         let out = e.solve(&ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix);
         assert!(out.proved_optimal);
-        let parked = e.warm_store().unwrap().export_all(usize::MAX);
+        let parked = e.warm_store().unwrap().export_all();
         assert_eq!(parked.len(), 1);
         let (_, export) = &parked[0];
         assert!(export.proved);

@@ -44,8 +44,9 @@ use crate::Engine;
 /// Schema version of the snapshot format. Bumping it invalidates every
 /// existing snapshot (clean cold start) — the upgrade story is
 /// deliberately "re-learn", never "migrate". Version 2 dropped the
-/// scheduler's bucket section.
-pub const SNAPSHOT_SCHEMA: u32 = 2;
+/// scheduler's bucket section, version 3 the session record's conflict
+/// count and symmetry-breaking flag.
+pub const SNAPSHOT_SCHEMA: u32 = 3;
 
 /// File name of the snapshot inside a state directory.
 pub const SNAPSHOT_FILE: &str = "engine.snapshot";
@@ -55,9 +56,7 @@ pub const SNAPSHOT_FILE: &str = "engine.snapshot";
 /// locking a replaced file would not exclude one still holding the old.
 pub const LOCK_FILE: &str = "writer.lock";
 
-/// Learnt clauses exported per session by default — bounds the snapshot
-/// to roughly megabytes at the default 128-session store.
-pub const DEFAULT_MAX_CORE_CLAUSES: usize = 4096;
+pub use ebmf::DEFAULT_MAX_CORE_CLAUSES;
 
 const MAGIC: &str = "rect-addr-snapshot";
 
@@ -180,11 +179,11 @@ fn parse_indices(token: &str) -> Result<Vec<usize>, String> {
 
 /// Serializes the engine's durable state (every parked session) into the
 /// snapshot body.
-fn serialize_body(engine: &Engine, max_core_clauses: usize) -> (String, SnapshotStats) {
+fn serialize_body(engine: &Engine) -> (String, SnapshotStats) {
     let mut body = String::new();
     let sessions: Vec<(String, SessionExport)> = engine
         .warm_store()
-        .map(|store| store.export_all(max_core_clauses))
+        .map(|store| store.export_all())
         .unwrap_or_default();
     // Sessions whose matrix cannot round-trip through the text format
     // (degenerate empty shapes) are skipped — they carry no SAT state.
@@ -197,12 +196,10 @@ fn serialize_body(engine: &Engine, max_core_clauses: usize) -> (String, Snapshot
         let (nrows, ncols) = e.matrix.shape();
         let _ = writeln!(
             body,
-            "s {nrows} {ncols} {} {} {} {} {} {}",
+            "s {nrows} {ncols} {} {} {} {}",
             u8::from(e.proved),
-            e.conflicts,
             e.encoder_capacity
                 .map_or_else(|| "-".to_string(), |c| c.to_string()),
-            u8::from(e.symmetry_breaking),
             e.best.len(),
             e.core.len(),
         );
@@ -239,23 +236,10 @@ fn serialize_body(engine: &Engine, max_core_clauses: usize) -> (String, Snapshot
 /// Propagates filesystem errors; the previous snapshot (if any) survives
 /// every failure mode.
 pub fn save_snapshot(state_dir: &Path, engine: &Engine) -> std::io::Result<SnapshotStats> {
-    save_snapshot_with(state_dir, engine, DEFAULT_MAX_CORE_CLAUSES)
+    save_snapshot_gen(state_dir, engine, 0)
 }
 
-/// [`save_snapshot`] with an explicit per-session learnt-core cap.
-///
-/// # Errors
-///
-/// See [`save_snapshot`].
-pub fn save_snapshot_with(
-    state_dir: &Path,
-    engine: &Engine,
-    max_core_clauses: usize,
-) -> std::io::Result<SnapshotStats> {
-    save_snapshot_gen(state_dir, engine, max_core_clauses, 0)
-}
-
-/// [`save_snapshot_with`] stamping an explicit **generation** into the
+/// [`save_snapshot`] stamping an explicit **generation** into the
 /// snapshot header. Generations are the multi-process flush signal: the
 /// holder of the [`lock_state_dir`] lock bumps the number on every flush,
 /// and the other processes sharing the directory poll
@@ -273,11 +257,10 @@ pub fn save_snapshot_with(
 pub fn save_snapshot_gen(
     state_dir: &Path,
     engine: &Engine,
-    max_core_clauses: usize,
     generation: u64,
 ) -> std::io::Result<SnapshotStats> {
     std::fs::create_dir_all(state_dir)?;
-    let (body, mut stats) = serialize_body(engine, max_core_clauses);
+    let (body, mut stats) = serialize_body(engine);
     let mut file = format!(
         "{MAGIC} {SNAPSHOT_SCHEMA} {generation}\nchecksum {:016x}\n",
         fnv1a(body.as_bytes())
@@ -314,15 +297,11 @@ impl<'a> Lines<'a> {
     }
 }
 
-fn parse_u64(token: Option<&str>, what: &str) -> Result<u64, String> {
+fn parse_usize(token: Option<&str>, what: &str) -> Result<usize, String> {
     token
         .ok_or_else(|| format!("missing {what}"))?
-        .parse::<u64>()
+        .parse::<usize>()
         .map_err(|e| format!("{what}: {e}"))
-}
-
-fn parse_usize(token: Option<&str>, what: &str) -> Result<usize, String> {
-    Ok(parse_u64(token, what)? as usize)
 }
 
 /// Upper bound on declared record counts: a snapshot declaring more than
@@ -367,7 +346,6 @@ fn parse_body(body: &str) -> Result<Vec<SessionExport>, SnapshotError> {
             Some("1") => true,
             other => return Err(lines.corrupt(format!("proved flag {other:?}"))),
         };
-        let conflicts = parse_u64(t.next(), "conflicts").map_err(|e| lines.corrupt(e))?;
         let encoder_capacity = match t.next() {
             Some("-") => None,
             Some(tok) => Some(
@@ -375,11 +353,6 @@ fn parse_body(body: &str) -> Result<Vec<SessionExport>, SnapshotError> {
                     .map_err(|e| lines.corrupt(format!("capacity: {e}")))?,
             ),
             None => return Err(lines.corrupt("missing capacity")),
-        };
-        let symmetry_breaking = match t.next() {
-            Some("0") => false,
-            Some("1") => true,
-            other => return Err(lines.corrupt(format!("symmetry flag {other:?}"))),
         };
         let nrects = checked_count(
             parse_usize(t.next(), "rect count").map_err(|e| lines.corrupt(e))?,
@@ -455,9 +428,7 @@ fn parse_body(body: &str) -> Result<Vec<SessionExport>, SnapshotError> {
             matrix,
             best,
             proved,
-            conflicts,
             encoder_capacity,
-            symmetry_breaking,
             core,
         });
     }
@@ -730,11 +701,38 @@ mod tests {
     }
 
     #[test]
+    fn v2_snapshot_with_conflicts_and_symmetry_flag_is_a_clean_cold_start() {
+        let dir = state_dir("schema-v2");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A v2 session record: shape, proved flag, conflict count, encoder
+        // capacity, symmetry flag, rectangle count and clause count.
+        let body = "sessions 1\ns 2 2 1 17 - 1 2 0\nm 10 01\nr 0 0\nr 1 1\n";
+        let file = format!(
+            "{MAGIC} 2 5\nchecksum {:016x}\n{body}",
+            fnv1a(body.as_bytes())
+        );
+        std::fs::write(snapshot_path(&dir), file).unwrap();
+        let fresh = hard_engine();
+        assert!(matches!(
+            load_snapshot(&dir, &fresh),
+            Err(SnapshotError::SchemaMismatch { found: 2 })
+        ));
+        assert_eq!(fresh.warm_sessions(), 0);
+        assert_eq!(fresh.restored_sessions(), 0);
+        assert_eq!(
+            snapshot_generation(&dir),
+            None,
+            "a v2 header peeks as absent"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn generation_roundtrips_through_header_and_peek() {
         let dir = state_dir("generation");
         let donor = hard_engine();
         solve_hard(&donor);
-        save_snapshot_gen(&dir, &donor, DEFAULT_MAX_CORE_CLAUSES, 7).expect("save");
+        save_snapshot_gen(&dir, &donor, 7).expect("save");
         assert_eq!(snapshot_generation(&dir), Some(7), "cheap header peek");
         let fresh = hard_engine();
         let restored = load_snapshot(&dir, &fresh).expect("load");

@@ -8,7 +8,6 @@
 //! descent (learnt clauses, activities, incumbent) instead of re-encoding.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -20,6 +19,7 @@ use ebmf::{
 use sat::CancelToken;
 
 use crate::canon::CanonicalForm;
+use crate::persist::DEFAULT_MAX_CORE_CLAUSES;
 use crate::portfolio::Provenance;
 
 /// One solve request as a strategy sees it.
@@ -193,8 +193,6 @@ enum SessionSlot {
 pub struct SessionStore {
     map: Mutex<HashMap<String, SessionSlot>>,
     capacity: usize,
-    /// Spilled entries rehydrated into live sessions so far.
-    rehydrated: AtomicU64,
 }
 
 impl SessionStore {
@@ -203,7 +201,6 @@ impl SessionStore {
         SessionStore {
             map: Mutex::new(HashMap::new()),
             capacity,
-            rehydrated: AtomicU64::new(0),
         }
     }
 
@@ -219,13 +216,7 @@ impl SessionStore {
             .remove(key)?;
         match slot {
             SessionSlot::Live(session) => Some(*session),
-            SessionSlot::Spilled(export) => match SapSession::import(&export, floor) {
-                Ok(session) => {
-                    self.rehydrated.fetch_add(1, Ordering::Relaxed);
-                    Some(session)
-                }
-                Err(_) => None,
-            },
+            SessionSlot::Spilled(export) => SapSession::import(&export, floor).ok(),
         }
     }
 
@@ -252,17 +243,17 @@ impl SessionStore {
     }
 
     /// Exports every parked session (live ones serialize their strongest
-    /// `max_core_clauses` learnt clauses; spilled ones pass through) —
-    /// the snapshot save path. Non-destructive. Holds the store lock for
-    /// the whole pass (a live session can only be read under it), so
-    /// concurrent `take`/`put` calls stall for the serialization — which
+    /// [`DEFAULT_MAX_CORE_CLAUSES`] learnt clauses; spilled ones pass
+    /// through) — the snapshot save path. Non-destructive. Holds the store
+    /// lock for the whole pass (a live session can only be read under it),
+    /// so concurrent `take`/`put` calls stall for the serialization — which
     /// is why the serving layer runs snapshots off the job path.
-    pub fn export_all(&self, max_core_clauses: usize) -> Vec<(String, SessionExport)> {
+    pub fn export_all(&self) -> Vec<(String, SessionExport)> {
         let map = self.map.lock().expect("session store poisoned");
         map.iter()
             .map(|(key, slot)| {
                 let export = match slot {
-                    SessionSlot::Live(session) => session.export(max_core_clauses),
+                    SessionSlot::Live(session) => session.export(DEFAULT_MAX_CORE_CLAUSES),
                     SessionSlot::Spilled(export) => (**export).clone(),
                 };
                 (key.clone(), export)
@@ -278,11 +269,6 @@ impl SessionStore {
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Spilled entries rehydrated into live sessions so far.
-    pub fn rehydrated(&self) -> u64 {
-        self.rehydrated.load(Ordering::Relaxed)
     }
 }
 

@@ -64,8 +64,6 @@ pub struct Solver {
     seen: Vec<bool>,
     stats: SolverStats,
     conflict_budget: Option<u64>,
-    /// Resumable conflict pool drawn down by [`Solver::solve_under_assumptions`].
-    budget_pool: Option<u64>,
     /// Cooperative interrupt checked at every conflict and decision.
     interrupt: Option<CancelToken>,
     /// Learnt-clause count that triggers the next database reduction.
@@ -110,7 +108,6 @@ impl Solver {
             seen: Vec::new(),
             stats: SolverStats::default(),
             conflict_budget: None,
-            budget_pool: None,
             interrupt: None,
             max_learnt: 2000.0,
             model: Vec::new(),
@@ -159,27 +156,6 @@ impl Solver {
     /// [`SolveResult::Unknown`].
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
         self.conflict_budget = budget;
-    }
-
-    /// Installs a **resumable** conflict pool for
-    /// [`Solver::solve_under_assumptions`]: unlike the per-call budget of
-    /// [`Solver::set_conflict_budget`], the pool is drawn down across calls,
-    /// so a query interrupted by exhaustion can be resumed later — with all
-    /// learnt clauses retained — by topping the pool up via
-    /// [`Solver::add_budget`]. `None` removes the pool (unlimited).
-    pub fn set_resumable_budget(&mut self, budget: Option<u64>) {
-        self.budget_pool = budget;
-    }
-
-    /// Adds `extra` conflicts to the resumable pool (installing a pool of
-    /// exactly `extra` when none was set).
-    pub fn add_budget(&mut self, extra: u64) {
-        self.budget_pool = Some(self.budget_pool.unwrap_or(0).saturating_add(extra));
-    }
-
-    /// Conflicts left in the resumable pool (`None` = no pool installed).
-    pub fn remaining_budget(&self) -> Option<u64> {
-        self.budget_pool
     }
 
     /// Installs (or clears) a cooperative interrupt token. While solving,
@@ -827,31 +803,10 @@ impl Solver {
     /// persist between calls.
     ///
     /// Returns [`SolveResult::Unknown`] only when the conflict budget set via
-    /// [`Solver::set_conflict_budget`] is exhausted.
+    /// [`Solver::set_conflict_budget`] is exhausted (or the interrupt
+    /// trips). Every learnt clause and all variable activity survive such
+    /// an answer, so calling again continues the search where it stopped.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.search(assumptions, self.conflict_budget)
-    }
-
-    /// Like [`Solver::solve_with_assumptions`], but conflicts are drawn from
-    /// the **resumable pool** ([`Solver::set_resumable_budget`]) instead of
-    /// the per-call budget. When the pool runs dry the call answers
-    /// [`SolveResult::Unknown`] with the pool at zero; topping it up with
-    /// [`Solver::add_budget`] and calling again resumes the search with every
-    /// learnt clause (and all variable activity) retained — the incremental
-    /// warm-start contract the EBMF depth descent builds on.
-    pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        let start = self.stats.conflicts;
-        let result = self.search(assumptions, self.budget_pool);
-        if let Some(pool) = self.budget_pool.as_mut() {
-            *pool = pool.saturating_sub(self.stats.conflicts - start);
-        }
-        result
-    }
-
-    /// The CDCL search loop shared by every `solve` entry point.
-    /// `conflict_limit` bounds the conflicts of **this call** (`None` =
-    /// unlimited); exhaustion answers [`SolveResult::Unknown`].
-    fn search(&mut self, assumptions: &[Lit], conflict_limit: Option<u64>) -> SolveResult {
         self.model.clear();
         self.last_assumption_core = None;
         self.cancel_until(0);
@@ -909,7 +864,7 @@ impl Solver {
                     self.enqueue(first, Some(cr));
                 }
                 self.var_inc /= VAR_DECAY;
-                if let Some(b) = conflict_limit {
+                if let Some(b) = self.conflict_budget {
                     if self.stats.conflicts - budget_start >= b {
                         self.cancel_until(0);
                         return SolveResult::Unknown;
@@ -1133,17 +1088,15 @@ mod tests {
 
     #[test]
     fn resumable_budget_accumulates_progress_to_unsat() {
-        // A hard UNSAT instance; tiny pool refills must eventually prove it
-        // because learnt clauses persist across exhausted calls.
+        // A hard UNSAT instance; repeated 50-conflict calls must eventually
+        // prove it because learnt clauses persist across exhausted calls.
         let mut s = Solver::new();
         pigeonhole(&mut s, 7, 6);
-        s.set_resumable_budget(Some(50));
+        s.set_conflict_budget(Some(50));
         let mut rounds = 0u32;
         let result = loop {
-            match s.solve_under_assumptions(&[]) {
+            match s.solve() {
                 SolveResult::Unknown => {
-                    assert_eq!(s.remaining_budget(), Some(0), "pool must be dry");
-                    s.add_budget(50);
                     rounds += 1;
                     assert!(rounds < 10_000, "descent must terminate");
                 }
@@ -1151,36 +1104,10 @@ mod tests {
             }
         };
         assert_eq!(result, SolveResult::Unsat);
-        assert!(rounds > 0, "instance must be hard enough to exhaust a pool");
-    }
-
-    #[test]
-    fn resumable_pool_is_shared_across_queries() {
-        let mut s = Solver::new();
-        pigeonhole(&mut s, 7, 6);
-        // One big pool, repeated assumption-relative queries: the pool is
-        // drawn down across calls instead of resetting like the per-call
-        // budget does.
-        s.set_resumable_budget(Some(100));
-        let a = Lit::from_dimacs(1);
-        let _ = s.solve_under_assumptions(&[a]);
-        let after_first = s.remaining_budget().unwrap();
-        let _ = s.solve_under_assumptions(&[!a]);
-        let after_second = s.remaining_budget().unwrap();
-        assert!(after_second <= after_first);
-        // Per-call budgets are untouched by pool bookkeeping.
-        s.set_resumable_budget(None);
-        assert_eq!(s.remaining_budget(), None);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn add_budget_installs_pool_when_absent() {
-        let mut s = Solver::new();
-        add(&mut s, &[1, 2]);
-        s.add_budget(3);
-        assert_eq!(s.remaining_budget(), Some(3));
-        assert_eq!(s.solve_under_assumptions(&[]), SolveResult::Sat);
+        assert!(
+            rounds > 0,
+            "instance must be hard enough to exhaust a budget"
+        );
     }
 
     #[test]

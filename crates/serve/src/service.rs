@@ -18,9 +18,9 @@ use std::time::{Duration, Instant};
 
 use engine::persist::{
     load_snapshot, lock_state_dir, save_snapshot_gen, snapshot_generation, SnapshotError,
-    SnapshotStats, DEFAULT_MAX_CORE_CLAUSES,
+    SnapshotStats,
 };
-use engine::{CacheStats, Engine, EngineConfig};
+use engine::{CacheStats, Engine, EngineConfig, DEFAULT_SHARDS};
 use obs::JobTrace;
 use proto::{Capabilities, ErrorKind, JobError, JobRequest, JobResponse, Timing};
 
@@ -62,16 +62,14 @@ impl PersistConfig {
     }
 }
 
-/// Configuration of a [`Service`].
+/// Configuration of a [`Service`]. The service runs
+/// [`EngineConfig::effective_workers`] worker threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Bound of the submission queue. A non-blocking submit against a full
     /// queue is rejected with [`SubmitError::Busy`] — the backpressure
     /// signal v2 connections forward as `busy` responses.
     pub queue_depth: usize,
-    /// Worker threads solving jobs. `0` means
-    /// [`EngineConfig::effective_workers`].
-    pub workers: usize,
     /// Warm-state persistence (`None` = in-memory only, the default).
     pub persist: Option<PersistConfig>,
 }
@@ -90,7 +88,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            workers: 0,
             persist: None,
         }
     }
@@ -321,12 +318,7 @@ impl Inner {
         // counter.
         let disk_gen = snapshot_generation(&persist.state_dir).unwrap_or(0);
         let generation = disk_gen.max(self.snapshot_generation.load(Ordering::Relaxed)) + 1;
-        match save_snapshot_gen(
-            &persist.state_dir,
-            &self.engine,
-            DEFAULT_MAX_CORE_CLAUSES,
-            generation,
-        ) {
+        match save_snapshot_gen(&persist.state_dir, &self.engine, generation) {
             Ok(stats) => {
                 self.snapshot_generation
                     .store(generation, Ordering::Relaxed);
@@ -681,11 +673,7 @@ impl Service {
                 }
             }
         }
-        let worker_count = if config.workers == 0 {
-            engine.config().effective_workers()
-        } else {
-            config.workers
-        };
+        let worker_count = engine.config().effective_workers();
         let started_as_writer = writer.is_some();
         let inner = Arc::new(Inner {
             engine,
@@ -939,7 +927,7 @@ impl Service {
             strategies.push("sap".to_string());
         }
         Capabilities {
-            shards: cfg.cache_shards as u64,
+            shards: DEFAULT_SHARDS as u64,
             strategies,
             canon_budget: cfg.canon.max_branches as u64,
             queue_depth: self.inner.queue_depth as u64,

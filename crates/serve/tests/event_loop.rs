@@ -10,7 +10,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use engine::persist::{lock_state_dir, save_snapshot_gen, DEFAULT_MAX_CORE_CLAUSES};
+use engine::persist::{lock_state_dir, save_snapshot_gen};
 use engine::{Engine, EngineConfig};
 use proto::{JobResponse, StatsFrame, SummaryFrame};
 use rect_addr_serve::{
@@ -22,9 +22,11 @@ use common::{distinct_job, distinct_matrix};
 
 fn event_service(workers: usize) -> Arc<Service> {
     Arc::new(Service::with_engine_config(
-        EngineConfig::default(),
-        ServiceConfig {
+        EngineConfig {
             workers,
+            ..EngineConfig::default()
+        },
+        ServiceConfig {
             queue_depth: 64,
             persist: None,
         },
@@ -259,14 +261,16 @@ fn lease_takeover_adopts_generation_and_promotes_reader() {
     let lock_a = lock_state_dir(&dir).unwrap().expect("fresh dir locks");
     let donor = Engine::new(EngineConfig::default());
     donor.solve(&distinct_matrix(0));
-    save_snapshot_gen(&dir, &donor, DEFAULT_MAX_CORE_CLAUSES, 3).unwrap();
+    save_snapshot_gen(&dir, &donor, 3).unwrap();
 
     // "Process B" starts while A holds the lock: it must come up as a
     // reader on A's snapshot, and never write.
     let service = Service::with_engine_config(
-        EngineConfig::default(),
-        ServiceConfig {
+        EngineConfig {
             workers: 1,
+            ..EngineConfig::default()
+        },
+        ServiceConfig {
             queue_depth: 8,
             persist: Some(PersistConfig {
                 snapshot_every: None,
@@ -280,7 +284,7 @@ fn lease_takeover_adopts_generation_and_promotes_reader() {
     assert!(service.snapshot_now().is_none(), "a reader never writes");
 
     // A's final flush lands generation 4; B's persister adopts it.
-    save_snapshot_gen(&dir, &donor, DEFAULT_MAX_CORE_CLAUSES, 4).unwrap();
+    save_snapshot_gen(&dir, &donor, 4).unwrap();
     assert!(
         wait_until(Duration::from_secs(5), || service.snapshot_generation()
             == 4),

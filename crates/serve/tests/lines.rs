@@ -446,13 +446,7 @@ fn extreme_priorities_are_ordered_not_overflowed() {
     use engine::protocol::JobRequest;
     let gate = Gate::new();
     let engine = gated_engine(&gate, 1);
-    let service = Service::new(
-        engine,
-        rect_addr_serve::ServiceConfig {
-            workers: 1,
-            ..Default::default()
-        },
-    );
+    let service = Service::new(engine, rect_addr_serve::ServiceConfig::default());
     let (tx, rx) = std::sync::mpsc::channel();
     let sink = std::sync::Arc::new(tx);
     service
@@ -483,13 +477,7 @@ fn extreme_priorities_are_ordered_not_overflowed() {
 fn drains_in_flight_jobs_before_the_summary() {
     let gate = Gate::new();
     let engine = gated_engine(&gate, 2);
-    let service = std::sync::Arc::new(Service::new(
-        engine,
-        ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        },
-    ));
+    let service = std::sync::Arc::new(Service::new(engine, ServiceConfig::default()));
 
     let mut input = String::new();
     for i in 0..5 {

@@ -26,7 +26,6 @@ fn service_at(dir: &Path, snapshot_every: Option<u64>) -> Service {
         })),
         ServiceConfig {
             queue_depth: 64,
-            workers: 1,
             persist: Some(PersistConfig {
                 state_dir: dir.to_path_buf(),
                 snapshot_every,

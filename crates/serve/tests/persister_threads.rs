@@ -25,7 +25,6 @@ fn periodic_flushes_add_no_threads() {
             ..EngineConfig::default()
         })),
         ServiceConfig {
-            workers: 1,
             queue_depth: 8,
             persist: Some(PersistConfig {
                 snapshot_every: Some(1),

@@ -112,7 +112,6 @@ fn cancel_mid_schedule_keeps_partial_results() {
     let service = Arc::new(Service::new(
         gated_engine(&gate, 1),
         ServiceConfig {
-            workers: 1,
             queue_depth: 4,
             persist: None,
         },
@@ -187,7 +186,6 @@ fn layer_deadlines_run_from_schedule_acceptance() {
     let service = Arc::new(Service::new(
         gated_engine(&gate, 1),
         ServiceConfig {
-            workers: 1,
             queue_depth: 4,
             persist: None,
         },

@@ -16,7 +16,6 @@ fn gated_service(gate: &Arc<Gate>, workers: usize, queue_depth: usize) -> Servic
     Service::new(
         gated_engine(gate, workers),
         ServiceConfig {
-            workers,
             queue_depth,
             persist: None,
         },
@@ -247,7 +246,6 @@ fn capabilities_reflect_configuration() {
         },
         ServiceConfig {
             queue_depth: 17,
-            workers: 3,
             persist: None,
         },
     );
@@ -256,7 +254,7 @@ fn capabilities_reflect_configuration() {
     assert_eq!(caps.workers, 3);
     assert!(caps.strategies.contains(&"sap".to_string()));
     assert!(caps.strategies.contains(&"trivial".to_string()));
-    assert_eq!(caps.shards, EngineConfig::default().cache_shards as u64);
+    assert_eq!(caps.shards, engine::DEFAULT_SHARDS as u64);
     assert_eq!(
         caps.canon_budget,
         EngineConfig::default().canon.max_branches as u64

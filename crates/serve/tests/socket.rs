@@ -55,7 +55,6 @@ fn v2_session_over_tcp() {
     let service = Arc::new(Service::new(
         gated_engine(&gate, 1),
         ServiceConfig {
-            workers: 1,
             queue_depth: 2,
             persist: None,
         },

@@ -21,7 +21,6 @@ fn schedules_in_flight_add_no_threads() {
     let service = Arc::new(Service::new(
         gated_engine(&gate, 1),
         ServiceConfig {
-            workers: 1,
             queue_depth: CONNECTIONS * MAX_ACTIVE_SCHEDULES + 1,
             persist: None,
         },

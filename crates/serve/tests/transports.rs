@@ -57,10 +57,7 @@ fn service() -> Arc<Service> {
             workers: 1,
             ..EngineConfig::default()
         },
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
     ))
 }
 
