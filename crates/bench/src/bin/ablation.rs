@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use ebmf::gen::{gap_benchmark, random_benchmark, Benchmark};
-use ebmf::{binary_rank, row_packing, EbmfEncoder, PackingConfig, RowOrder};
+use ebmf::{binary_rank, row_packing, EbmfEncoder, EncoderOptions, PackingConfig, RowOrder};
 
 fn variant_configs() -> Vec<(&'static str, PackingConfig)> {
     let base = PackingConfig {
@@ -105,7 +105,11 @@ fn main() {
         }
         let time_solve = |sb: bool| {
             let t = Instant::now();
-            let mut enc = EbmfEncoder::with_options(&bench.matrix, None, opt - 1, sb);
+            let options = EncoderOptions {
+                symmetry_breaking: sb,
+                ..EncoderOptions::new(opt - 1)
+            };
+            let mut enc = EbmfEncoder::with_encoder_options(&bench.matrix, None, options);
             let r = enc.solve();
             assert!(r.is_unsat(), "b = r_B - 1 must be UNSAT");
             t.elapsed().as_secs_f64()

@@ -44,8 +44,8 @@ use std::time::Instant;
 
 use bitmatrix::BitMatrix;
 use ebmf::gen::{gap_benchmark, random_benchmark};
-use engine::protocol::{JobRequest, JobResponse, SummaryFrame};
 use engine::{Engine, EngineConfig};
+use proto::{JobRequest, JobResponse, SummaryFrame};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serve::{
@@ -613,7 +613,7 @@ struct TrafficScheduleMetrics {
 }
 
 fn traffic_schedule_phase(workers: usize) -> TrafficScheduleMetrics {
-    use engine::protocol::{ScheduleRequest, ScheduleSummary};
+    use proto::{ScheduleRequest, ScheduleSummary};
 
     let layers = traffic::circuit_layers(8, 8, 12);
     let fresh_service = || {
@@ -1355,7 +1355,7 @@ fn check_baseline(
             return false;
         }
     };
-    let json = match engine::protocol::parse_json(&text) {
+    let json = match proto::parse_json(&text) {
         Ok(json) => json,
         Err(e) => {
             eprintln!("FAIL: baseline {path} is not valid JSON: {e}");

@@ -3,13 +3,16 @@
 //! formatters used by the `table1` / `figure4` / `ablation` /
 //! `fig5b_conjecture` / `tensor_bounds` binaries.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bitmatrix::{random_permutation, BitMatrix};
 use ebmf::gen::{table1_suite, Benchmark};
-use ebmf::{row_packing_once, sap, trivial_partition, PackingConfig, Partition, SapConfig};
+use ebmf::{
+    row_packing_once, sap, trivial_partition, PackingConfig, Partition, SapConfig, SapSession,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sat::CancelToken;
 
 /// The packing-trial checkpoints of the paper's Table I columns.
 pub const TRIAL_CHECKPOINTS: [usize; 4] = [1, 10, 100, 1000];
@@ -75,13 +78,24 @@ pub fn packing_progression(m: &BitMatrix, checkpoints: &[usize], seed: u64) -> V
     out
 }
 
-/// Runs the full measurement for one instance. `sap_cfg` controls the exact
-/// phase (set `max_sat_cells` to skip it for the 100×100 family).
-pub fn evaluate_case(bench: &Benchmark, sap_cfg: &SapConfig) -> CaseResult {
+/// Runs the full measurement for one instance: SAP under `sap_cfg`, with
+/// `sat_limit` bounding its SAT phase alone — a deadline token started
+/// once packing and the floor are done, which replaces `sap_cfg.cancel`.
+/// `Some(Duration::ZERO)` skips the SAT phase (the token has tripped
+/// before it starts); the paper does so for its 100×100 family.
+pub fn evaluate_case(
+    bench: &Benchmark,
+    sap_cfg: &SapConfig,
+    sat_limit: Option<Duration>,
+) -> CaseResult {
     let m = &bench.matrix;
     let trivial = trivial_partition(m).len();
     let packing = packing_progression(m, &TRIAL_CHECKPOINTS, bench.seed ^ 0xABCD);
-    let outcome = sap(m, sap_cfg);
+    let mut session = SapSession::new(m, sap_cfg);
+    let outcome = session.run(&SapConfig {
+        cancel: sat_limit.map(|limit| CancelToken::with_deadline(Instant::now() + limit)),
+        ..sap_cfg.clone()
+    });
     let optimal = if outcome.proved_optimal {
         Some(outcome.depth())
     } else {
@@ -236,8 +250,9 @@ pub fn render_figure4(results: &mut Vec<(String, CaseResult)>, top: usize) -> St
 /// Runs the complete Table I experiment.
 ///
 /// `per_cell` instances per parameter cell (paper: 10) and `gap_cases` per
-/// gap family (paper: 100); lower both for a quick pass. SAT certification
-/// runs only for matrices with at most `sat_row_limit` rows — the paper
+/// gap family (paper: 100); lower both for a quick pass. `time_limit`
+/// bounds each instance's SAT phase (see [`evaluate_case`]), which runs
+/// only for matrices with at most `sat_row_limit` rows — the paper
 /// certifies its ≤ 10-row sets and declares 100×100 "too large for SMT".
 pub fn run_table1(
     per_cell: usize,
@@ -252,7 +267,6 @@ pub fn run_table1(
     for (set, benches) in &suite {
         let mut results = Vec::with_capacity(benches.len());
         for bench in benches {
-            let skip_sat = bench.matrix.nrows() > sat_row_limit;
             let cfg = SapConfig {
                 packing: PackingConfig {
                     trials: 100,
@@ -260,11 +274,14 @@ pub fn run_table1(
                     ..PackingConfig::default()
                 },
                 conflict_budget: budget,
-                time_limit,
-                max_sat_cells: if skip_sat { Some(0) } else { None },
                 ..SapConfig::default()
             };
-            let r = evaluate_case(bench, &cfg);
+            let sat_limit = if bench.matrix.nrows() > sat_row_limit {
+                Some(Duration::ZERO)
+            } else {
+                time_limit
+            };
+            let r = evaluate_case(bench, &cfg, sat_limit);
             all_cases.push((set.clone(), r.clone()));
             results.push(r);
         }
@@ -296,7 +313,7 @@ mod tests {
     #[test]
     fn evaluate_known_optimal_case() {
         let (bench, _) = known_optimal_benchmark(8, 8, 4, 9);
-        let r = evaluate_case(&bench, &SapConfig::default());
+        let r = evaluate_case(&bench, &SapConfig::default(), None);
         assert_eq!(r.optimal, Some(4));
         assert_eq!(r.real_rank, 4);
         assert!(r.rank_exact);
@@ -306,7 +323,7 @@ mod tests {
     fn evaluate_gap_case_exceeds_rank() {
         // Gap instances are built so that r_B > rank_ℝ (usually).
         let bench = gap_benchmark(8, 8, 3, 5);
-        let r = evaluate_case(&bench, &SapConfig::default());
+        let r = evaluate_case(&bench, &SapConfig::default(), None);
         let rb = r.optimal.expect("small case must be certified");
         assert!(rb >= r.real_rank);
     }
@@ -314,7 +331,7 @@ mod tests {
     #[test]
     fn aggregate_percentages() {
         let (bench, _) = known_optimal_benchmark(6, 6, 3, 1);
-        let r = evaluate_case(&bench, &SapConfig::default());
+        let r = evaluate_case(&bench, &SapConfig::default(), None);
         let row = aggregate("test", &[r]);
         assert_eq!(row.cases, 1);
         assert_eq!(row.proved, 1);
@@ -327,7 +344,7 @@ mod tests {
     #[test]
     fn render_table_contains_sets() {
         let (bench, _) = known_optimal_benchmark(6, 6, 2, 2);
-        let r = evaluate_case(&bench, &SapConfig::default());
+        let r = evaluate_case(&bench, &SapConfig::default(), None);
         let row = aggregate("10x10, opt", &[r]);
         let s = render_table1(&[row]);
         assert!(s.contains("10x10, opt"));
@@ -365,5 +382,11 @@ mod tests {
         assert_eq!(opt_row.proved, opt_row.cases);
         assert_eq!(opt_row.trivial_pct, 100.0);
         assert_eq!(*opt_row.packing_pct.last().unwrap(), 100.0);
+        // Beyond `sat_row_limit` rows the SAT phase is skipped.
+        let wide: Vec<_> = cases
+            .iter()
+            .filter(|(_, c)| c.params.starts_with("100x100"))
+            .collect();
+        assert!(!wide.is_empty() && wide.iter().all(|(_, c)| c.sat_queries == 0));
     }
 }

@@ -401,7 +401,7 @@ fn cmd_schedule(m: &BitMatrix, rest: &[String]) -> Result<String, String> {
 /// plus the trailing summary. The server solves the layers sequentially
 /// against its shared warm cache, so repeated masks report cache hits.
 fn schedule_over_socket(schedule: &AddressingSchedule, addr: &str) -> Result<String, String> {
-    use engine::protocol::{JobResponse, ScheduleRequest, ScheduleSummary};
+    use proto::{JobResponse, ScheduleRequest, ScheduleSummary};
 
     let layers = qaddress::schedule_to_jobs(schedule);
     let total = layers.len();
@@ -1178,7 +1178,7 @@ mod tests {
 
         let mut seen = std::collections::BTreeMap::new();
         for line in &lines[..3] {
-            let resp = ::engine::protocol::JobResponse::parse_line(line).unwrap();
+            let resp = ::proto::JobResponse::parse_line(line).unwrap();
             assert!(resp.ok, "{line}");
             seen.insert(resp.id.clone(), resp);
         }
@@ -1350,7 +1350,7 @@ mod tests {
         assert_eq!(out.code, 0, "{}", out.stdout);
         assert_eq!(out.stdout.lines().count(), 10);
         for line in out.stdout.lines() {
-            let req = ::engine::protocol::JobRequest::parse_line(line, 0).unwrap();
+            let req = ::proto::JobRequest::parse_line(line, 0).unwrap();
             assert!(req.id.starts_with("zipf-"), "{}", req.id);
         }
         // Same flags, same bytes.
@@ -1432,7 +1432,7 @@ mod tests {
         // Run one SAT-needing job (Fig. 1b: floor 4, depth 5) and drain:
         // the shutdown snapshot must land in the state dir.
         let resp = service
-            .submit(::engine::protocol::JobRequest::new(
+            .submit(::proto::JobRequest::new(
                 "p",
                 FIG1B.trim_end().parse().unwrap(),
             ))

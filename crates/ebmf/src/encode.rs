@@ -32,17 +32,6 @@ use sat::{CancelToken, SolveResult, Solver, SolverStats, Var};
 
 use crate::{Partition, Rectangle};
 
-/// Classification of grid cells for the encoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellStatus {
-    /// Must be covered exactly once.
-    One(usize), // cell index
-    /// Must never be covered.
-    Zero,
-    /// May be covered any number of times (vacancy).
-    DontCare,
-}
-
 /// How the per-cell at-most-one-label constraint is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AmoEncoding {
@@ -55,7 +44,9 @@ pub enum AmoEncoding {
     Sequential,
 }
 
-/// Full encoder configuration (used by [`EbmfEncoder::with_encoder_options`]).
+/// The encoder's configuration. [`EbmfEncoder::new`] and
+/// [`EbmfEncoder::with_dont_cares`] build with [`EncoderOptions::new`];
+/// [`EbmfEncoder::with_encoder_options`] takes any value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncoderOptions {
     /// The label bound `b` of the query `r_B(M) ≤ b`.
@@ -78,8 +69,8 @@ pub struct EncoderOptions {
 }
 
 impl EncoderOptions {
-    /// Defaults matching [`EbmfEncoder::new`]: symmetry breaking on,
-    /// pairwise AMO.
+    /// The defaults [`EbmfEncoder::new`] builds with: symmetry breaking
+    /// on, pairwise AMO, no proof logging, permanent-clause bounds.
     pub fn new(bound: usize) -> Self {
         EncoderOptions {
             bound,
@@ -125,8 +116,6 @@ pub struct EbmfEncoder {
     shape: (usize, usize),
     /// 1-cells in row-major order.
     cells: Vec<(usize, usize)>,
-    /// Status of every grid cell (indexing 1-cells).
-    status: Vec<Vec<CellStatus>>,
     /// Labels allocated at construction.
     capacity: usize,
     /// Labels currently allowed (`narrow` lowers this).
@@ -150,7 +139,7 @@ impl EbmfEncoder {
     ///
     /// Panics if `bound == 0` while `m` has at least one 1-cell.
     pub fn new(m: &BitMatrix, bound: usize) -> Self {
-        Self::with_options(m, None, bound, true)
+        Self::with_encoder_options(m, None, EncoderOptions::new(bound))
     }
 
     /// Like [`EbmfEncoder::new`] but cells set in `dont_care` are vacancies:
@@ -161,34 +150,10 @@ impl EbmfEncoder {
     ///
     /// Panics on shape mismatch or on a cell that is both 1 and don't-care.
     pub fn with_dont_cares(m: &BitMatrix, dont_care: &BitMatrix, bound: usize) -> Self {
-        Self::with_options(m, Some(dont_care), bound, true)
+        Self::with_encoder_options(m, Some(dont_care), EncoderOptions::new(bound))
     }
 
-    /// Constructor with symmetry-breaking control (pairwise AMO); kept for
-    /// the ablation benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// See [`EbmfEncoder::new`] / [`EbmfEncoder::with_dont_cares`].
-    pub fn with_options(
-        m: &BitMatrix,
-        dont_care: Option<&BitMatrix>,
-        bound: usize,
-        symmetry_breaking: bool,
-    ) -> Self {
-        Self::with_encoder_options(
-            m,
-            dont_care,
-            EncoderOptions {
-                bound,
-                symmetry_breaking,
-                ..EncoderOptions::new(bound)
-            },
-        )
-    }
-
-    /// Full-control constructor: bound, symmetry breaking and the
-    /// at-most-one encoding (see [`EncoderOptions`]).
+    /// Full-control constructor: every field of [`EncoderOptions`].
     ///
     /// # Panics
     ///
@@ -239,15 +204,6 @@ impl EbmfEncoder {
             bound > 0 || cells.is_empty(),
             "bound 0 with nonempty matrix is trivially UNSAT; handle upstream"
         );
-        let mut status = vec![vec![CellStatus::Zero; ncols]; nrows];
-        for (e, &(i, j)) in cells.iter().enumerate() {
-            status[i][j] = CellStatus::One(e);
-        }
-        if let Some(dc) = dont_care {
-            for (i, j) in dc.ones_positions() {
-                status[i][j] = CellStatus::DontCare;
-            }
-        }
 
         let t = cells.len();
         let mut solver = Solver::new();
@@ -433,7 +389,6 @@ impl EbmfEncoder {
             solver,
             shape: (nrows, ncols),
             cells,
-            status,
             capacity: bound,
             bound,
             vars,
@@ -472,18 +427,7 @@ impl EbmfEncoder {
     /// Returns a description of the structural problem; the encoding is
     /// unchanged in that case.
     pub fn import_core(&mut self, core: &[Vec<i64>]) -> Result<usize, String> {
-        let nvars = self.solver.num_vars() as i64;
-        let mut lits: Vec<Vec<sat::Lit>> = Vec::with_capacity(core.len());
-        for clause in core {
-            let mut out = Vec::with_capacity(clause.len());
-            for &v in clause {
-                if v == 0 || v.unsigned_abs() > nvars as u64 {
-                    return Err(format!("core literal {v} out of range (±1..={nvars})"));
-                }
-                out.push(sat::Lit::from_dimacs(v));
-            }
-            lits.push(out);
-        }
+        let lits = self.decode_core(core)?;
         self.solver.import_core(&lits)
     }
 
@@ -499,19 +443,27 @@ impl EbmfEncoder {
     /// Returns a description of the structural problem (zero or out-of-range
     /// literals); the encoding is unchanged in that case.
     pub fn import_core_derived(&mut self, core: &[Vec<i64>], effort: u64) -> Result<usize, String> {
-        let nvars = self.solver.num_vars() as i64;
-        let mut lits: Vec<Vec<sat::Lit>> = Vec::with_capacity(core.len());
-        for clause in core {
-            let mut out = Vec::with_capacity(clause.len());
-            for &v in clause {
-                if v == 0 || v.unsigned_abs() > nvars as u64 {
-                    return Err(format!("core literal {v} out of range (±1..={nvars})"));
-                }
-                out.push(sat::Lit::from_dimacs(v));
-            }
-            lits.push(out);
-        }
+        let lits = self.decode_core(core)?;
         self.solver.import_core_derived(&lits, effort)
+    }
+
+    /// Decodes a DIMACS-coded core into solver literals, rejecting it
+    /// wholesale on a zero or out-of-range literal.
+    fn decode_core(&self, core: &[Vec<i64>]) -> Result<Vec<Vec<sat::Lit>>, String> {
+        let nvars = self.solver.num_vars() as u64;
+        core.iter()
+            .map(|clause| {
+                clause
+                    .iter()
+                    .map(|&v| {
+                        if v == 0 || v.unsigned_abs() > nvars {
+                            return Err(format!("core literal {v} out of range (±1..={nvars})"));
+                        }
+                        Ok(sat::Lit::from_dimacs(v))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// A self-contained refutation of the last UNSAT answer (see
@@ -674,11 +626,6 @@ impl EbmfEncoder {
         }
         p
     }
-
-    /// Whether cell `(i, j)` is a don't-care for this encoder.
-    pub fn is_dont_care(&self, i: usize, j: usize) -> bool {
-        self.status[i][j] == CellStatus::DontCare
-    }
 }
 
 #[cfg(test)]
@@ -754,8 +701,16 @@ mod tests {
     fn symmetry_breaking_preserves_answers() {
         let m: BitMatrix = "1101\n0111\n1011".parse().unwrap();
         for b in 1..=5 {
-            let with = EbmfEncoder::with_options(&m, None, b, true).solve();
-            let without = EbmfEncoder::with_options(&m, None, b, false).solve();
+            let with = EbmfEncoder::new(&m, b).solve();
+            let without = EbmfEncoder::with_encoder_options(
+                &m,
+                None,
+                EncoderOptions {
+                    symmetry_breaking: false,
+                    ..EncoderOptions::new(b)
+                },
+            )
+            .solve();
             assert_eq!(with, without, "bound {b}");
         }
     }
@@ -788,7 +743,7 @@ mod tests {
         // The rectangle geometrically covers the don't-care corners —
         // allowed; validation against the care-matrix is done by
         // `completion::validate_completion`.
-        assert!(enc.is_dont_care(0, 1));
+        assert!(p.iter().next().is_some_and(|r| r.contains(0, 1)));
     }
 
     #[test]
@@ -974,7 +929,14 @@ mod tests {
     fn conflict_budget_gives_unknown() {
         // A hard UNSAT instance (identity 6 with bound 5 is pigeonhole-ish).
         let m = BitMatrix::identity(6);
-        let mut enc = EbmfEncoder::with_options(&m, None, 5, false);
+        let mut enc = EbmfEncoder::with_encoder_options(
+            &m,
+            None,
+            EncoderOptions {
+                symmetry_breaking: false,
+                ..EncoderOptions::new(5)
+            },
+        );
         enc.set_conflict_budget(Some(1));
         assert_eq!(enc.solve(), SolveResult::Unknown);
     }

@@ -18,7 +18,8 @@
 //! * [`EbmfEncoder`] — the Eq. 4 decision problem `r_B(M) ≤ b` as CNF with
 //!   value-precedence symmetry breaking and don't-care support;
 //! * [`sap`] — Algorithm 1: packing upper bound, real-rank floor (Eq. 3),
-//!   descending incremental SAT queries, anytime incumbent;
+//!   descending incremental SAT queries, and the incumbent as the anytime
+//!   answer once the conflict budget or the cancel token stops them;
 //! * [`gen`](mod@gen) — the three Table I benchmark families;
 //! * [`tensor_partition`] / [`tensor_bounds`] — the §V FTQC two-level
 //!   structure and the Eq. 5 sandwich;

@@ -8,7 +8,7 @@
 //! hit (the incumbent is returned as the best-so-far, exactly the anytime
 //! behaviour the paper highlights for its Figure 4 cases).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bitmatrix::{BitMatrix, BitVec};
 use linalg::RealRank;
@@ -18,21 +18,15 @@ use crate::{
     lower_bound, row_packing, EbmfEncoder, LowerBound, PackingConfig, Partition, Rectangle,
 };
 
-/// Configuration of the [`sap`] solver.
+/// Configuration of the [`sap`] solver. The SAT phase stops on its
+/// per-query [`SapConfig::conflict_budget`] or on [`SapConfig::cancel`],
+/// which also carries any wall-clock limit ([`CancelToken::with_deadline`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SapConfig {
     /// Configuration of the row-packing phase.
     pub packing: PackingConfig,
-    /// Include the greedy fooling-set bound in the termination bound.
-    /// Off by default: the paper's Algorithm 1 terminates on the real rank.
-    pub use_fooling_bound: bool,
     /// Conflict budget per SAT query (`None` = run to completion).
     pub conflict_budget: Option<u64>,
-    /// Wall-clock limit for the whole SAT phase, checked between queries.
-    pub time_limit: Option<Duration>,
-    /// Skip the SAT phase entirely when the matrix has more 1-cells than
-    /// this (the paper's 100×100 instances are "too large for SMT").
-    pub max_sat_cells: Option<usize>,
     /// Record a clausal proof, exported as a self-contained DRAT refutation
     /// in [`SapOutcome::certificate`] whenever optimality is concluded from
     /// an UNSAT answer. Works on warm (resumed / rehydrated) sessions too:
@@ -41,10 +35,12 @@ pub struct SapConfig {
     /// rebuild, so the trace stays self-justifying.
     pub certify: bool,
     /// Cooperative cancellation: when the token trips, the SAT phase stops
-    /// at its next conflict or decision (even mid-query) and the best
-    /// incumbent found so far is returned. `None` disables the hook. This is
-    /// how the `rect-addr-engine` portfolio runner reclaims a worker whose
-    /// time budget expired.
+    /// at its next conflict or decision (even mid-query or mid-build) and
+    /// the best incumbent found so far is returned; a token tripped before
+    /// [`SapSession::run`] starts skips the phase without building an
+    /// encoder. `None` disables the hook. This is how the
+    /// `rect-addr-engine` pipeline reclaims a worker whose time budget
+    /// expired.
     pub cancel: Option<CancelToken>,
 }
 
@@ -219,14 +215,15 @@ pub struct SessionExport {
 }
 
 impl SapSession {
-    /// Creates a session: runs row packing and the lower bounds, but no SAT.
+    /// Creates a session: runs row packing and the real-rank floor, but no
+    /// SAT.
     pub fn new(m: &BitMatrix, config: &SapConfig) -> Self {
         let t0 = Instant::now();
         let best = row_packing(m, &config.packing);
         let packing_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let lb = lower_bound(m, config.use_fooling_bound);
+        let lb = lower_bound(m, false);
         let bound_seconds = t1.elapsed().as_secs_f64();
 
         SapSession {
@@ -423,19 +420,24 @@ impl SapSession {
     }
 
     /// Runs (or resumes) the depth descent under `config`'s budgets and
-    /// returns the current outcome. Proved sessions return immediately.
+    /// returns the current outcome. Proved sessions return immediately, and
+    /// so does a run whose `config.cancel` has already tripped: it builds
+    /// no encoder.
     pub fn run(&mut self, config: &SapConfig) -> SapOutcome {
         let mut stats = SapStats {
             packing_seconds: std::mem::take(&mut self.packing_seconds),
             bound_seconds: std::mem::take(&mut self.bound_seconds),
             ..SapStats::default()
         };
-        let skip_sat = config
-            .max_sat_cells
-            .is_some_and(|max| self.m.count_ones() > max);
+        let cancelled = || {
+            config
+                .cancel
+                .as_ref()
+                .is_some_and(CancelToken::is_cancelled)
+        };
 
         let mut certificate = None;
-        if !self.proved && !skip_sat && self.best.len() > 1 {
+        if !self.proved && !cancelled() && self.best.len() > 1 {
             let sat_start = Instant::now();
             // A certificate needs every lemma in one trace: an encoder that
             // learnt without logging hands its core to a logging rebuild,
@@ -464,11 +466,7 @@ impl SapSession {
                         self.proved = true; // |best| == lb.value: matches the floor
                         break;
                     }
-                    if config
-                        .cancel
-                        .as_ref()
-                        .is_some_and(CancelToken::is_cancelled)
-                    {
+                    if cancelled() {
                         break; // anytime exit: keep the incumbent, optimality unproved
                     }
                     let stats_before = encoder.solver_stats();
@@ -511,11 +509,6 @@ impl SapSession {
                         }
                         SolveResult::Unknown => break, // budget exhausted: anytime exit
                     }
-                    if let Some(limit) = config.time_limit {
-                        if sat_start.elapsed() > limit {
-                            break;
-                        }
-                    }
                 }
             }
             stats.sat_seconds = sat_start.elapsed().as_secs_f64();
@@ -536,8 +529,7 @@ impl SapSession {
 /// Runs SAP (paper Algorithm 1) on `m`.
 ///
 /// 1. Row packing provides a valid EBMF `P` (upper bound).
-/// 2. The real rank (and optional extra bounds) provides the termination
-///    floor (paper Eq. 3).
+/// 2. The real rank provides the termination floor (paper Eq. 3).
 /// 3. A SAT encoder is built for `b = |P| − 1` and the bound is narrowed
 ///    after every satisfiable query; the incumbent is updated so an
 ///    interrupt at any time still returns the best solution found.
@@ -630,39 +622,22 @@ mod tests {
     }
 
     #[test]
-    fn max_sat_cells_skips_exact_phase() {
-        let m: BitMatrix = "101100\n010011\n101010\n010101\n111000\n000111"
-            .parse()
-            .unwrap();
-        let cfg = SapConfig {
-            max_sat_cells: Some(1),
-            ..SapConfig::default()
-        };
-        let out = sap(&m, &cfg);
-        assert!(out.stats.queries.is_empty(), "SAT phase must be skipped");
-        assert!(out.partition.validate(&m).is_ok());
-    }
-
-    #[test]
     fn stats_record_queries() {
         let m = BitMatrix::identity(4); // packing finds 4 = rank: no SAT needed
         let out = sap(&m, &SapConfig::default());
         assert!(out.proved_optimal);
         assert!(out.stats.queries.is_empty());
 
-        // Eq. (2) has rank 3 and the heuristic finds 3: also no SAT needed.
-        // Force a SAT descent with a matrix whose packing result exceeds the
-        // rank bound … the Fig. 1b matrix packs to 5 but has rank 5? Its
-        // rank is 5, so again no queries if packing reaches 5. Use a gap
-        // matrix: rank 2, r_B 3.
-        let gap: BitMatrix = "1100\n0011\n1111\n1010".parse().unwrap();
-        let out2 = sap(&gap, &SapConfig::default());
-        assert!(out2.proved_optimal);
-        if out2.depth() > out2.lower_bound.value {
-            assert!(!out2.stats.queries.is_empty());
-            let last = out2.stats.queries.last().unwrap();
-            assert_eq!(last.result, SolveResult::Unsat);
-        }
+        // Fig. 1b has real rank 4 but binary rank 5: optimality needs the
+        // SAT descent, which ends with UNSAT at bound 4.
+        let fig1b: BitMatrix = "101100\n010011\n101010\n010101\n111000\n000111"
+            .parse()
+            .unwrap();
+        let out = sap(&fig1b, &SapConfig::default());
+        assert!(out.proved_optimal);
+        assert_eq!((out.lower_bound.value, out.depth()), (4, 5));
+        let last = out.stats.queries.last().expect("the descent queried SAT");
+        assert_eq!((last.bound, last.result), (4, SolveResult::Unsat));
     }
 
     #[test]
@@ -814,6 +789,28 @@ mod tests {
         // and optimality was not claimed via SAT.
         assert!(out.partition.validate(&m).is_ok());
         assert!(out.stats.queries.is_empty());
+        assert!(!out.proved_optimal);
+    }
+
+    /// Skipping the exact phase outright (the Table I harness does so for
+    /// its 100×100 family) is an already-cancelled token: the session keeps
+    /// its packing incumbent without querying SAT or building an encoder.
+    #[test]
+    fn max_sat_cells_skips_exact_phase() {
+        let m: BitMatrix = "101100\n010011\n101010\n010101\n111000\n000111"
+            .parse()
+            .unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let cfg = SapConfig {
+            cancel: Some(token),
+            ..SapConfig::default()
+        };
+        let mut session = SapSession::new(&m, &cfg);
+        let out = session.run(&cfg);
+        assert!(out.stats.queries.is_empty(), "SAT phase must be skipped");
+        assert_eq!(session.export(0).encoder_capacity, None);
+        assert!(out.partition.validate(&m).is_ok());
         assert!(!out.proved_optimal);
     }
 

@@ -168,12 +168,11 @@ pub struct FlightGuard<'a> {
 }
 
 impl FlightGuard<'_> {
-    /// Publishes the solve result: stores it (in canonical coordinates) and
-    /// wakes every waiter of this flight. If an out-of-band `insert` landed
-    /// a *better* entry for this key while the flight was open (possible
-    /// when the slot was evicted mid-improvement and re-led), the
-    /// better-result-wins rule of [`CanonicalCache::insert`] applies and the
-    /// waiters receive the winning entry.
+    /// Publishes the solve result through [`CanonicalCache::insert`]
+    /// (better-result-wins), which resolves this flight and wakes its
+    /// waiters. An out-of-band `insert` that landed on the flight while it
+    /// was open has resolved it already: a pending slot leaves the map only
+    /// through an `insert` or this guard's drop, never by eviction.
     pub fn complete(
         mut self,
         canon: &CanonicalForm,
@@ -182,41 +181,9 @@ impl FlightGuard<'_> {
         provenance: Provenance,
     ) {
         debug_assert_eq!(canon.key(), self.key, "guard used with a different key");
-        let entry = StoredEntry {
-            partition: canon.partition_to_canonical(partition),
-            proved_optimal,
-            provenance,
-        };
         self.done = true;
-        let shard = &self.cache.shards[self.shard];
-        let published = {
-            let mut map = shard.map.lock().expect("cache shard poisoned");
-            map.tick += 1;
-            let tick = map.tick;
-            match map.entries.get_mut(&self.key) {
-                Some(Slot::Ready {
-                    entry: existing,
-                    last_used,
-                }) => {
-                    if better_than(&entry, existing) {
-                        *existing = entry;
-                    }
-                    *last_used = tick;
-                    existing.clone()
-                }
-                _ => {
-                    map.entries.insert(
-                        self.key.clone(),
-                        Slot::Ready {
-                            entry: entry.clone(),
-                            last_used: tick,
-                        },
-                    );
-                    entry
-                }
-            }
-        };
-        self.flight.resolve(Some(published));
+        self.cache
+            .insert(canon, partition, proved_optimal, provenance);
     }
 }
 
@@ -415,40 +382,12 @@ impl CanonicalCache {
         }
     }
 
-    /// Non-blocking lookup: answers from a ready entry, counting pending
-    /// flights (and absences) as misses. The shard mutex guards only the map
-    /// access; permutation mapping happens after unlock.
-    pub fn get(&self, canon: &CanonicalForm) -> Option<CachedOutcome> {
-        self.note_canon(canon);
-        let shard = &self.shards[self.shard_of(canon.key())];
-        let entry = {
-            let mut map = shard.map.lock().expect("cache shard poisoned");
-            map.tick += 1;
-            let tick = map.tick;
-            match map.entries.get_mut(canon.key()) {
-                Some(Slot::Ready { entry, last_used }) => {
-                    *last_used = tick;
-                    Some(entry.clone())
-                }
-                _ => None,
-            }
-        };
-        match entry {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Self::map_outcome(canon, &entry))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Single-flight lookup: a ready entry answers immediately; a pending
-    /// flight **blocks** until its leader publishes (the wait is counted as
-    /// a hit); a genuine miss registers a pending entry and returns a
-    /// [`FlightGuard`] making the caller the leader.
+    /// The cache's lookup, single-flight: a ready entry answers
+    /// immediately; a pending flight **blocks** until its leader publishes
+    /// (the wait is counted as a hit); a genuine miss registers a pending
+    /// entry and returns a [`FlightGuard`] making the caller the leader.
+    /// The shard mutex guards only the map access; permutation mapping
+    /// happens after unlock.
     pub fn begin(&self, canon: &CanonicalForm) -> CacheDecision<'_> {
         let lookup_start = std::time::Instant::now();
         let lookup_hist = obs::registry().histogram(obs::names::CACHE_LOOKUP_US);
@@ -607,6 +546,15 @@ mod tests {
     use bitmatrix::BitMatrix;
     use ebmf::{row_packing, PackingConfig};
 
+    /// A lookup through [`CanonicalCache::begin`] that gives up the flight
+    /// of a miss: dropping its guard aborts the flight.
+    fn lookup(cache: &CanonicalCache, canon: &CanonicalForm) -> Option<CachedOutcome> {
+        match cache.begin(canon) {
+            CacheDecision::Hit { outcome, .. } => Some(outcome),
+            CacheDecision::Miss(_) => None,
+        }
+    }
+
     #[test]
     fn miss_then_hit_on_permuted_duplicate() {
         let cache = CanonicalCache::new(64);
@@ -614,7 +562,8 @@ mod tests {
             .parse()
             .unwrap();
         let canon = canonical_form(&m);
-        assert!(cache.get(&canon).is_none());
+        assert!(lookup(&cache, &canon).is_none());
+        assert_eq!(cache.stats().entries, 0, "the aborted flight left nothing");
 
         let p = row_packing(&m, &PackingConfig::with_trials(8));
         cache.insert(&canon, &p, false, Provenance::Packing);
@@ -623,7 +572,7 @@ mod tests {
         // in *its* coordinates.
         let dup = m.submatrix(&[5, 0, 3, 2, 4, 1], &[1, 0, 2, 5, 4, 3]);
         let dup_canon = canonical_form(&dup);
-        let hit = cache.get(&dup_canon).expect("permuted duplicate must hit");
+        let hit = lookup(&cache, &dup_canon).expect("permuted duplicate must hit");
         assert!(hit.partition.validate(&dup).is_ok());
         assert_eq!(hit.partition.len(), p.len());
         assert_eq!(hit.provenance, Provenance::Packing);
@@ -645,7 +594,7 @@ mod tests {
             .unwrap();
         let canon = canonical_form_with(&m, &CanonOptions { max_branches: 0 });
         assert!(!canon.is_complete());
-        assert!(cache.get(&canon).is_none());
+        assert!(lookup(&cache, &canon).is_none());
         let stats = cache.stats();
         assert_eq!((stats.canon_complete, stats.canon_heuristic), (0, 1));
         assert_eq!(stats.canon_heuristic_keys, 1);
@@ -665,9 +614,9 @@ mod tests {
         let cid = canonical_form_with(&id2, &opts);
         assert!(!cm.is_complete() && !cid.is_complete());
         for _ in 0..3 {
-            let _ = cache.get(&cm);
+            lookup(&cache, &cm);
         }
-        let _ = cache.get(&cid);
+        lookup(&cache, &cid);
 
         let hot = cache.hot_heuristic_keys(10);
         assert_eq!(hot.len(), 2);
@@ -690,8 +639,8 @@ mod tests {
         let canon = canonical_form_with(&m, &CanonOptions { max_branches: 0 });
         assert!(!canon.is_complete());
         assert!(canon.key().len() > HEURISTIC_KEY_PREVIEW);
-        let _ = cache.get(&canon);
-        let _ = cache.get(&canon);
+        lookup(&cache, &canon);
+        lookup(&cache, &canon);
         let hot = cache.hot_heuristic_keys(4);
         assert_eq!(hot.len(), 1);
         assert_eq!(hot[0].0.len(), HEURISTIC_KEY_PREVIEW, "preview bounded");
@@ -708,7 +657,7 @@ mod tests {
         cache.insert(&canon, &unproved, false, Provenance::Trivial);
         let best = row_packing(&m, &PackingConfig::with_trials(2));
         cache.insert(&canon, &best, true, Provenance::Sap);
-        let hit = cache.get(&canon).unwrap();
+        let hit = lookup(&cache, &canon).unwrap();
         assert!(hit.proved_optimal);
     }
 
@@ -722,15 +671,19 @@ mod tests {
         cache.insert(&ca, &ebmf::trivial_partition(&a), true, Provenance::Trivial);
         cache.insert(&cb, &ebmf::trivial_partition(&b), true, Provenance::Trivial);
         // Touch `a` so `b` is the LRU victim when `c` arrives.
-        assert!(cache.get(&ca).is_some());
+        assert!(lookup(&cache, &ca).is_some());
         cache.insert(&cc, &ebmf::trivial_partition(&c), true, Provenance::Trivial);
 
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
-        assert!(cache.get(&ca).is_some(), "recently-used entry survives");
-        assert!(cache.get(&cb).is_none(), "stalest entry was evicted");
-        assert!(cache.get(&cc).is_some(), "new entry was stored");
+        assert!(
+            lookup(&cache, &ca).is_some(),
+            "recently-used entry survives"
+        );
+        assert!(lookup(&cache, &cc).is_some(), "new entry was stored");
+        // Checked last: the miss makes room for its own flight.
+        assert!(lookup(&cache, &cb).is_none(), "stalest entry was evicted");
     }
 
     #[test]
@@ -774,7 +727,7 @@ mod tests {
             }
             CacheDecision::Hit { .. } => panic!("aborted flight must not publish"),
         }
-        assert!(cache.get(&canon).is_some());
+        assert!(lookup(&cache, &canon).is_some());
     }
 
     #[test]

@@ -11,8 +11,8 @@ use ebmf::Partition;
 use crate::cache::{CacheDecision, CacheStats, CanonicalCache};
 use crate::canon::{canonical_form_with, CanonOptions, CanonicalForm};
 use crate::portfolio::{race_strategies, PortfolioConfig, PortfolioOutcome, Provenance};
-use crate::protocol::{JobRequest, JobResponse};
 use crate::strategy::{SessionStore, SolveJob, Strategy};
+use proto::{JobRequest, JobResponse};
 
 /// Available CPUs per default worker (see [`EngineConfig::effective_workers`]).
 const CPUS_PER_WORKER: usize = 4;
@@ -372,7 +372,7 @@ impl Engine {
                 .collect(),
             error: None,
             timing: None,
-            certificate: out.certificate.map(|c| crate::protocol::Certificate {
+            certificate: out.certificate.map(|c| proto::Certificate {
                 bound: c.bound,
                 cnf: c.cnf,
                 drat: c.drat,

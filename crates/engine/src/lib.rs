@@ -30,9 +30,9 @@
 //!   canonical class: cache-adjacent jobs *resume* the incremental SAT
 //!   descent (learnt clauses retained) instead of re-encoding. A session
 //!   is parked once proved (without its encoding) or once its class
-//!   recurs;
+//!   recurs; a full store evicts the least recently parked session;
 //! * [`Engine`] — the cache-wrapped pipeline, solving one
-//!   [`protocol`] job at a time ([`Engine::solve_job`]). Streaming
+//!   [`proto`] job at a time ([`Engine::solve_job`]). Streaming
 //!   transports live one layer up: the `rect-addr-serve` crate's
 //!   `Service` facade multiplexes stdin/stdout and socket connections
 //!   onto one shared `Engine`, and the CLI exposes them as
@@ -61,10 +61,6 @@ mod engine;
 pub mod persist;
 mod portfolio;
 mod strategy;
-
-/// The wire protocol (re-exported from `rect-addr-proto`, where the
-/// versioned v1/v2 framing now lives).
-pub use proto as protocol;
 
 pub use cache::{
     CacheDecision, CacheStats, CachedOutcome, CanonicalCache, FlightGuard, DEFAULT_SHARDS,

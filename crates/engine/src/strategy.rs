@@ -8,6 +8,7 @@
 //! descent (learnt clauses, activities, incumbent) instead of re-encoding.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -39,8 +40,9 @@ pub struct SolveJob<'a> {
 /// Resource budget for one [`Strategy::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrategyBudget {
-    /// Wall-clock budget (enforced cooperatively via the cancel token by
-    /// the race driver; strategies also pass it down as a time limit).
+    /// Wall-clock budget. [`race_strategies`](crate::race_strategies)
+    /// enforces it through the deadline of the cancel token it hands every
+    /// phase; a strategy reads only the token.
     pub time: Option<Duration>,
     /// SAT conflict budget per query (`None` = unlimited).
     pub conflicts: Option<u64>,
@@ -177,11 +179,13 @@ enum SessionSlot {
 /// Bounded store of warm [`SapSession`]s keyed by canonical form.
 ///
 /// A session is *taken out* while a job runs it (so it is never shared
-/// between threads) and put back afterwards; the engine's single-flight
-/// cache ensures at most one job per canonical key is solving at a time, so
-/// a taken session is essentially never missed. When full, incoming
-/// sessions for new keys are dropped — a dropped session only costs a cold
-/// start, never correctness.
+/// between threads) and put back afterwards. Nothing stops two jobs of one
+/// class from solving at once: the engine re-races a cached unproved entry
+/// outside any single-flight, so a concurrent job of the class may find
+/// the session taken and start cold — which costs work, never
+/// correctness. When full, a new key's session evicts the least recently
+/// put one, so the store follows the classes that recur now, not the
+/// first `capacity` it saw.
 ///
 /// Entries restored from a snapshot ([`SessionStore::install_spilled`])
 /// stay in their serialized [`SessionExport`] form until their canonical
@@ -191,7 +195,10 @@ enum SessionSlot {
 /// cold-starts).
 #[derive(Debug)]
 pub struct SessionStore {
-    map: Mutex<HashMap<String, SessionSlot>>,
+    /// Each entry with the tick of the put (or install) that parked it.
+    map: Mutex<HashMap<String, (u64, SessionSlot)>>,
+    /// The next tick; advanced under the `map` lock.
+    ticks: AtomicU64,
     capacity: usize,
 }
 
@@ -200,6 +207,7 @@ impl SessionStore {
     pub fn new(capacity: usize) -> Self {
         SessionStore {
             map: Mutex::new(HashMap::new()),
+            ticks: AtomicU64::new(0),
             capacity,
         }
     }
@@ -209,7 +217,7 @@ impl SessionStore {
     /// bound (`None` if rehydration fails — the caller cold-starts, which
     /// is always sound).
     pub fn take(&self, key: &str, floor: LowerBound) -> Option<SapSession> {
-        let slot = self
+        let (_, slot) = self
             .map
             .lock()
             .expect("session store poisoned")
@@ -220,25 +228,41 @@ impl SessionStore {
         }
     }
 
-    /// Stores `session` under `key` (dropped when the store is full and the
-    /// key is new).
+    /// Stores `session` under `key`. A new key in a full store evicts the
+    /// least recently put session first.
     pub fn put(&self, key: &str, session: SapSession) {
         let mut map = self.map.lock().expect("session store poisoned");
-        if map.len() < self.capacity || map.contains_key(key) {
-            map.insert(key.to_string(), SessionSlot::Live(Box::new(session)));
+        if map.len() >= self.capacity && !map.contains_key(key) {
+            let Some(oldest) = map
+                .iter()
+                .min_by_key(|(_, (tick, _))| *tick)
+                .map(|(k, _)| k.clone())
+            else {
+                return; // capacity 0 keeps nothing
+            };
+            map.remove(&oldest);
         }
+        let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
+        map.insert(
+            key.to_string(),
+            (tick, SessionSlot::Live(Box::new(session))),
+        );
     }
 
     /// Installs a serialized session (snapshot restore path) without
-    /// rehydrating it; returns whether it was kept. Existing live entries
-    /// are never overwritten — a running server's in-memory state beats
-    /// the disk's — and a full store drops the newcomer.
+    /// rehydrating it; returns whether it was kept. It never overwrites
+    /// and never evicts: a running server's in-memory state beats the
+    /// disk's, and a full store drops the newcomer.
     pub fn install_spilled(&self, key: &str, export: SessionExport) -> bool {
         let mut map = self.map.lock().expect("session store poisoned");
         if map.contains_key(key) || map.len() >= self.capacity {
             return false;
         }
-        map.insert(key.to_string(), SessionSlot::Spilled(Box::new(export)));
+        let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
+        map.insert(
+            key.to_string(),
+            (tick, SessionSlot::Spilled(Box::new(export))),
+        );
         true
     }
 
@@ -251,7 +275,7 @@ impl SessionStore {
     pub fn export_all(&self) -> Vec<(String, SessionExport)> {
         let map = self.map.lock().expect("session store poisoned");
         map.iter()
-            .map(|(key, slot)| {
+            .map(|(key, (_, slot))| {
                 let export = match slot {
                     SessionSlot::Live(session) => session.export(DEFAULT_MAX_CORE_CLAUSES),
                     SessionSlot::Spilled(export) => (**export).clone(),
@@ -324,7 +348,6 @@ impl Strategy for SapStrategy {
     ) -> StrategyOutcome {
         let cfg = SapConfig {
             conflict_budget: budget.conflicts,
-            time_limit: budget.time,
             cancel: Some(cancel.clone()),
             certify: budget.certify,
             ..SapConfig::default()
@@ -388,7 +411,9 @@ impl Strategy for SapStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canon::canonical_form;
+    use crate::canon::{canonical_form, canonical_form_with};
+    use crate::persist::{load_snapshot, save_snapshot};
+    use crate::{Engine, EngineConfig, PortfolioConfig};
 
     fn fig1b() -> BitMatrix {
         "101100\n010011\n101010\n010101\n111000\n000111"
@@ -487,16 +512,88 @@ mod tests {
     }
 
     #[test]
-    fn session_store_drops_new_keys_when_full() {
-        let store = SessionStore::new(1);
+    fn session_store_evicts_the_least_recently_put_when_full() {
+        let store = SessionStore::new(2);
         let cfg = SapConfig::default();
-        let a = SapSession::new(&BitMatrix::identity(2), &cfg);
-        let b = SapSession::new(&BitMatrix::identity(3), &cfg);
-        store.put("a", a);
-        store.put("b", b);
-        assert_eq!(store.len(), 1);
+        let session = |n| SapSession::new(&BitMatrix::identity(n), &cfg);
         let floor = |n| lower_bound(&BitMatrix::identity(n), false);
+        store.put("a", session(2));
+        store.put("b", session(3));
+        // Taking and putting back makes "a" the most recently put.
+        let a = store.take("a", floor(2)).expect("parked");
+        store.put("a", a);
+        store.put("c", session(4));
+        assert_eq!(store.len(), 2);
+        assert!(
+            store.take("b", floor(3)).is_none(),
+            "least recently put goes"
+        );
         assert!(store.take("a", floor(2)).is_some());
-        assert!(store.take("b", floor(3)).is_none());
+        // A snapshot install never evicts: into a full store it is dropped.
+        store.put("a", session(2));
+        let export = session(5).export(0);
+        assert!(!store.install_spilled("d", export));
+        assert!(store.take("c", floor(4)).is_some());
+        let none = SessionStore::new(0);
+        none.put("a", session(2));
+        assert!(none.is_empty(), "capacity 0 keeps nothing");
+    }
+
+    /// An engine whose store holds two sessions, both of SAP-proved
+    /// classes (neither is proved by the real-rank floor).
+    fn full_store_engine() -> Engine {
+        let engine = Engine::new(EngineConfig {
+            warm_sessions: 2,
+            ..EngineConfig::default()
+        });
+        for m in [fig1b(), ebmf::gen::gap_benchmark(10, 10, 3, 6).matrix] {
+            let out = engine.solve(&m);
+            assert!(out.proved_optimal && out.provenance == Provenance::Sap);
+        }
+        assert_eq!(engine.warm_sessions(), 2);
+        engine
+    }
+
+    /// Solves an unproved class twice at one conflict per query, so its
+    /// second job recurs, and returns whether the store then holds that
+    /// class's unproved session.
+    fn recurring_class_is_parked(engine: &Engine) -> bool {
+        let m = ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix;
+        let portfolio = PortfolioConfig {
+            conflict_budget: Some(1),
+            ..engine.config().portfolio.clone()
+        };
+        for _ in 0..2 {
+            assert!(!engine.solve_with(&m, &portfolio).proved_optimal);
+        }
+        let key = canonical_form_with(&m, &engine.config().canon)
+            .key()
+            .to_string();
+        engine
+            .warm_store()
+            .expect("warm starts on")
+            .take(&key, lower_bound(&m, false))
+            .is_some_and(|session| !session.proved_optimal())
+    }
+
+    #[test]
+    fn proved_sessions_do_not_lock_a_recurring_class_out() {
+        assert!(recurring_class_is_parked(&full_store_engine()));
+    }
+
+    #[test]
+    fn restored_sessions_do_not_lock_a_recurring_class_out() {
+        let dir =
+            std::env::temp_dir().join(format!("rect-addr-store-eviction-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        save_snapshot(&dir, &full_store_engine()).expect("save");
+        let engine = Engine::new(EngineConfig {
+            warm_sessions: 2,
+            ..EngineConfig::default()
+        });
+        let restored = load_snapshot(&dir, &engine).expect("load");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(restored.sessions, 2, "the snapshot fills the store");
+        assert!(recurring_class_is_parked(&engine));
     }
 }

@@ -1,5 +1,5 @@
 //! Property test: a sharded cache is observationally identical to a
-//! single-shard cache. Random get/insert/begin-complete streams over a pool
+//! single-shard cache. Random lookup/insert/begin-complete streams over a pool
 //! of distinct matrices must produce byte-identical outcomes on both, as
 //! long as capacity is not exceeded (per-shard LRU order is shard-local, so
 //! equivalence is only promised below capacity).
@@ -26,12 +26,16 @@ fn render(outcome: Option<(Partition, bool, Provenance)>) -> String {
     }
 }
 
+/// A lookup that aborts the flight of a miss by dropping its guard.
 fn get_bytes(cache: &CanonicalCache, canon: &CanonicalForm) -> String {
-    render(
-        cache
-            .get(canon)
-            .map(|o| (o.partition, o.proved_optimal, o.provenance)),
-    )
+    render(match cache.begin(canon) {
+        CacheDecision::Hit { outcome, .. } => Some((
+            outcome.partition,
+            outcome.proved_optimal,
+            outcome.provenance,
+        )),
+        CacheDecision::Miss(_) => None,
+    })
 }
 
 /// One deterministic op applied identically to both caches.

@@ -6,8 +6,8 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use proto::JobRequest;
 use rect_addr_engine::persist::{load_snapshot, save_snapshot, snapshot_path, SnapshotError};
-use rect_addr_engine::protocol::JobRequest;
 use rect_addr_engine::{Engine, EngineConfig};
 
 fn engine() -> Engine {

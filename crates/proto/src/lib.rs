@@ -42,5 +42,5 @@ pub use frame::{
 };
 pub use job::{Certificate, ErrorKind, JobError, JobRequest, JobResponse, Timing};
 pub use json::{parse_json, write_json_string, Json};
-pub use line::{read_line_bounded, LineRead, MAX_LINE_BYTES, MAX_RESPONSE_LINE_BYTES};
+pub use line::{MAX_LINE_BYTES, MAX_RESPONSE_LINE_BYTES};
 pub use schedule::{ScheduleRequest, ScheduleSummary, MAX_SCHEDULE_LAYERS};

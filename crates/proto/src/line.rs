@@ -1,12 +1,6 @@
-//! Bounded line reading for JSON-lines transports.
-//!
-//! `BufRead::lines` buffers an entire line in memory before returning it,
-//! so a peer that streams bytes without ever sending a newline grows the
-//! reader's memory without limit. [`read_line_bounded`] reads through the
-//! stream's own buffer instead and gives up once a line exceeds the
-//! caller's cap — the transport answers a protocol error and closes.
-
-use std::io::{self, BufRead};
+//! Line caps of the JSON-lines transports. One line outgrowing its cap
+//! ends the connection: a peer that streams bytes without ever sending a
+//! newline must not grow the reader's memory without limit.
 
 /// Upper bound on one client→server wire line, in bytes (the newline
 /// excluded). Far above any real frame — a job line carries one matrix,
@@ -19,121 +13,3 @@ pub const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
 /// order of magnitude, so this is far looser than [`MAX_LINE_BYTES`]; it
 /// exists only to bound client memory against a broken server.
 pub const MAX_RESPONSE_LINE_BYTES: usize = 16 * MAX_LINE_BYTES;
-
-/// Outcome of one [`read_line_bounded`] call.
-#[derive(Debug)]
-pub enum LineRead {
-    /// A complete line, newline and trailing carriage return stripped.
-    Line(String),
-    /// End of stream with no pending bytes.
-    Eof,
-    /// The line outgrew the cap. The stream is mid-line and no longer
-    /// framed; the only safe continuation is to close it.
-    TooLong,
-}
-
-/// Reads one `\n`-terminated line of at most `max` bytes, accumulating
-/// through the reader's own buffer so memory use never exceeds the cap.
-/// A final unterminated line is returned as a [`LineRead::Line`] (the
-/// `BufRead::lines` convention); bytes that are not UTF-8 error with
-/// [`io::ErrorKind::InvalidData`], matching `BufRead::lines`.
-pub fn read_line_bounded<R: BufRead>(input: &mut R, max: usize) -> io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let chunk = input.fill_buf()?;
-        if chunk.is_empty() {
-            return if buf.is_empty() {
-                Ok(LineRead::Eof)
-            } else {
-                finish_line(buf)
-            };
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(nl) => {
-                if buf.len() + nl > max {
-                    return Ok(LineRead::TooLong);
-                }
-                buf.extend_from_slice(&chunk[..nl]);
-                input.consume(nl + 1);
-                return finish_line(buf);
-            }
-            None => {
-                let take = chunk.len();
-                if buf.len() + take > max {
-                    return Ok(LineRead::TooLong);
-                }
-                buf.extend_from_slice(chunk);
-                input.consume(take);
-            }
-        }
-    }
-}
-
-fn finish_line(mut buf: Vec<u8>) -> io::Result<LineRead> {
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf).map(LineRead::Line).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "stream did not contain valid UTF-8",
-        )
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn read_all(input: &[u8], max: usize) -> Vec<String> {
-        let mut reader = input;
-        let mut lines = Vec::new();
-        loop {
-            match read_line_bounded(&mut reader, max).unwrap() {
-                LineRead::Line(line) => lines.push(line),
-                LineRead::Eof => return lines,
-                LineRead::TooLong => panic!("unexpected TooLong"),
-            }
-        }
-    }
-
-    #[test]
-    fn reads_lines_like_buf_read_lines() {
-        assert_eq!(
-            read_all(b"a\nbb\r\n\nfinal-no-newline", 64),
-            ["a", "bb", "", "final-no-newline"]
-        );
-        assert_eq!(read_all(b"", 64), Vec::<String>::new());
-    }
-
-    #[test]
-    fn oversized_lines_stop_at_the_cap() {
-        // Terminated but over the cap.
-        let mut input: &[u8] = b"0123456789\n";
-        assert!(matches!(
-            read_line_bounded(&mut input, 4).unwrap(),
-            LineRead::TooLong
-        ));
-        // A newline-less stream stops accumulating at the cap even with a
-        // tiny underlying buffer (many fill_buf rounds).
-        let endless = vec![b'x'; 1024];
-        let mut reader = std::io::BufReader::with_capacity(16, &endless[..]);
-        assert!(matches!(
-            read_line_bounded(&mut reader, 100).unwrap(),
-            LineRead::TooLong
-        ));
-        // Exactly at the cap is fine.
-        let mut at_cap: &[u8] = b"abcd\n";
-        assert!(matches!(
-            read_line_bounded(&mut at_cap, 4).unwrap(),
-            LineRead::Line(l) if l == "abcd"
-        ));
-    }
-
-    #[test]
-    fn invalid_utf8_errors_like_lines() {
-        let mut input: &[u8] = b"\xff\xfe garbage\n";
-        let err = read_line_bounded(&mut input, 64).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-}

@@ -2,14 +2,68 @@
 //! the CLI's `client` subcommand, the benchmark's socket phase, the CI
 //! smoke test and the integration tests.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 
 use proto::{
-    read_line_bounded, ClientFrame, HelloAck, JobRequest, LineRead, MAX_LINE_BYTES,
-    MAX_RESPONSE_LINE_BYTES, PROTOCOL_VERSION,
+    ClientFrame, HelloAck, JobRequest, MAX_LINE_BYTES, MAX_RESPONSE_LINE_BYTES, PROTOCOL_VERSION,
 };
 
+use crate::session::{Frame, Framer};
 use crate::socket::{connect, BindAddr, SocketStream};
+
+/// Reads lines of at most `max` bytes through the server session's
+/// [`Framer`], so client and server frame by one set of rules: the byte
+/// cap, CRLF, UTF-8 and the unterminated final line.
+#[derive(Debug)]
+struct LineReader<R> {
+    input: R,
+    framer: Framer,
+    max: usize,
+    eof: bool,
+}
+
+impl<R: Read> LineReader<R> {
+    fn new(input: R, max: usize) -> Self {
+        LineReader {
+            input,
+            framer: Framer::default(),
+            max,
+            eof: false,
+        }
+    }
+
+    /// The next line, `None` at end of stream. A line over the cap (the
+    /// stream is then no longer framed) and bytes that are not UTF-8 are
+    /// [`io::ErrorKind::InvalidData`] errors.
+    fn next_line(&mut self) -> io::Result<Option<String>> {
+        let mut chunk = [0u8; 8192];
+        loop {
+            let mut line = None;
+            self.framer.drain(self.max, self.eof, |frame| {
+                line = Some(match frame {
+                    Frame::Line(line) => Ok(line.to_string()),
+                    Frame::TooLong => Err(format!("line exceeds {} bytes", self.max)),
+                    Frame::NotUtf8 => Err("stream did not contain valid UTF-8".to_string()),
+                });
+                false
+            });
+            if let Some(line) = line {
+                return line
+                    .map(Some)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+            }
+            if self.eof {
+                return Ok(None);
+            }
+            match self.input.read(&mut chunk) {
+                Ok(0) => self.eof = true,
+                Ok(n) => self.framer.push(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
 
 /// One client connection speaking JSON lines to a [`SocketServer`]
 /// (v1 by default; [`LineClient::handshake`] upgrades to v2).
@@ -17,7 +71,7 @@ use crate::socket::{connect, BindAddr, SocketStream};
 /// [`SocketServer`]: crate::SocketServer
 #[derive(Debug)]
 pub struct LineClient {
-    reader: BufReader<SocketStream>,
+    reader: LineReader<SocketStream>,
     writer: SocketStream,
 }
 
@@ -27,7 +81,7 @@ impl LineClient {
         let stream = connect(addr)?;
         let writer = stream.try_clone()?;
         Ok(LineClient {
-            reader: BufReader::new(stream),
+            reader: LineReader::new(stream, MAX_RESPONSE_LINE_BYTES),
             writer,
         })
     }
@@ -72,14 +126,7 @@ impl LineClient {
     /// response partitions legitimately outgrow their job lines) errors
     /// instead of growing client memory without limit.
     pub fn recv_line(&mut self) -> io::Result<Option<String>> {
-        match read_line_bounded(&mut self.reader, MAX_RESPONSE_LINE_BYTES)? {
-            LineRead::Eof => Ok(None),
-            LineRead::Line(line) => Ok(Some(line)),
-            LineRead::TooLong => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("server line exceeds {MAX_RESPONSE_LINE_BYTES} bytes"),
-            )),
-        }
+        self.reader.next_line()
     }
 
     /// Half-closes the write side — "no more jobs" — after which the
@@ -94,51 +141,30 @@ impl LineClient {
 /// included) to `output` with a flush per line — responses arrive while
 /// jobs are still being sent, so a stream larger than the socket buffers
 /// cannot deadlock. Returns the number of server lines received.
-pub fn pump<R: BufRead + Send, W: Write>(
+pub fn pump<R: Read + Send, W: Write>(
     addr: &BindAddr,
     input: R,
     output: &mut W,
 ) -> io::Result<usize> {
     let stream = connect(addr)?;
     let mut sender = stream.try_clone()?;
-    let mut responses = BufReader::new(stream);
+    // Looser cap than the send side: response partitions legitimately
+    // outgrow their job lines.
+    let mut responses = LineReader::new(stream, MAX_RESPONSE_LINE_BYTES);
     std::thread::scope(|scope| -> io::Result<usize> {
         let send = scope.spawn(move || -> io::Result<()> {
             // Bounded like the server side: the server would reject an
             // oversized line anyway, so fail it here without first
             // buffering it whole.
-            let mut input = input;
-            loop {
-                match read_line_bounded(&mut input, MAX_LINE_BYTES)? {
-                    LineRead::Eof => break,
-                    LineRead::Line(line) => {
-                        writeln!(sender, "{line}")?;
-                        sender.flush()?;
-                    }
-                    LineRead::TooLong => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("input line exceeds {MAX_LINE_BYTES} bytes"),
-                        ))
-                    }
-                }
+            let mut input = LineReader::new(input, MAX_LINE_BYTES);
+            while let Some(line) = input.next_line()? {
+                writeln!(sender, "{line}")?;
+                sender.flush()?;
             }
             sender.shutdown_write()
         });
         let mut count = 0usize;
-        loop {
-            // Looser cap than the send side: response partitions
-            // legitimately outgrow their job lines.
-            let line = match read_line_bounded(&mut responses, MAX_RESPONSE_LINE_BYTES)? {
-                LineRead::Eof => break,
-                LineRead::Line(line) => line,
-                LineRead::TooLong => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("server line exceeds {MAX_RESPONSE_LINE_BYTES} bytes"),
-                    ))
-                }
-            };
+        while let Some(line) = responses.next_line()? {
             writeln!(output, "{line}")?;
             output.flush()?;
             count += 1;
@@ -146,4 +172,47 @@ pub fn pump<R: BufRead + Send, W: Write>(
         send.join().expect("sender thread panicked")?;
         Ok(count)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every line of `input` framed at a `max`-byte cap, up to the end of
+    /// the stream or the first error.
+    fn lines(input: &[u8], max: usize) -> io::Result<Vec<String>> {
+        let mut reader = LineReader::new(input, max);
+        let mut lines = Vec::new();
+        while let Some(line) = reader.next_line()? {
+            lines.push(line);
+        }
+        Ok(lines)
+    }
+
+    fn invalid_data(result: io::Result<Vec<String>>) -> bool {
+        result.is_err_and(|e| e.kind() == io::ErrorKind::InvalidData)
+    }
+
+    #[test]
+    fn reads_lines_like_buf_read_lines() {
+        assert_eq!(
+            lines(b"a\nbb\r\n\nfinal-no-newline", 64).unwrap(),
+            ["a", "bb", "", "final-no-newline"]
+        );
+        assert!(lines(b"", 64).unwrap().is_empty());
+    }
+
+    #[test]
+    fn oversized_lines_stop_at_the_cap() {
+        assert!(invalid_data(lines(b"0123456789\n", 4)), "terminated");
+        assert!(invalid_data(lines(&[b'x'; 1024], 100)), "no newline");
+        // Exactly at the cap is fine; the carriage return counts.
+        assert_eq!(lines(b"abcd\n", 4).unwrap(), ["abcd"]);
+        assert!(invalid_data(lines(b"abc\r\n", 3)));
+    }
+
+    #[test]
+    fn invalid_utf8_errors_like_lines() {
+        assert!(invalid_data(lines(b"\xff\xfe garbage\n", 64)));
+    }
 }

@@ -54,8 +54,8 @@ pub use connection::serve_connection;
 pub use event::{serve_socket_event, serve_socket_event_with, EventLoopConfig};
 pub use schedule::MAX_ACTIVE_SCHEDULES;
 pub use service::{
-    GroupId, JobHandle, OutEvent, PersistConfig, ResponseSink, Service, ServiceConfig,
-    ServiceStats, SubmitError, Ticket, DEFAULT_QUEUE_DEPTH, DEFAULT_SNAPSHOT_EVERY,
+    GroupId, JobHandle, OutEvent, PersistConfig, ResponseSink, Service, ServiceConfig, SubmitError,
+    Ticket, DEFAULT_QUEUE_DEPTH, DEFAULT_SNAPSHOT_EVERY,
 };
 pub use session::ConnectionSummary;
 pub use socket::{connect, BindAddr, SocketServer, SocketStream, WRITE_TIMEOUT};

@@ -20,9 +20,12 @@ use engine::persist::{
     load_snapshot, lock_state_dir, save_snapshot_gen, snapshot_generation, SnapshotError,
     SnapshotStats,
 };
-use engine::{CacheStats, Engine, EngineConfig, DEFAULT_SHARDS};
+use engine::{build_strategies, Engine, EngineConfig, DEFAULT_SHARDS};
 use obs::JobTrace;
-use proto::{Capabilities, ErrorKind, JobError, JobRequest, JobResponse, Timing};
+use proto::{
+    Capabilities, EngineSnapshot, ErrorKind, HotKey, JobError, JobRequest, JobResponse,
+    LatencySummary, StatsFrame, Timing,
+};
 
 /// Where and how often a [`Service`] spills the engine's warm state (the
 /// session store's parked SAP sessions) to disk. See `engine::persist`
@@ -201,43 +204,6 @@ pub enum OutEvent {
     Control(String),
 }
 
-/// Point-in-time service observability, the payload of the v2 `stats`
-/// frame.
-#[derive(Debug, Clone)]
-pub struct ServiceStats {
-    /// Canonical-form cache counters of the shared engine.
-    pub cache: CacheStats,
-    /// Warm SAP sessions currently parked.
-    pub warm_sessions: usize,
-    /// Configured queue bound.
-    pub queue_depth: usize,
-    /// Jobs currently queued (not yet taken by a worker).
-    pub queue_len: usize,
-    /// Warm sessions restored from the disk snapshot at startup.
-    pub persisted_sessions: u64,
-    /// Hottest heuristic-labeled cache keys (canonizer-aware admission
-    /// candidates), hottest first.
-    pub hot_heuristic_keys: Vec<(String, u64)>,
-    /// Jobs answered with a self-contained DRAT certificate attached.
-    pub certified_jobs: u64,
-    /// Multi-layer `schedule` frames accepted service-wide.
-    pub schedule_jobs: u64,
-    /// Layers answered on behalf of `schedule` frames, whatever the
-    /// outcome (solved, failed, deadline-expired or canceled).
-    pub schedule_layers: u64,
-    /// Snapshot loads rejected at startup for a reason *other than* the
-    /// snapshot simply not existing yet (corruption, foreign schema, IO).
-    /// A first boot is not a failure; a silently ignored warm state is.
-    pub snapshot_load_failures: u64,
-    /// Transport connections currently open against this process (the
-    /// socket layers call [`Service::connection_opened`]/`_closed`).
-    pub open_connections: u64,
-    /// Generation of the newest snapshot this process wrote or adopted
-    /// (`0` = none yet). Under a shared state dir this is how an operator
-    /// sees reader processes tracking the writer.
-    pub snapshot_generation: u64,
-}
-
 /// Queue ordering: higher priority first, FIFO within a priority.
 type OrderKey = (i64, u64); // (-priority, seq): BTreeMap pops the minimum
 
@@ -291,7 +257,7 @@ struct Inner {
     persister_signal: Mutex<PersisterSignal>,
     persister_wake: Condvar,
     /// Startup snapshot loads rejected for a reason other than
-    /// [`SnapshotError::Missing`] (see [`ServiceStats`]).
+    /// [`SnapshotError::Missing`] (see [`StatsFrame::snapshot_load_failures`]).
     snapshot_load_failures: AtomicU64,
     /// Generation of the newest snapshot written *or adopted* by this
     /// process (0 = none yet).
@@ -855,8 +821,8 @@ impl Service {
         count
     }
 
-    /// Current observability counters (the v2 `stats` frame payload).
-    pub fn stats(&self) -> ServiceStats {
+    /// Current observability counters: the v2 `stats` frame.
+    pub fn stats(&self) -> StatsFrame {
         let queue_len = self
             .inner
             .state
@@ -864,24 +830,59 @@ impl Service {
             .expect("service queue poisoned")
             .by_order
             .len();
-        ServiceStats {
-            cache: self.inner.engine.cache_stats(),
-            warm_sessions: self.inner.engine.warm_sessions(),
-            queue_depth: self.inner.queue_depth,
-            queue_len,
-            persisted_sessions: self.inner.engine.restored_sessions(),
-            hot_heuristic_keys: self.inner.engine.hot_heuristic_keys(8),
-            certified_jobs: obs::registry().counter(obs::names::CERTIFIED_JOBS).get(),
-            schedule_jobs: obs::registry().counter(obs::names::SCHEDULE_JOBS).get(),
-            schedule_layers: obs::registry().counter(obs::names::SCHEDULE_LAYERS).get(),
+        let engine = &self.inner.engine;
+        let counter = |name| obs::registry().counter(name).get();
+        StatsFrame {
+            snapshot: self.engine_snapshot(),
+            queue_depth: self.inner.queue_depth as u64,
+            queue_len: queue_len as u64,
+            persisted_sessions: engine.restored_sessions(),
+            certified_jobs: counter(obs::names::CERTIFIED_JOBS),
+            schedule_jobs: counter(obs::names::SCHEDULE_JOBS),
+            schedule_layers: counter(obs::names::SCHEDULE_LAYERS),
+            canon_heuristic_hot: engine
+                .hot_heuristic_keys(8)
+                .into_iter()
+                .map(|(key, count)| HotKey { key, count })
+                .collect(),
             snapshot_load_failures: self.inner.snapshot_load_failures.load(Ordering::Relaxed),
             open_connections: self.inner.open_connections.load(Ordering::Relaxed),
             snapshot_generation: self.inner.snapshot_generation.load(Ordering::Relaxed),
+            latency: obs::registry()
+                .histogram_summaries()
+                .into_iter()
+                .map(|(name, s)| {
+                    let summary = LatencySummary {
+                        count: s.count,
+                        p50: s.p50,
+                        p90: s.p90,
+                        p99: s.p99,
+                        max: s.max,
+                    };
+                    (name, summary)
+                })
+                .collect(),
+        }
+    }
+
+    /// The engine counters of the stats frame and of every summary
+    /// trailer, read in one place so the two never drift apart.
+    pub(crate) fn engine_snapshot(&self) -> EngineSnapshot {
+        let cache = self.inner.engine.cache_stats();
+        EngineSnapshot {
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_entries: cache.entries,
+            cache_evictions: cache.evictions,
+            flight_waits: cache.flight_waits,
+            warm_sessions: self.inner.engine.warm_sessions() as u64,
+            canon_complete: cache.canon_complete,
+            canon_heuristic: cache.canon_heuristic,
         }
     }
 
     /// Records one transport connection opening (the socket layers call
-    /// this; the count surfaces in [`ServiceStats::open_connections`]).
+    /// this; the count surfaces in [`StatsFrame::open_connections`]).
     pub fn connection_opened(&self) {
         self.inner.open_connections.fetch_add(1, Ordering::Relaxed);
     }
@@ -922,13 +923,12 @@ impl Service {
     /// What this service advertises in the v2 handshake ack.
     pub fn capabilities(&self) -> Capabilities {
         let cfg = self.inner.engine.config();
-        let mut strategies = vec!["trivial".to_string(), "packing".to_string()];
-        if cfg.portfolio.sap {
-            strategies.push("sap".to_string());
-        }
         Capabilities {
             shards: DEFAULT_SHARDS as u64,
-            strategies,
+            strategies: build_strategies(&cfg.portfolio)
+                .iter()
+                .map(|s| s.name().to_string())
+                .collect(),
             canon_budget: cfg.canon.max_branches as u64,
             queue_depth: self.inner.queue_depth as u64,
             workers: self.worker_count as u64,

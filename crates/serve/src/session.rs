@@ -29,8 +29,8 @@ use std::io;
 use std::sync::Arc;
 
 use proto::{
-    CancelAck, ClientFrame, EngineSnapshot, ErrorKind, HelloAck, JobError, JobRequest, JobResponse,
-    ScheduleRequest, StatsFrame, SummaryFrame, WireVersion, MAX_LINE_BYTES, PROTOCOL_VERSION,
+    CancelAck, ClientFrame, ErrorKind, HelloAck, JobError, JobRequest, JobResponse,
+    ScheduleRequest, SummaryFrame, WireVersion, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 
 use crate::schedule::{ScheduleRun, MAX_ACTIVE_SCHEDULES};
@@ -311,7 +311,7 @@ impl<'s> Session<'s> {
             )),
             Ok(ClientFrame::Job(req)) => self.submit_v2(req),
             Ok(ClientFrame::Cancel { id }) => self.cancel(id),
-            Ok(ClientFrame::Stats) => self.out.push(stats_frame(self.service).to_json_line()),
+            Ok(ClientFrame::Stats) => self.out.push(self.service.stats().to_json_line()),
             Ok(ClientFrame::Schedule(req)) => self.start_schedule(req),
             Err((id, err)) => self.answer(parse_failure(id, err)),
         }
@@ -481,10 +481,7 @@ impl<'s> Session<'s> {
             busy: self.tally.busy as u64,
             schedule_jobs: self.tally.schedule_jobs as u64,
             schedule_layers: self.tally.schedule_layers as u64,
-            snapshot: snapshot_of(
-                &self.service.engine().cache_stats(),
-                self.service.engine().warm_sessions() as u64,
-            ),
+            snapshot: self.service.engine_snapshot(),
         };
         self.out.push(frame.to_json_line(self.tally.version));
         self.done = true;
@@ -520,68 +517,9 @@ fn remember(
     }
 }
 
-/// The single mapping from engine cache counters to a wire
-/// [`EngineSnapshot`] — shared by the summary trailer and the stats frame
-/// so the two can never drift apart field-by-field.
-fn snapshot_of(cache: &engine::CacheStats, warm_sessions: u64) -> EngineSnapshot {
-    EngineSnapshot {
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        cache_entries: cache.entries,
-        cache_evictions: cache.evictions,
-        flight_waits: cache.flight_waits,
-        warm_sessions,
-        canon_complete: cache.canon_complete,
-        canon_heuristic: cache.canon_heuristic,
-    }
-}
-
-/// The v2 `stats` frame for the service's current state (one
-/// [`Service::stats`] collection; the cache counters inside it are reused
-/// rather than fetched twice).
-fn stats_frame(service: &Service) -> StatsFrame {
-    let stats = service.stats();
-    StatsFrame {
-        snapshot: snapshot_of(&stats.cache, stats.warm_sessions as u64),
-        queue_depth: stats.queue_depth as u64,
-        queue_len: stats.queue_len as u64,
-        persisted_sessions: stats.persisted_sessions,
-        certified_jobs: stats.certified_jobs,
-        schedule_jobs: stats.schedule_jobs,
-        schedule_layers: stats.schedule_layers,
-        canon_heuristic_hot: stats
-            .hot_heuristic_keys
-            .iter()
-            .map(|(key, count)| proto::HotKey {
-                key: key.clone(),
-                count: *count,
-            })
-            .collect(),
-        snapshot_load_failures: stats.snapshot_load_failures,
-        open_connections: stats.open_connections,
-        snapshot_generation: stats.snapshot_generation,
-        latency: obs::registry()
-            .histogram_summaries()
-            .into_iter()
-            .map(|(name, s)| {
-                (
-                    name,
-                    proto::LatencySummary {
-                        count: s.count,
-                        p50: s.p50,
-                        p90: s.p90,
-                        p99: s.p99,
-                        max: s.max,
-                    },
-                )
-            })
-            .collect(),
-    }
-}
-
 /// One framing outcome.
 #[derive(Debug, PartialEq, Eq)]
-enum Frame<'a> {
+pub(crate) enum Frame<'a> {
     /// A line, newline and trailing carriage return stripped.
     Line(&'a str),
     /// A line outgrew the cap; the stream is no longer framed.
@@ -590,20 +528,27 @@ enum Frame<'a> {
     NotUtf8,
 }
 
-/// Cuts `\n`-terminated lines off an inbound byte stream in one pass:
-/// every complete line in the buffer is handed out as a slice in place,
-/// and the consumed prefix is removed once per call — not once per line,
-/// which would move the rest of a large read for every short line in it.
+/// Cuts `\n`-terminated lines off a byte stream in one pass: every
+/// complete line in the buffer is handed out as a slice in place. The one
+/// line framer of both ends of the protocol — the server's [`Session`]
+/// and the socket client — so both apply the same byte cap, CRLF, UTF-8
+/// and final-line rules.
 #[derive(Debug, Default)]
-struct Framer {
+pub(crate) struct Framer {
     buf: Vec<u8>,
-    /// Leading bytes of `buf` already known to hold no newline, so a long
+    /// Leading bytes of `buf` already handed out, removed at the next
+    /// push: once per read, not once per line, which would move the rest
+    /// of a large read for every short line in it.
+    start: usize,
+    /// Bytes after `start` already known to hold no newline, so a long
     /// line arriving in pieces is scanned once overall.
     scanned: usize,
 }
 
 impl Framer {
-    fn push(&mut self, bytes: &[u8]) {
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -611,10 +556,9 @@ impl Framer {
     /// at `eof` the unterminated tail counts as a final line. A line (or
     /// a newline-less tail) longer than `max` bytes yields
     /// [`Frame::TooLong`] — the caller stops there.
-    fn drain(&mut self, max: usize, eof: bool, mut f: impl FnMut(Frame<'_>) -> bool) {
-        let mut start = 0;
+    pub(crate) fn drain(&mut self, max: usize, eof: bool, mut f: impl FnMut(Frame<'_>) -> bool) {
         loop {
-            let rest = &self.buf[start..];
+            let rest = &self.buf[self.start..];
             let (line, used) = match rest[self.scanned..].iter().position(|&b| b == b'\n') {
                 Some(i) => (&rest[..self.scanned + i], self.scanned + i + 1),
                 None if !rest.is_empty() && (eof || rest.len() > max) => (rest, rest.len()),
@@ -624,7 +568,7 @@ impl Framer {
                 }
             };
             self.scanned = 0;
-            start += used;
+            self.start += used;
             let frame = if line.len() > max {
                 Frame::TooLong
             } else {
@@ -635,7 +579,6 @@ impl Framer {
                 break;
             }
         }
-        self.buf.drain(..start);
     }
 }
 

@@ -6,11 +6,11 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use engine::protocol::JobRequest;
 use engine::{
     CancelToken, Engine, EngineConfig, Provenance, SolveJob, Strategy, StrategyBudget,
     StrategyOutcome,
 };
+use proto::JobRequest;
 
 /// Blocks every `run` until [`Gate::open`]; counts started runs.
 #[derive(Debug, Default)]

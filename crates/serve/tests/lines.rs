@@ -9,9 +9,9 @@ mod common;
 use std::io::Write;
 
 use common::{distinct_job, gated_engine, Gate};
-use engine::protocol::{JobResponse, SummaryFrame};
 use engine::EngineConfig;
 use proto::WireVersion;
+use proto::{JobResponse, SummaryFrame};
 use rect_addr_serve::{serve_connection, Service, ServiceConfig};
 
 fn service() -> Service {
@@ -443,7 +443,7 @@ fn nesting_bomb_is_a_parse_error_not_a_crash() {
 /// queue (i64::MIN negation saturates).
 #[test]
 fn extreme_priorities_are_ordered_not_overflowed() {
-    use engine::protocol::JobRequest;
+    use proto::JobRequest;
     let gate = Gate::new();
     let engine = gated_engine(&gate, 1);
     let service = Service::new(engine, rect_addr_serve::ServiceConfig::default());

@@ -11,11 +11,11 @@ use std::time::Duration;
 
 use bitmatrix::BitMatrix;
 use common::{distinct_matrix, gated_engine, Gate};
-use engine::protocol::{
+use engine::EngineConfig;
+use proto::{
     CancelAck, ErrorKind, HelloAck, JobResponse, ScheduleRequest, ScheduleSummary, StatsFrame,
     SummaryFrame,
 };
-use engine::EngineConfig;
 use rect_addr_serve::{serve_socket_event, BindAddr, LineClient, Service, ServiceConfig};
 
 /// Row stripes of period 2, phase `k % 2` — the vertical-pairing masks of

@@ -8,8 +8,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use common::{distinct_job, gated_engine, Gate};
-use engine::protocol::{ErrorKind, JobRequest};
 use engine::EngineConfig;
+use proto::{ErrorKind, JobRequest};
 use rect_addr_serve::{OutEvent, Service, ServiceConfig, SubmitError};
 
 fn gated_service(gate: &Arc<Gate>, workers: usize, queue_depth: usize) -> Service {
@@ -163,7 +163,10 @@ fn stats_report_queue_occupancy() {
     let stats = service.stats();
     assert_eq!(stats.queue_depth, 8);
     assert_eq!(stats.queue_len, 1, "one job queued behind the running one");
-    assert_eq!(stats.cache.misses, 1, "only the running job looked up");
+    assert_eq!(
+        stats.snapshot.cache_misses, 1,
+        "only the running job looked up"
+    );
 
     gate.open();
     assert!(a.wait().ok && b.wait().ok);

@@ -10,10 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use common::{distinct_job, gated_engine, Gate};
-use engine::protocol::{
-    CancelAck, ErrorKind, HelloAck, JobRequest, JobResponse, StatsFrame, SummaryFrame,
-};
 use engine::EngineConfig;
+use proto::{CancelAck, ErrorKind, HelloAck, JobRequest, JobResponse, StatsFrame, SummaryFrame};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rect_addr_serve::{pump, serve_socket_event, BindAddr, LineClient, Service, ServiceConfig};

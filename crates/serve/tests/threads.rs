@@ -9,7 +9,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{distinct_matrix, gated_engine, threads, Gate};
-use engine::protocol::{ErrorKind, JobResponse, ScheduleRequest, ScheduleSummary};
+use proto::{ErrorKind, JobResponse, ScheduleRequest, ScheduleSummary};
 use rect_addr_serve::{
     serve_socket_event, BindAddr, LineClient, Service, ServiceConfig, MAX_ACTIVE_SCHEDULES,
 };

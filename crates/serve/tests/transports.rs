@@ -7,8 +7,8 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 
 use bitmatrix::BitMatrix;
-use engine::protocol::{JobRequest, ScheduleRequest};
 use engine::EngineConfig;
+use proto::{JobRequest, ScheduleRequest};
 use rect_addr_serve::{
     connect, serve_connection, serve_socket_event, BindAddr, Service, ServiceConfig,
 };

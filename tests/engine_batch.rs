@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use bitmatrix::BitMatrix;
 use ebmf::gen::random_benchmark;
-use engine::protocol::{JobRequest, JobResponse};
+use proto::{JobRequest, JobResponse};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
