@@ -31,4 +31,27 @@ assert_json_field "$OUT" summary true
 assert_json_field "$OUT" solved 50
 assert_json_field "$OUT" cache_hits 49
 test "$(wc -l < "$OUT")" -eq 51
+
+# Hang-up: kill a client while its one job runs. The job's answer stays
+# pending on a connection that wants neither input nor output, and the
+# event loop must not wake on that socket's hang-up over and over: over
+# the next wall second the server may spend its one worker's core, not a
+# second core on the loop.
+start_server "$SOCK" --workers 1
+HARD=$("$BIN" gen rand 13 13 60 3 | tr '\n' ';' | sed 's/;*$//')
+echo "{\"id\": \"hard\", \"matrix\": \"$HARD\", \"budget_ms\": 3000}" > "$JOBS"
+STATUS=0
+timeout 0.3 "$BIN" client "$SOCK" < "$JOBS" > /dev/null || STATUS=$?
+[ "$STATUS" -eq 124 ] || fail "client exited with status $STATUS before it was killed"
+# utime + stime: fields 14 and 15, the 12th and 13th after "(comm) ".
+cpu_ticks() { sed 's/.*) //' "/proc/$LAST_SERVER_PID/stat" | awk '{print $12 + $13}'; }
+BEFORE=$(cpu_ticks)
+sleep 1
+AFTER=$(cpu_ticks)
+SPENT_MS=$(( (AFTER - BEFORE) * 1000 / $(getconf CLK_TCK) ))
+echo "server CPU in the wall second after the hang-up: $SPENT_MS ms"
+[ "$SPENT_MS" -lt 1500 ] \
+  || fail "server spent $SPENT_MS ms of CPU in 1 s after its client hung up"
+stop_server
+
 echo "serve-socket smoke OK"

@@ -1,17 +1,19 @@
-//! Fixed-length bit vectors backed by `u64` words.
+//! Fixed-length bit strings backed by `u64` words.
 //!
-//! [`BitVec`] is the workhorse of the whole repository: basis vectors in the
-//! row-packing heuristic, row/column selectors of rectangles, and don't-care
-//! masks are all `BitVec`s. The representation is a dense little-endian word
-//! array; bit `i` lives in word `i / 64` at position `i % 64`. All operations
-//! keep the invariant that bits at positions `>= len` are zero, so word-wise
-//! comparisons are exact.
+//! [`BitStr`] is the one bit-string type of the repository, generic over
+//! where its words live: a [`BitVec`] owns them (basis vectors of the
+//! row-packing heuristic, row/column selectors of rectangles, don't-care
+//! masks), a [`RowRef`] borrows one row of a [`crate::BitMatrix`] and a
+//! [`RowMut`] borrows it mutably. Bit `i` lives in word `i / 64` at
+//! position `i % 64`, and every operation keeps the bits at positions
+//! `>= len` zero, so word-wise comparisons are exact.
 //!
-//! The [`Bits`] trait abstracts over anything exposing that representation —
-//! an owned [`BitVec`] or a borrowed matrix row ([`crate::RowRef`]) — so set
-//! algebra composes across owned and borrowed operands without copies.
+//! Each read is written once for all three, each write once for the two
+//! that can write, and a binary operation takes any [`Bits`] operand, so
+//! set algebra mixes owned and borrowed strings without copies.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::kernel;
 
@@ -19,11 +21,8 @@ use crate::kernel;
 pub(crate) const WORD_BITS: usize = 64;
 
 /// Read access to a fixed-length bit string stored as little-endian `u64`
-/// words with a zeroed tail.
-///
-/// Implemented by [`BitVec`], [`crate::RowRef`] and [`crate::RowMut`];
-/// references to implementors forward automatically, so `a.and(&b)` and
-/// `a.and(m.row(i))` both compile.
+/// words with a zeroed tail: every [`BitStr`], and references to one, so
+/// `a.and(&b)` and `a.and(m.row(i))` both compile.
 pub trait Bits {
     /// Number of bits.
     fn bit_len(&self) -> usize;
@@ -40,11 +39,22 @@ impl<B: Bits + ?Sized> Bits for &B {
     }
 }
 
-/// A fixed-length sequence of bits supporting set algebra.
+/// A fixed-length sequence of bits supporting set algebra, over the words
+/// `W`: `Vec<u64>` ([`BitVec`]), `&[u64]` ([`RowRef`]) or `&mut [u64]`
+/// ([`RowMut`]).
 ///
 /// The length is chosen at construction time and never changes; operations
-/// combining two vectors panic if the lengths differ (mixing rows of
-/// different matrices is always a logic error in this codebase).
+/// combining two strings panic if the lengths differ (mixing rows of
+/// different matrices is always a logic error in this codebase). Strings
+/// compare and hash by length and bits, whoever owns the words, so a row
+/// view and its owned copy are equal and collide as map keys.
+#[derive(Clone, Copy)]
+pub struct BitStr<W> {
+    len: usize,
+    words: W,
+}
+
+/// An owned bit string.
 ///
 /// # Examples
 ///
@@ -57,26 +67,18 @@ impl<B: Bits + ?Sized> Bits for &B {
 /// assert_eq!(both.ones().collect::<Vec<_>>(), vec![2, 4]);
 /// assert!(both.is_subset_of(&a));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct BitVec {
-    len: usize,
-    words: Vec<u64>,
-}
+pub type BitVec = BitStr<Vec<u64>>;
 
-impl Bits for BitVec {
-    fn bit_len(&self) -> usize {
-        self.len
-    }
-    fn word_slice(&self) -> &[u64] {
-        &self.words
-    }
-}
+/// An immutable view of one matrix row (or any borrowed bit string).
+pub type RowRef<'a> = BitStr<&'a [u64]>;
+
+/// A mutable view of one matrix row.
+pub type RowMut<'a> = BitStr<&'a mut [u64]>;
 
 impl BitVec {
     /// Creates an all-zero vector of `len` bits.
     pub fn zeros(len: usize) -> Self {
-        BitVec {
+        BitStr {
             len,
             words: vec![0; len.div_ceil(WORD_BITS)],
         }
@@ -84,12 +86,7 @@ impl BitVec {
 
     /// Creates an all-one vector of `len` bits.
     pub fn ones_vec(len: usize) -> Self {
-        let mut v = BitVec {
-            len,
-            words: vec![!0u64; len.div_ceil(WORD_BITS)],
-        };
-        v.clear_tail();
-        v
+        BitVec::from_words(len, vec![!0u64; len.div_ceil(WORD_BITS)])
     }
 
     /// Creates a vector of `len` bits with exactly the given indices set.
@@ -107,13 +104,7 @@ impl BitVec {
 
     /// Creates a vector from a slice of `bool`s, one per bit.
     pub fn from_bools(bits: &[bool]) -> Self {
-        let mut v = BitVec::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                v.set(i, true);
-            }
-        }
-        v
+        BitVec::from_indices(bits.len(), (0..bits.len()).filter(|&i| bits[i]))
     }
 
     /// Creates a vector of `len` bits directly from backing words.
@@ -124,44 +115,51 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if `words.len() != len.div_ceil(64)`.
-    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
+    pub fn from_words(len: usize, mut words: Vec<u64>) -> Self {
         assert_eq!(
             words.len(),
             len.div_ceil(WORD_BITS),
             "word count mismatch for {len} bits"
         );
-        let mut v = BitVec { len, words };
-        v.clear_tail();
-        v
+        let tail = len % WORD_BITS;
+        if tail != 0 {
+            words[len / WORD_BITS] &= (1u64 << tail) - 1;
+        }
+        BitStr { len, words }
     }
 
     /// Copies the bits of any [`Bits`] value into an owned vector.
     pub fn from_bits<B: Bits>(bits: B) -> Self {
-        BitVec {
+        BitStr {
             len: bits.bit_len(),
             words: bits.word_slice().to_vec(),
         }
     }
+}
 
-    /// Number of bits in the vector.
+/// Reads, for owned and borrowed strings alike.
+impl<W: AsRef<[u64]>> BitStr<W> {
+    /// Wraps `words` holding `len` bits with a zeroed tail: the view
+    /// constructor behind [`crate::BitMatrix::row`] and
+    /// [`crate::BitMatrix::row_mut`].
+    pub(crate) fn new(words: W, len: usize) -> Self {
+        debug_assert_eq!(words.as_ref().len(), len.div_ceil(WORD_BITS));
+        BitStr { len, words }
+    }
+
+    /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the vector has zero length (distinct from being all-zero).
+    /// Whether the string has zero length (distinct from being all-zero).
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Backing words (little-endian, tail bits zero).
     pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Mutable backing words. The caller must keep tail bits zero; this is
-    /// crate-internal precisely so the invariant cannot leak.
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
+        self.words.as_ref()
     }
 
     /// Returns bit `i`.
@@ -176,7 +174,105 @@ impl BitVec {
             "bit index {i} out of range for len {}",
             self.len
         );
-        (self.words[i / WORD_BITS] >> (i % WORD_BITS)) & 1 == 1
+        (self.words()[i / WORD_BITS] >> (i % WORD_BITS)) & 1 == 1
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> usize {
+        kernel::count(self.words())
+    }
+
+    /// Whether every bit is zero.
+    pub fn is_zero(&self) -> bool {
+        kernel::is_zero(self.words())
+    }
+
+    /// Index of the lowest set bit, if any.
+    pub fn first_one(&self) -> Option<usize> {
+        kernel::first_one(self.words())
+    }
+
+    /// Iterator over the indices of set bits, in increasing order.
+    pub fn ones(&self) -> Ones<'_> {
+        Ones::new(self.words())
+    }
+
+    /// Collects the indices of set bits into a `Vec`.
+    pub fn to_indices(&self) -> Vec<usize> {
+        self.ones().collect()
+    }
+
+    /// Copies the bits into an owned [`BitVec`].
+    pub fn to_bitvec(&self) -> BitVec {
+        BitVec::from_bits(self)
+    }
+
+    /// Whether every set bit of `self` is also set in `other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn is_subset_of<B: Bits>(&self, other: B) -> bool {
+        self.assert_same_len(&other);
+        kernel::is_subset(self.words(), other.word_slice())
+    }
+
+    /// Whether `self` and `other` share no set bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn is_disjoint<B: Bits>(&self, other: B) -> bool {
+        self.assert_same_len(&other);
+        !kernel::intersects(self.words(), other.word_slice())
+    }
+
+    /// Bitwise AND, producing an owned vector.
+    pub fn and<B: Bits>(&self, other: B) -> BitVec {
+        let mut out = self.to_bitvec();
+        out.and_assign(other);
+        out
+    }
+
+    /// Bitwise OR, producing an owned vector.
+    pub fn or<B: Bits>(&self, other: B) -> BitVec {
+        let mut out = self.to_bitvec();
+        out.or_assign(other);
+        out
+    }
+
+    /// Bitwise XOR, producing an owned vector.
+    pub fn xor<B: Bits>(&self, other: B) -> BitVec {
+        let mut out = self.to_bitvec();
+        out.xor_assign(other);
+        out
+    }
+
+    /// Set difference `self \ other`, producing an owned vector.
+    pub fn difference<B: Bits>(&self, other: B) -> BitVec {
+        let mut out = self.to_bitvec();
+        out.difference_assign(other);
+        out
+    }
+
+    fn assert_same_len<B: Bits>(&self, other: &B) {
+        assert_eq!(
+            self.len,
+            other.bit_len(),
+            "bit vector length mismatch: {} vs {}",
+            self.len,
+            other.bit_len()
+        );
+    }
+}
+
+/// Writes, for owned strings and mutable row views alike. Each keeps the
+/// tail zero.
+impl<W: AsRef<[u64]> + AsMut<[u64]>> BitStr<W> {
+    /// Mutable backing words. The caller must keep tail bits zero; this is
+    /// crate-internal precisely so the invariant cannot leak.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        self.words.as_mut()
     }
 
     /// Sets bit `i` to `value`.
@@ -192,69 +288,27 @@ impl BitVec {
             self.len
         );
         let mask = 1u64 << (i % WORD_BITS);
+        let word = &mut self.words_mut()[i / WORD_BITS];
         if value {
-            self.words[i / WORD_BITS] |= mask;
+            *word |= mask;
         } else {
-            self.words[i / WORD_BITS] &= !mask;
+            *word &= !mask;
         }
     }
 
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        kernel::count(&self.words)
+    /// Clears every bit.
+    pub fn clear(&mut self) {
+        self.words_mut().fill(0);
     }
 
-    /// Whether every bit is zero.
-    pub fn is_zero(&self) -> bool {
-        kernel::is_zero(&self.words)
-    }
-
-    /// Whether every set bit of `self` is also set in `other`.
+    /// Overwrites the bits with those of `src`.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
-    pub fn is_subset_of<B: Bits>(&self, other: B) -> bool {
-        self.assert_same_len(&other);
-        kernel::is_subset(&self.words, other.word_slice())
-    }
-
-    /// Whether `self` and `other` share no set bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn is_disjoint<B: Bits>(&self, other: B) -> bool {
-        self.assert_same_len(&other);
-        !kernel::intersects(&self.words, other.word_slice())
-    }
-
-    /// Bitwise AND, producing a new vector.
-    pub fn and<B: Bits>(&self, other: B) -> BitVec {
-        let mut out = self.clone();
-        out.and_assign(other);
-        out
-    }
-
-    /// Bitwise OR, producing a new vector.
-    pub fn or<B: Bits>(&self, other: B) -> BitVec {
-        let mut out = self.clone();
-        out.or_assign(other);
-        out
-    }
-
-    /// Bitwise XOR, producing a new vector.
-    pub fn xor<B: Bits>(&self, other: B) -> BitVec {
-        let mut out = self.clone();
-        out.xor_assign(other);
-        out
-    }
-
-    /// Set difference `self \ other`, producing a new vector.
-    pub fn difference<B: Bits>(&self, other: B) -> BitVec {
-        let mut out = self.clone();
-        out.difference_assign(other);
-        out
+    pub fn copy_from<B: Bits>(&mut self, src: B) {
+        self.assert_same_len(&src);
+        self.words_mut().copy_from_slice(src.word_slice());
     }
 
     /// In-place bitwise AND.
@@ -264,7 +318,7 @@ impl BitVec {
     /// Panics if the lengths differ.
     pub fn and_assign<B: Bits>(&mut self, other: B) {
         self.assert_same_len(&other);
-        kernel::and_assign(&mut self.words, other.word_slice());
+        kernel::and_assign(self.words_mut(), other.word_slice());
     }
 
     /// In-place bitwise OR.
@@ -274,7 +328,7 @@ impl BitVec {
     /// Panics if the lengths differ.
     pub fn or_assign<B: Bits>(&mut self, other: B) {
         self.assert_same_len(&other);
-        kernel::or_assign(&mut self.words, other.word_slice());
+        kernel::or_assign(self.words_mut(), other.word_slice());
     }
 
     /// In-place bitwise XOR.
@@ -284,7 +338,7 @@ impl BitVec {
     /// Panics if the lengths differ.
     pub fn xor_assign<B: Bits>(&mut self, other: B) {
         self.assert_same_len(&other);
-        kernel::xor_assign(&mut self.words, other.word_slice());
+        kernel::xor_assign(self.words_mut(), other.word_slice());
     }
 
     /// In-place set difference: clears every bit that is set in `other`.
@@ -294,47 +348,60 @@ impl BitVec {
     /// Panics if the lengths differ.
     pub fn difference_assign<B: Bits>(&mut self, other: B) {
         self.assert_same_len(&other);
-        kernel::andnot_assign(&mut self.words, other.word_slice());
-    }
-
-    /// Index of the lowest set bit, if any.
-    pub fn first_one(&self) -> Option<usize> {
-        kernel::first_one(&self.words)
-    }
-
-    /// Iterator over the indices of set bits, in increasing order.
-    pub fn ones(&self) -> Ones<'_> {
-        Ones::new(&self.words)
-    }
-
-    /// Collects the indices of set bits into a `Vec`.
-    pub fn to_indices(&self) -> Vec<usize> {
-        self.ones().collect()
-    }
-
-    fn assert_same_len<B: Bits>(&self, other: &B) {
-        assert_eq!(
-            self.len,
-            other.bit_len(),
-            "bit vector length mismatch: {} vs {}",
-            self.len,
-            other.bit_len()
-        );
-    }
-
-    /// Zeroes any bits beyond `len` in the last word (representation invariant).
-    fn clear_tail(&mut self) {
-        let tail = self.len % WORD_BITS;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
+        kernel::andnot_assign(self.words_mut(), other.word_slice());
     }
 }
 
-/// Iterator over set-bit indices of a word slice. Produced by
-/// [`BitVec::ones`] and [`crate::RowRef::ones`].
+impl<W: AsRef<[u64]>> Bits for BitStr<W> {
+    fn bit_len(&self) -> usize {
+        self.len
+    }
+    fn word_slice(&self) -> &[u64] {
+        self.words()
+    }
+}
+
+impl<W: AsRef<[u64]>, V: AsRef<[u64]>> PartialEq<BitStr<V>> for BitStr<W> {
+    fn eq(&self, other: &BitStr<V>) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl<W: AsRef<[u64]>> Eq for BitStr<W> {}
+
+impl<W: AsRef<[u64]>> Hash for BitStr<W> {
+    /// Length, then words: the same for every owner of the words.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.len.hash(state);
+        self.words().hash(state);
+    }
+}
+
+impl<W: AsRef<[u64]>> fmt::Debug for BitStr<W> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "BitStr[{self}]")
+    }
+}
+
+impl<W: AsRef<[u64]>> fmt::Display for BitStr<W> {
+    /// Renders as a string of `0`/`1` characters, lowest index first.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for i in 0..self.len {
+            f.write_str(if self.get(i) { "1" } else { "0" })?;
+        }
+        Ok(())
+    }
+}
+
+impl FromIterator<bool> for BitVec {
+    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
+        let bits: Vec<bool> = iter.into_iter().collect();
+        BitVec::from_bools(&bits)
+    }
+}
+
+/// Iterator over set-bit indices of a word slice, produced by
+/// [`BitStr::ones`] and [`kernel::ones`].
 pub struct Ones<'a> {
     words: &'a [u64],
     word_idx: usize,
@@ -370,32 +437,10 @@ impl Iterator for Ones<'_> {
     }
 }
 
-impl fmt::Debug for BitVec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BitVec[{}]", self)
-    }
-}
-
-impl fmt::Display for BitVec {
-    /// Renders as a string of `0`/`1` characters, lowest index first.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.len {
-            f.write_str(if self.get(i) { "1" } else { "0" })?;
-        }
-        Ok(())
-    }
-}
-
-impl FromIterator<bool> for BitVec {
-    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
-        let bits: Vec<bool> = iter.into_iter().collect();
-        BitVec::from_bools(&bits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
 
     #[test]
     fn zeros_is_all_zero() {
@@ -506,5 +551,47 @@ mod tests {
     #[should_panic(expected = "word count mismatch")]
     fn from_words_rejects_wrong_word_count() {
         BitVec::from_words(65, vec![0u64]);
+    }
+
+    fn hash_of<H: Hash>(h: &H) -> u64 {
+        let mut s = DefaultHasher::new();
+        h.hash(&mut s);
+        s.finish()
+    }
+
+    #[test]
+    fn rowref_matches_bitvec_semantics() {
+        let v = BitVec::from_indices(70, [0, 33, 64, 69]);
+        let r = RowRef::new(v.words(), v.len());
+        assert_eq!(r.count_ones(), 4);
+        assert_eq!(r.to_indices(), vec![0, 33, 64, 69]);
+        assert_eq!(r.first_one(), Some(0));
+        assert!(r.get(33) && !r.get(34));
+        assert_eq!(r.to_bitvec(), v);
+        assert_eq!(r, v);
+        assert_eq!(v, r);
+        assert_eq!(r.to_string(), v.to_string());
+        assert_eq!(hash_of(&r), hash_of(&v));
+    }
+
+    #[test]
+    fn rowmut_edits_preserve_tail() {
+        let mut v = BitVec::zeros(70);
+        let len = v.len();
+        {
+            let mut m = RowMut::new(v.words_mut(), len);
+            m.set(69, true);
+            m.or_assign(BitVec::from_indices(70, [1, 2]));
+            m.difference_assign(BitVec::from_indices(70, [2]));
+        }
+        assert_eq!(v.to_indices(), vec![1, 69]);
+        // XOR with an all-ones vector then AND back stays within the tail
+        let ones = BitVec::ones_vec(70);
+        {
+            let mut m = RowMut::new(v.words_mut(), len);
+            m.xor_assign(&ones);
+        }
+        assert_eq!(v.count_ones(), 68);
+        assert!(v.is_subset_of(&ones));
     }
 }

@@ -4,12 +4,13 @@
 //! canonizer's row compares, the packing heuristic's residue decomposition
 //! and the SAT encoder's feasibility masks all bottom out here. Operands are
 //! little-endian word slices with any tail bits (past the logical length)
-//! zeroed — the invariant every [`crate::Bits`] implementor maintains — so
-//! whole-word operations are exact and no per-bit loops are needed.
+//! zeroed — the invariant every [`crate::BitStr`] maintains — so whole-word
+//! operations are exact and no per-bit loops are needed.
 //!
 //! All binary kernels require equal slice lengths (`debug_assert`ed); callers
-//! compare same-width rows only, which the typed wrappers in
-//! [`crate::BitVec`] / [`crate::RowRef`] enforce with length asserts.
+//! compare same-width rows only, which [`crate::BitStr`], the one typed
+//! wrapper over owned vectors and matrix rows alike, enforces with length
+//! asserts.
 
 use std::cmp::Ordering;
 

@@ -7,14 +7,16 @@
 //! benchmark instances — is a binary matrix, stored bit-packed in a single
 //! contiguous `u64` buffer with a word-padded row stride.
 //!
-//! * [`BitVec`] — fixed-length owned bit vector with set algebra (subset,
-//!   disjointness, and/or/xor/difference).
+//! * [`BitStr`] — the one fixed-length bit-string type, with set algebra
+//!   (subset, disjointness, and/or/xor/difference), over owned or borrowed
+//!   words: [`BitVec`] owns them, [`RowRef`] and [`RowMut`] borrow a matrix
+//!   row. Binary operations take any [`Bits`] operand.
 //! * [`BitMatrix`] — dense binary matrix: transpose (with a lazy cached
 //!   variant), Kronecker product, row/column dedup, outer products,
-//!   parsing/printing. Rows are borrowed as [`RowRef`] / [`RowMut`] views.
+//!   parsing/printing. Rows are borrowed as [`RowRef`] / [`RowMut`].
 //! * [`kernel`] — word-level kernels (fused popcounts, in-place boolean ops,
-//!   lexicographic row compares, rank) over raw `u64` slices; the [`Bits`]
-//!   trait lets owned vectors and row views share them.
+//!   lexicographic row compares, rank) over raw `u64` slices, which every
+//!   bit-string operation bottoms out in.
 //! * [`random_matrix`] and friends — seeded random instances.
 //!
 //! # Examples
@@ -34,35 +36,12 @@ mod bitvec;
 pub mod kernel;
 mod matrix;
 mod random;
-mod rows;
 
-pub use bitvec::{BitVec, Bits, Ones};
+pub use bitvec::{BitStr, BitVec, Bits, Ones, RowMut, RowRef};
 pub use matrix::{BitMatrix, ParseMatrixError, Rows};
 pub use random::{
     invert_permutation, random_matrix, random_matrix_with_ones, random_permutation, random_vec,
 };
-pub use rows::{RowMut, RowRef};
-
-#[cfg(all(test, feature = "serde"))]
-mod serde_tests {
-    use super::*;
-
-    #[test]
-    fn bitvec_json_roundtrip() {
-        let v = BitVec::from_indices(70, [0, 63, 64, 69]);
-        let json = serde_json::to_string(&v).unwrap();
-        let back: BitVec = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
-    }
-
-    #[test]
-    fn bitmatrix_json_roundtrip() {
-        let m: BitMatrix = "101\n010\n111".parse().unwrap();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: BitMatrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
-    }
-}
 
 #[cfg(test)]
 mod proptests {
@@ -176,6 +155,34 @@ mod kernel_proptests {
         a[..i].iter().filter(|&&b| b).count()
     }
 
+    /// `nrows` rows of width `WIDTHS[wi]`, a cheap deterministic
+    /// pseudo-random fill from `seed`.
+    fn seeded_matrix(nrows: usize, wi: usize, seed: u64) -> BitMatrix {
+        let ncols = WIDTHS[wi];
+        BitMatrix::from_fn(nrows, ncols, |i, j| {
+            let x = seed.wrapping_mul(6364136223846793005);
+            (x.wrapping_add((i * ncols + j) as u64) >> 33) & 1 == 1
+        })
+    }
+
+    /// Row `i` of `m` copied bit by bit into an owned vector.
+    fn owned_row(m: &BitMatrix, i: usize) -> BitVec {
+        (0..m.ncols()).map(|j| m.get(i, j)).collect()
+    }
+
+    fn hash_of<H: std::hash::Hash>(h: &H) -> u64 {
+        use std::hash::Hasher;
+        let mut s = std::collections::hash_map::DefaultHasher::new();
+        h.hash(&mut s);
+        s.finish()
+    }
+
+    /// Whether the words of row `i` are zero past the row's width.
+    fn tail_is_zero(m: &BitMatrix, i: usize) -> bool {
+        let tail = m.ncols() % 64;
+        tail == 0 || m.row_words(i).last().is_none_or(|&w| w >> tail == 0)
+    }
+
     proptest! {
         #[test]
         fn boolean_kernels_match_reference((ba, bb) in arb_pair()) {
@@ -238,12 +245,8 @@ mod kernel_proptests {
             (nrows, wi) in (0usize..5, 0usize..WIDTHS.len()),
             seed in any::<u64>(),
         ) {
-            let ncols = WIDTHS[wi];
-            let m = BitMatrix::from_fn(nrows, ncols, |i, j| {
-                // cheap deterministic pseudo-random fill
-                (seed.wrapping_mul(6364136223846793005).wrapping_add((i * ncols + j) as u64)
-                    >> 33) & 1 == 1
-            });
+            let m = seeded_matrix(nrows, wi, seed);
+            let ncols = m.ncols();
             let t = m.transpose();
             for i in 0..nrows {
                 let row = m.row(i);
@@ -256,6 +259,90 @@ mod kernel_proptests {
                 }
             }
             prop_assert_eq!(m.transposed(), &t);
+        }
+
+        #[test]
+        fn owned_and_row_reads_agree(
+            (i, k, wi) in (0usize..3, 0usize..3, 0usize..WIDTHS.len()),
+            seed in any::<u64>(),
+        ) {
+            let m = seeded_matrix(3, wi, seed);
+            let (row, other) = (m.row(i), m.row(k));
+            let (a, b) = (owned_row(&m, i), owned_row(&m, k));
+            for j in 0..m.ncols() {
+                prop_assert_eq!(row.get(j), a.get(j));
+            }
+            prop_assert_eq!(row.count_ones(), a.count_ones());
+            prop_assert_eq!(row.is_zero(), a.is_zero());
+            prop_assert_eq!(row.first_one(), a.first_one());
+            prop_assert_eq!(row.ones().collect::<Vec<_>>(), a.ones().collect::<Vec<_>>());
+            prop_assert_eq!(row.to_indices(), a.to_indices());
+            prop_assert_eq!(row.is_subset_of(other), a.is_subset_of(&b));
+            prop_assert_eq!(row.is_disjoint(other), a.is_disjoint(&b));
+            prop_assert_eq!(row.and(other), a.and(&b));
+            prop_assert_eq!(row.or(other), a.or(&b));
+            prop_assert_eq!(row.xor(other), a.xor(&b));
+            prop_assert_eq!(row.difference(other), a.difference(&b));
+            // Mixed operands: an owned vector against a row view.
+            prop_assert_eq!(a.and(other), row.and(&b));
+            prop_assert_eq!(a.is_subset_of(other), row.is_subset_of(&b));
+            prop_assert_eq!(row, a);
+            prop_assert_eq!(a, row);
+            prop_assert_eq!(row == other, a == b);
+            prop_assert_eq!(hash_of(&row), hash_of(&a));
+        }
+
+        #[test]
+        fn row_writes_match_owned_writes(
+            (i, k, wi) in (0usize..3, 0usize..3, 0usize..WIDTHS.len()),
+            (seed, fj, value) in (any::<u64>(), 0usize..1000, any::<bool>()),
+        ) {
+            let m = seeded_matrix(3, wi, seed);
+            let (a, b) = (owned_row(&m, i), owned_row(&m, k));
+            let j = m.ncols() * fj / 1000;
+            for op in ["set", "clear", "copy_from", "and", "or", "xor", "difference"] {
+                if op == "set" && m.ncols() == 0 {
+                    continue; // no bit to set
+                }
+                let mut w = m.clone();
+                let mut want = a.clone();
+                let (mut row, src) = (w.row_mut(i), m.row(k));
+                match op {
+                    "set" => {
+                        row.set(j, value);
+                        want.set(j, value);
+                    }
+                    "clear" => {
+                        row.clear();
+                        want = BitVec::zeros(m.ncols());
+                    }
+                    "copy_from" => {
+                        row.copy_from(src);
+                        want = b.clone();
+                    }
+                    "and" => {
+                        row.and_assign(src);
+                        want.and_assign(&b);
+                    }
+                    "or" => {
+                        row.or_assign(src);
+                        want.or_assign(&b);
+                    }
+                    "xor" => {
+                        row.xor_assign(src);
+                        want.xor_assign(&b);
+                    }
+                    _ => {
+                        row.difference_assign(src);
+                        want.difference_assign(&b);
+                    }
+                }
+                prop_assert!(w.row(i) == want, "{} on row {} of {:?}", op, i, m);
+                prop_assert!(tail_is_zero(&w, i), "{} dirtied the tail", op);
+                for r in (0..3).filter(|&r| r != i) {
+                    prop_assert_eq!(w.row(r), m.row(r));
+                }
+            }
         }
     }
 

@@ -291,8 +291,9 @@ impl SapSession {
     /// # Errors
     ///
     /// Rejects an export whose incumbent is not a valid partition of its
-    /// matrix (the telltale of a snapshot mismatch); the caller should
-    /// fall back to a cold session.
+    /// matrix (the telltale of a snapshot mismatch), or whose encoder
+    /// capacity lies outside `1..=min(rows, cols)` or below `|best| − 1`;
+    /// the caller should fall back to a cold session.
     pub fn import(export: &SessionExport, lb: LowerBound) -> Result<SapSession, String> {
         let (nrows, ncols) = export.matrix.shape();
         let mut best = Partition::empty(nrows, ncols);
@@ -317,6 +318,15 @@ impl SapSession {
             // unvalidated large one would be a memory bomb at rebuild.
             if cap == 0 || cap > nrows.min(ncols) {
                 return Err(format!("encoder capacity {cap} out of range"));
+            }
+            // A session builds its encoder at |best| − 1 and |best| only
+            // falls, so a smaller capacity is a mismatched record: `run`
+            // would descend from it and call the incumbent optimal.
+            if cap + 1 < best.len() {
+                return Err(format!(
+                    "encoder capacity {cap} below the {}-rectangle incumbent",
+                    best.len()
+                ));
             }
         }
         let pending_core = export.encoder_capacity.map(|capacity| PendingCore {
@@ -1023,6 +1033,35 @@ mod tests {
         let mut bad = good;
         bad.encoder_capacity = Some(0);
         assert!(SapSession::import(&bad, lower_bound(&bad.matrix, false)).is_err());
+    }
+
+    /// A record that claims an encoder below its own incumbent (every
+    /// session builds at `|best| − 1`, and `|best|` only falls) would make
+    /// `run` descend from that capacity: under the floor (1) it calls the
+    /// incumbent optimal at once, at the floor (7) an UNSAT answer does.
+    #[test]
+    fn import_rejects_a_capacity_below_the_incumbent() {
+        let m = crate::gen::gap_benchmark(10, 10, 3, 2).matrix;
+        let lb = lower_bound(&m, false);
+        assert_eq!(lb.value, 7);
+        for capacity in [1, 7] {
+            let export = SessionExport {
+                best: m
+                    .ones_positions()
+                    .into_iter()
+                    .map(|(i, j)| (vec![i], vec![j]))
+                    .collect(),
+                matrix: m.clone(),
+                proved: false,
+                encoder_capacity: Some(capacity),
+                core: Vec::new(),
+            };
+            assert_eq!(export.best.len(), 34);
+            assert!(
+                SapSession::import(&export, lb).is_err(),
+                "capacity {capacity} below a 34-rectangle incumbent imported"
+            );
+        }
     }
 
     #[test]

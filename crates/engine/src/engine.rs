@@ -17,6 +17,10 @@ use proto::{JobRequest, JobResponse};
 /// Available CPUs per default worker (see [`EngineConfig::effective_workers`]).
 const CPUS_PER_WORKER: usize = 4;
 
+/// Maximum entries of the canonical-form cache, split over
+/// [`DEFAULT_SHARDS`](crate::DEFAULT_SHARDS) shards.
+const CACHE_CAPACITY: usize = 65_536;
+
 /// Configuration of an [`Engine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -26,9 +30,6 @@ pub struct EngineConfig {
     /// Defaults for every job's pipeline run (per-job `budget_ms` /
     /// `conflicts` request fields override the budgets).
     pub portfolio: PortfolioConfig,
-    /// Maximum entries of the canonical-form cache, split over
-    /// [`DEFAULT_SHARDS`](crate::DEFAULT_SHARDS) shards.
-    pub cache_capacity: usize,
     /// Warm SAP sessions kept across jobs, keyed by canonical class
     /// (`0` disables warm starts: every SAP run re-encodes from scratch).
     pub warm_sessions: usize,
@@ -42,7 +43,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 0,
             portfolio: PortfolioConfig::default(),
-            cache_capacity: 65_536,
             warm_sessions: 128,
             canon: CanonOptions::default(),
         }
@@ -133,7 +133,7 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine with an empty cache.
     pub fn new(config: EngineConfig) -> Self {
-        let cache = CanonicalCache::new(config.cache_capacity);
+        let cache = CanonicalCache::new(CACHE_CAPACITY);
         let warm =
             (config.warm_sessions > 0).then(|| Arc::new(SessionStore::new(config.warm_sessions)));
         Engine {
@@ -405,7 +405,6 @@ mod tests {
                 packing_trials: 16,
                 ..PortfolioConfig::default()
             },
-            cache_capacity: 1024,
             ..EngineConfig::default()
         })
     }

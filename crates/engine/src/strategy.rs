@@ -581,6 +581,45 @@ mod tests {
         assert!(recurring_class_is_parked(&full_store_engine()));
     }
 
+    /// A snapshot record whose encoder capacity lies below its incumbent
+    /// is refused when its class recurs, so SAP cold-starts from the job's
+    /// incumbent and answers r_B = 9. Imported, the record would have SAP
+    /// call that incumbent (10 rectangles) optimal: at once at capacity 1,
+    /// under the floor of 8, and after an UNSAT answer at capacity 8. The
+    /// roster is SAP alone, so the incumbent is the trivial partition:
+    /// packing already meets r_B on this instance.
+    #[test]
+    fn a_spilled_session_below_its_incumbent_cold_starts() {
+        let m = ebmf::gen::gap_benchmark(10, 10, 3, 6).matrix;
+        assert_eq!(lower_bound(&m, false).value, 8);
+        assert_eq!(trivial_partition(&m).len(), 10);
+        for capacity in [1, 8] {
+            let store = Arc::new(SessionStore::new(8));
+            let engine = Engine::with_strategies(
+                EngineConfig::default(),
+                vec![Arc::new(SapStrategy::warm(store.clone()))],
+            );
+            let canon = canonical_form_with(&m, &engine.config().canon);
+            let export = SessionExport {
+                best: canon
+                    .matrix
+                    .ones_positions()
+                    .into_iter()
+                    .map(|(i, j)| (vec![i], vec![j]))
+                    .collect(),
+                matrix: canon.matrix.clone(),
+                proved: false,
+                encoder_capacity: Some(capacity),
+                core: Vec::new(),
+            };
+            assert!(store.install_spilled(canon.key(), export));
+            let out = engine.solve(&m);
+            assert!(out.partition.validate(&m).is_ok());
+            assert_eq!(out.partition.len(), 9, "capacity {capacity}");
+            assert!(out.proved_optimal);
+        }
+    }
+
     #[test]
     fn restored_sessions_do_not_lock_a_recurring_class_out() {
         let dir =

@@ -53,6 +53,11 @@ impl Interest {
         readable: true,
         writable: true,
     };
+
+    /// Whether neither readiness is wanted.
+    pub(crate) fn is_empty(self) -> bool {
+        !self.readable && !self.writable
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -265,7 +270,10 @@ impl Poller {
     }
 
     /// Updates the interest of a registered token (e.g. adding WRITE when
-    /// a connection's outbound queue becomes non-empty).
+    /// a connection's outbound queue becomes non-empty). An empty interest
+    /// stops watching the fd until a later `modify` asks for readiness
+    /// again: both backends report a hang-up whatever the interest, so a
+    /// hung-up fd still watched would wake every wait.
     pub fn modify(&mut self, token: u64, interest: Interest) -> io::Result<()> {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
@@ -276,19 +284,26 @@ impl Poller {
                         format!("token {token} is not registered"),
                     ));
                 };
-                let mut ev = epoll_sys::EpollEvent {
-                    events: epoll_mask(interest),
-                    data: token,
+                let op = match (slot.is_empty(), interest.is_empty()) {
+                    (true, true) => None,
+                    (true, false) => Some(epoll_sys::EPOLL_CTL_ADD),
+                    (false, true) => Some(epoll_sys::EPOLL_CTL_DEL),
+                    (false, false) => Some(epoll_sys::EPOLL_CTL_MOD),
                 };
-                // SAFETY: as in register; MOD on a registered fd.
-                if unsafe { epoll_sys::epoll_ctl(*epfd, epoll_sys::EPOLL_CTL_MOD, fd, &mut ev) }
-                    != 0
-                {
-                    return Err(last_os_error());
+                if let Some(op) = op {
+                    let mut ev = epoll_sys::EpollEvent {
+                        events: epoll_mask(interest),
+                        data: token,
+                    };
+                    // SAFETY: as in register; fd is a live registered fd.
+                    if unsafe { epoll_sys::epoll_ctl(*epfd, op, fd, &mut ev) } != 0 {
+                        return Err(last_os_error());
+                    }
                 }
                 *slot = interest;
                 Ok(())
             }
+            // `wait` skips empty interests.
             Backend::Poll { interests } => match interests.get_mut(&token) {
                 Some((_, slot)) => {
                     *slot = interest;
@@ -308,9 +323,12 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll { epfd, interests } => {
-                let Some((fd, _)) = interests.remove(&token) else {
+                let Some((fd, interest)) = interests.remove(&token) else {
                     return Ok(()); // idempotent
                 };
+                if interest.is_empty() {
+                    return Ok(()); // not watched since `modify` emptied it
+                }
                 // SAFETY: DEL ignores the event argument on modern kernels
                 // but a valid pointer keeps pre-2.6.9 semantics happy.
                 let mut ev = epoll_sys::EpollEvent { events: 0, data: 0 };
@@ -367,7 +385,11 @@ impl Poller {
                 Ok(())
             }
             Backend::Poll { interests } => {
-                let mut order: Vec<u64> = interests.keys().copied().collect();
+                let mut order: Vec<u64> = interests
+                    .iter()
+                    .filter(|(_, (_, interest))| !interest.is_empty())
+                    .map(|(&token, _)| token)
+                    .collect();
                 order.sort_unstable(); // deterministic service order
                 let mut fds: Vec<PollFd> = order
                     .iter()
@@ -526,6 +548,34 @@ mod tests {
                 events.iter().any(|e| e.token == 1 && e.readable),
                 "hangup must wake the reader (backend force_poll={force_poll})"
             );
+        }
+    }
+
+    #[test]
+    fn empty_interest_silences_a_hung_up_fd_until_modified_back() {
+        let none = Interest {
+            readable: false,
+            writable: false,
+        };
+        for force_poll in [false, true] {
+            let mut poller = Poller::new_with(force_poll).unwrap();
+            let (a, b) = UnixStream::pair().unwrap();
+            a.set_nonblocking(true).unwrap();
+            poller.register(a.as_raw_fd(), 1, Interest::READ).unwrap();
+            drop(b);
+            poller.modify(1, none).unwrap();
+            let mut events = Vec::new();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .unwrap();
+            assert!(events.is_empty(), "force_poll={force_poll}: {events:?}");
+            poller.modify(1, Interest::READ).unwrap();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert!(events.iter().any(|e| e.token == 1 && e.readable));
+            poller.modify(1, none).unwrap();
+            poller.deregister(1).unwrap();
         }
     }
 
