@@ -32,17 +32,26 @@ assert_json_field "$OUT" solved 50
 assert_json_field "$OUT" cache_hits 49
 test "$(wc -l < "$OUT")" -eq 51
 
-# Hang-up: kill a client while its one job runs. The job's answer stays
-# pending on a connection that wants neither input nor output, and the
-# event loop must not wake on that socket's hang-up over and over: over
-# the next wall second the server may spend its one worker's core, not a
-# second core on the loop.
+# Hang-up: kill a client while its first job runs and two more wait in
+# the queue. A peer gone both ways can read no answer, so the server must
+# cancel the two queued jobs at once (a stats frame taken over a second
+# connection shows an empty queue), and the event loop must not wake on
+# that socket's hang-up over and over: over the next wall second the
+# server may spend its one worker's core, not a second core on the loop.
 start_server "$SOCK" --workers 1
-HARD=$("$BIN" gen rand 13 13 60 3 | tr '\n' ';' | sed 's/;*$//')
-echo "{\"id\": \"hard\", \"matrix\": \"$HARD\", \"budget_ms\": 3000}" > "$JOBS"
+: > "$JOBS"
+for seed in 3 4 5; do
+  HARD=$("$BIN" gen rand 13 13 60 "$seed" | tr '\n' ';' | sed 's/;*$//')
+  echo "{\"id\": \"hard$seed\", \"matrix\": \"$HARD\", \"budget_ms\": 3000}" >> "$JOBS"
+done
 STATUS=0
 timeout 0.3 "$BIN" client "$SOCK" < "$JOBS" > /dev/null || STATUS=$?
 [ "$STATUS" -eq 124 ] || fail "client exited with status $STATUS before it was killed"
+sleep 0.2
+printf '{"hello": 2}\n{"stats": true}\n' | timeout 10 "$BIN" client "$SOCK" > "$OUT"
+QUEUED=$(sed -n 's/.*"queue": {"depth": [0-9]*, "len": \([0-9]*\)}.*/\1/p' "$OUT")
+echo "jobs still queued 0.2 s after the hang-up: $QUEUED"
+[ "$QUEUED" = 0 ] || fail "the hung-up client's jobs are still queued ($QUEUED)"
 # utime + stime: fields 14 and 15, the 12th and 13th after "(comm) ".
 cpu_ticks() { sed 's/.*) //' "/proc/$LAST_SERVER_PID/stat" | awk '{print $12 + $13}'; }
 BEFORE=$(cpu_ticks)

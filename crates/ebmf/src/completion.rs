@@ -5,19 +5,22 @@
 //! factorization problem into a completion problem: rectangles must still
 //! cover every care-1 exactly once and no care-0, but may overlap freely on
 //! don't-cares — which can only reduce the depth. The paper leaves this as
-//! future work; this module implements both an exact solver (reusing the
-//! SAT encoder's don't-care mode) and a DC-aware packing heuristic.
+//! future work. Here the mask is an input of the pipeline's own pieces:
+//! [`crate::row_packing_with_dont_cares`] runs Algorithm 2's packer,
+//! [`complete_ebmf`] Algorithm 1's descent over the encoder's don't-care
+//! mode, and [`validate_completion`] the partition check.
 
-use bitmatrix::{random_permutation, BitMatrix, BitVec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sat::SolveResult;
+use bitmatrix::BitMatrix;
 
-use crate::{EbmfEncoder, Partition, PartitionError, Rectangle};
+use crate::sap::descend;
+use crate::{
+    row_packing_with_dont_cares, EbmfEncoder, EncoderOptions, Partition, PartitionError, SapConfig,
+};
 
 /// Validates a partition against a care-matrix plus don't-care mask:
 /// rectangles must be nonempty, cover every 1 of `m` exactly once, and may
-/// cover don't-cares arbitrarily often — but never a care-0.
+/// cover don't-cares arbitrarily often — but never a care-0. With an
+/// all-zero mask this is [`Partition::validate`].
 ///
 /// # Errors
 ///
@@ -34,118 +37,8 @@ pub fn validate_completion(
     dont_care: &BitMatrix,
 ) -> Result<(), PartitionError> {
     assert_eq!(m.shape(), dont_care.shape(), "mask shape mismatch");
-    assert!(m.and(dont_care).is_zero(), "cell both 1 and don't-care");
-    if p.shape() != m.shape() {
-        return Err(PartitionError::ShapeMismatch {
-            partition: p.shape(),
-            matrix: m.shape(),
-        });
-    }
-    for (idx, r) in p.iter().enumerate() {
-        if r.is_empty() {
-            return Err(PartitionError::EmptyRectangle { index: idx });
-        }
-        for (i, j) in r.cells() {
-            if !m.get(i, j) && !dont_care.get(i, j) {
-                return Err(PartitionError::CoversZero {
-                    index: idx,
-                    cell: (i, j),
-                });
-            }
-        }
-    }
-    // Exactly-once coverage applies to care-1 cells only.
-    let mut covered = BitMatrix::zeros(m.nrows(), m.ncols());
-    for (idx, r) in p.iter().enumerate() {
-        for i in r.rows().ones() {
-            let care_hits = r.cols().and(m.row(i));
-            if !covered.row(i).is_disjoint(&care_hits) {
-                let clash = covered
-                    .row(i)
-                    .and(&care_hits)
-                    .first_one()
-                    .expect("non-disjoint");
-                let first = p.rectangles()[..idx]
-                    .iter()
-                    .position(|q| q.contains(i, clash))
-                    .expect("earlier cover exists");
-                return Err(PartitionError::Overlap { first, second: idx });
-            }
-            covered.row_mut(i).or_assign(&care_hits);
-        }
-    }
-    for i in 0..m.nrows() {
-        if let Some(j) = m.row(i).difference(covered.row(i)).first_one() {
-            return Err(PartitionError::Uncovered { cell: (i, j) });
-        }
-    }
-    Ok(())
-}
-
-/// Don't-care-aware row packing: like Algorithm 2, but a basis vector `v`
-/// may be used on row `i` whenever `v ⊆ ones(i) ∪ dc(i)` — the don't-care
-/// cells absorb the mismatch. The basis update is restricted to exact
-/// containment (conservative but always sound).
-pub fn row_packing_with_dont_cares(
-    m: &BitMatrix,
-    dont_care: &BitMatrix,
-    trials: usize,
-    seed: u64,
-) -> Partition {
-    assert_eq!(m.shape(), dont_care.shape(), "mask shape mismatch");
-    assert!(m.and(dont_care).is_zero(), "cell both 1 and don't-care");
-    let nrows = m.nrows();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut best: Option<Partition> = None;
-    for trial in 0..trials.max(1) {
-        let order = if trial == 0 {
-            (0..nrows).collect::<Vec<_>>()
-        } else {
-            random_permutation(nrows, &mut rng)
-        };
-        let p = pack_once_dc(m, dont_care, &order);
-        if best.as_ref().is_none_or(|b| p.len() < b.len()) {
-            best = Some(p);
-        }
-    }
-    best.expect("at least one trial")
-}
-
-fn pack_once_dc(m: &BitMatrix, dont_care: &BitMatrix, order: &[usize]) -> Partition {
-    let nrows = m.nrows();
-    let ncols = m.ncols();
-    let mut rects: Vec<Rectangle> = Vec::new(); // rows in original indices
-    for &i in order {
-        let ones = m.row(i).to_bitvec();
-        if ones.is_zero() {
-            continue;
-        }
-        let coverable = ones.or(dont_care.row(i));
-        let mut residue = ones.clone();
-        for rect in rects.iter_mut() {
-            let v = rect.cols().clone();
-            if v.is_zero() || !v.is_subset_of(&coverable) {
-                continue;
-            }
-            // The vector's care hits on this row must all be outstanding —
-            // re-covering an already-covered 1 would break disjointness —
-            // and it must cover at least one (avoid useless growth).
-            let care_hits = v.and(&ones);
-            if !care_hits.is_zero() && care_hits.is_subset_of(&residue) {
-                rect.rows_mut().set(i, true);
-                residue.difference_assign(&care_hits);
-                if residue.is_zero() {
-                    break;
-                }
-            }
-        }
-        if !residue.is_zero() {
-            let mut rows = BitVec::zeros(nrows);
-            rows.set(i, true);
-            rects.push(Rectangle::new(rows, residue));
-        }
-    }
-    Partition::from_rectangles(nrows, ncols, rects)
+    assert!(m.is_disjoint(dont_care), "cell both 1 and don't-care");
+    p.validate_with(m, Some(dont_care))
 }
 
 /// Outcome of the exact completion solver.
@@ -157,66 +50,35 @@ pub struct CompletionOutcome {
     pub proved_optimal: bool,
 }
 
-/// Exact minimum-depth EBMF with don't-cares: descending SAT queries from
-/// the DC-aware heuristic's depth, mirroring Algorithm 1.
+/// Exact minimum-depth EBMF with don't-cares: Algorithm 1 from the
+/// don't-care-aware packing's depth, one incremental SAT query per step.
 ///
-/// Note that the real-rank bound of Eq. 3 does **not** apply verbatim under
-/// don't-cares (completion can beat the care-matrix rank), so the descent
-/// runs to UNSAT or to 1.
+/// The real-rank bound of Eq. 3 does **not** apply under don't-cares
+/// (completion can beat the care-matrix rank), so the descent runs to
+/// UNSAT or to depth 1.
+///
+/// # Panics
+///
+/// Panics if `m` and `dont_care` shapes differ or a cell is both.
 pub fn complete_ebmf(m: &BitMatrix, dont_care: &BitMatrix) -> CompletionOutcome {
-    let heuristic = row_packing_with_dont_cares(m, dont_care, 10, 0);
-    debug_assert!(validate_completion(&heuristic, m, dont_care).is_ok());
-    if m.is_zero() {
-        return CompletionOutcome {
-            partition: Partition::empty(m.nrows(), m.ncols()),
-            proved_optimal: true,
-        };
-    }
-    let mut best = heuristic;
-    if best.len() == 1 {
-        return CompletionOutcome {
-            partition: best,
-            proved_optimal: true,
-        };
-    }
-    let mut encoder = EbmfEncoder::with_dont_cares(m, dont_care, best.len() - 1);
-    let proved;
-    loop {
-        if encoder.bound() == 0 {
-            proved = true;
-            break;
-        }
-        match encoder.solve() {
-            SolveResult::Sat => {
-                let p = encoder.extract_partition();
-                debug_assert!(validate_completion(&p, m, dont_care).is_ok());
-                best = p;
-                if best.len() == 1 {
-                    proved = true;
-                    break;
-                }
-                encoder.narrow(best.len() - 1);
-            }
-            SolveResult::Unsat => {
-                proved = true;
-                break;
-            }
-            SolveResult::Unknown => {
-                proved = false;
-                break;
-            }
-        }
-    }
+    let mut partition = row_packing_with_dont_cares(m, dont_care, 10, 0);
+    let proved_optimal = partition.len() <= 1 || {
+        let options = EncoderOptions::new(partition.len() - 1).with_assumption_bounds();
+        let mut encoder = EbmfEncoder::with_encoder_options(m, Some(dont_care), options);
+        let config = SapConfig::default();
+        descend(&mut encoder, &mut partition, 1, &config, &mut Vec::new()).0
+    };
+    debug_assert!(validate_completion(&partition, m, dont_care).is_ok());
     CompletionOutcome {
-        partition: best,
-        proved_optimal: proved,
+        partition,
+        proved_optimal,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{binary_rank, lower_bound};
+    use crate::{binary_rank, lower_bound, Rectangle};
 
     #[test]
     fn dont_cares_strictly_help_on_identity() {

@@ -21,9 +21,10 @@
 //!   don't-care carry no variable and impose no corner constraint — a
 //!   rectangle may cover them any number of times.
 //!
-//! The `narrow` method implements the paper's `narrow_down_depth`
-//! (Algorithm 1 line 8): banning the top label by unit clauses and
-//! re-solving incrementally.
+//! Under [`EncoderOptions::assumption_bounds`], [`EbmfEncoder::solve_at`]
+//! is the paper's `narrow_down_depth` (Algorithm 1 line 8): each query
+//! assumes the top labels banned, so one clause database and every learnt
+//! clause serve the whole descent.
 
 use std::time::Instant;
 
@@ -59,18 +60,18 @@ pub struct EncoderOptions {
     /// verified (see [`EbmfEncoder::unsat_refutation`]).
     pub proof_logging: bool,
     /// Encode the depth bound through **assumption selector literals**
-    /// instead of permanent ban clauses: one selector `off[k]` per label with
-    /// `off[k] → ¬x[e][k]`, so [`EbmfEncoder::solve_at`] can query any bound
-    /// `≤ capacity` — including re-widening after an UNSAT answer — while
-    /// every learnt clause stays valid and is reused across queries. This is
-    /// the warm-start substrate of the engine's per-canonical-class SAP
-    /// sessions.
+    /// instead of fixing it at construction: one selector `off[k]` per
+    /// label with `off[k] → ¬x[e][k]`, so [`EbmfEncoder::solve_at`] can
+    /// query any bound `≤ capacity` — including re-widening after an UNSAT
+    /// answer — while every learnt clause stays valid and is reused across
+    /// queries. This is the substrate of Algorithm 1's descent and of the
+    /// engine's warm-started per-canonical-class SAP sessions.
     pub assumption_bounds: bool,
 }
 
 impl EncoderOptions {
     /// The defaults [`EbmfEncoder::new`] builds with: symmetry breaking
-    /// on, pairwise AMO, no proof logging, permanent-clause bounds.
+    /// on, pairwise AMO, no proof logging, one bound fixed at construction.
     pub fn new(bound: usize) -> Self {
         EncoderOptions {
             bound,
@@ -100,14 +101,14 @@ impl EncoderOptions {
 ///
 /// ```
 /// use bitmatrix::BitMatrix;
-/// use rect_addr_ebmf::EbmfEncoder;
+/// use rect_addr_ebmf::{EbmfEncoder, EncoderOptions};
 ///
 /// let m: BitMatrix = "110\n011\n111".parse()?; // paper Eq. (2): r_B = 3
-/// let mut enc = EbmfEncoder::new(&m, 3);
-/// let p = enc.solve_partition().expect("3 rectangles suffice");
-/// assert!(p.validate(&m).is_ok());
-/// enc.narrow(2);
-/// assert!(enc.solve_partition().is_none(), "2 rectangles are too few");
+/// let options = EncoderOptions::new(3).with_assumption_bounds();
+/// let mut enc = EbmfEncoder::with_encoder_options(&m, None, options);
+/// assert!(enc.solve_at(3).is_sat(), "3 rectangles suffice");
+/// assert!(enc.extract_partition().validate(&m).is_ok());
+/// assert!(enc.solve_at(2).is_unsat(), "2 rectangles are too few");
 /// # Ok::<(), bitmatrix::ParseMatrixError>(())
 /// ```
 #[derive(Debug)]
@@ -118,7 +119,7 @@ pub struct EbmfEncoder {
     cells: Vec<(usize, usize)>,
     /// Labels allocated at construction.
     capacity: usize,
-    /// Labels currently allowed (`narrow` lowers this).
+    /// Labels allowed in the last query (the capacity before any).
     bound: usize,
     /// Flat `cells.len() × capacity` variable table.
     vars: Vec<Var>,
@@ -475,11 +476,6 @@ impl EbmfEncoder {
         self.solver.refutation_proof()
     }
 
-    /// The current label bound `b` of the encoded query `r_B(M) ≤ b`.
-    pub fn bound(&self) -> usize {
-        self.bound
-    }
-
     /// The label capacity the encoding was built with (the ceiling of
     /// [`EbmfEncoder::solve_at`] queries).
     pub fn capacity(&self) -> usize {
@@ -511,43 +507,9 @@ impl EbmfEncoder {
         self.solver.stats()
     }
 
-    /// Lowers the bound to `new_bound`. In the default (permanent-clause)
-    /// mode all higher labels are banned by unit clauses — the paper's
-    /// `narrow_down_depth`, incremental because learnt clauses are kept. In
-    /// assumption-bound mode nothing is added: the next solve simply assumes
-    /// the ban selectors of the excluded labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_bound` exceeds the current bound.
-    pub fn narrow(&mut self, new_bound: usize) {
-        assert!(
-            new_bound <= self.bound,
-            "cannot widen the bound ({new_bound} > {})",
-            self.bound
-        );
-        if self.bound_selectors.is_empty() {
-            for k in new_bound..self.bound {
-                for e in 0..self.cells.len() {
-                    let v = self.vars[e * self.capacity + k];
-                    self.solver.add_clause([v.negative()]);
-                }
-            }
-        }
-        self.bound = new_bound;
-        self.last_sat = false;
-    }
-
-    /// Runs the SAT query for the current bound.
+    /// Runs the SAT query at the construction bound (under assumption
+    /// bounds: at the last bound queried).
     pub fn solve(&mut self) -> SolveResult {
-        if self.cells.is_empty() {
-            self.last_sat = true;
-            return SolveResult::Sat;
-        }
-        if self.bound == 0 {
-            self.last_sat = false;
-            return SolveResult::Unsat;
-        }
         if !self.bound_selectors.is_empty() {
             return self.solve_at(self.bound);
         }
@@ -557,10 +519,10 @@ impl EbmfEncoder {
     }
 
     /// Queries `r_B(M) ≤ bound` through the assumption selectors, under the
-    /// per-call budget of [`EbmfEncoder::set_conflict_budget`]. Unlike
-    /// [`EbmfEncoder::narrow`] + [`EbmfEncoder::solve`], the bound may move
-    /// in **either** direction between calls, and every learnt clause is
-    /// shared across all queries — this is the warm-start entry point.
+    /// per-call budget of [`EbmfEncoder::set_conflict_budget`]. The bound
+    /// may move in **either** direction between calls, and every learnt
+    /// clause is shared across all queries — this is the warm-start entry
+    /// point.
     ///
     /// # Panics
     ///
@@ -684,17 +646,15 @@ mod tests {
     }
 
     #[test]
-    fn narrow_walks_down_to_unsat() {
-        // Identity 3: r_B = 3. Start at 5 and narrow down.
+    fn solve_at_walks_down_to_unsat() {
+        // Identity 3: r_B = 3. Start at 5 and walk down.
         let m = BitMatrix::identity(3);
-        let mut enc = EbmfEncoder::new(&m, 5);
-        assert_eq!(enc.solve(), SolveResult::Sat);
+        let mut enc = assumption_encoder(&m, 5);
+        assert_eq!(enc.solve_at(5), SolveResult::Sat);
         let p = enc.extract_partition();
         assert_eq!(p.len(), 3, "unused labels are dropped on extraction");
-        enc.narrow(3);
-        assert_eq!(enc.solve(), SolveResult::Sat);
-        enc.narrow(2);
-        assert_eq!(enc.solve(), SolveResult::Unsat);
+        assert_eq!(enc.solve_at(3), SolveResult::Sat);
+        assert_eq!(enc.solve_at(2), SolveResult::Unsat);
     }
 
     #[test]
@@ -803,23 +763,19 @@ mod tests {
     }
 
     #[test]
-    fn sequential_amo_narrow_still_works() {
+    fn sequential_amo_solve_at_walks_down() {
         let m = BitMatrix::identity(3);
         let mut enc = EbmfEncoder::with_encoder_options(
             &m,
             None,
             EncoderOptions {
-                bound: 4,
-                symmetry_breaking: true,
                 amo: AmoEncoding::Sequential,
-                ..EncoderOptions::new(4)
+                ..EncoderOptions::new(4).with_assumption_bounds()
             },
         );
-        assert!(enc.solve().is_sat());
-        enc.narrow(3);
-        assert!(enc.solve().is_sat());
-        enc.narrow(2);
-        assert!(enc.solve().is_unsat());
+        assert!(enc.solve_at(4).is_sat());
+        assert!(enc.solve_at(3).is_sat());
+        assert!(enc.solve_at(2).is_unsat());
     }
 
     fn assumption_encoder(m: &BitMatrix, capacity: usize) -> EbmfEncoder {
@@ -831,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn assumption_bounds_agree_with_permanent_narrowing() {
+    fn assumption_bounds_agree_with_single_bound_encoders() {
         let matrices: [BitMatrix; 3] = [
             "110\n011\n111".parse().unwrap(),
             BitMatrix::identity(4),
@@ -853,7 +809,7 @@ mod tests {
 
     #[test]
     fn assumption_bounds_can_rewiden_after_unsat() {
-        // Permanent narrowing can never widen; the selector encoding can.
+        // The selector encoding answers any bound up to its capacity.
         let m = BitMatrix::identity(3);
         let mut enc = assumption_encoder(&m, 5);
         assert!(enc.solve_at(2).is_unsat());

@@ -1,5 +1,6 @@
 //! Heuristic EBMF: the trivial bound and the paper's *row packing*
-//! (Algorithm 2), plus the §VI exact-cover upgrade.
+//! (Algorithm 2), plus the §VI exact-cover upgrade and the §VI don't-care
+//! mask ([`row_packing_with_dont_cares`]), both run by the same packer.
 //!
 //! The packing inner loop runs entirely on packed `u64` words: the basis
 //! vectors and row memberships of every rectangle live in two flat scratch
@@ -133,9 +134,17 @@ impl PackWorkspace {
         PackWorkspace::default()
     }
 
-    /// One pass of Algorithm 2 over `m`'s rows in `order`; leaves the
-    /// resulting rectangles in the workspace and returns their count.
-    fn run_trial(&mut self, m: &BitMatrix, order: &[usize], config: &PackingConfig) -> usize {
+    /// One pass of Algorithm 2 over `m`'s rows in `order`, where cells set
+    /// in `dont_care` may be covered any number of times (see [`fits`]);
+    /// leaves the resulting rectangles in the workspace and returns their
+    /// count.
+    fn run_trial(
+        &mut self,
+        m: &BitMatrix,
+        dont_care: Option<&BitMatrix>,
+        order: &[usize],
+        config: &PackingConfig,
+    ) -> usize {
         let start = Instant::now();
         let nrows = m.nrows();
         assert_eq!(order.len(), nrows, "order must be a permutation of rows");
@@ -154,6 +163,7 @@ impl PackWorkspace {
             if kernel::is_zero(&self.residue) {
                 continue;
             }
+            let dc = dont_care.map(|d| d.row_words(orig));
             // Decompose the row over the current basis.
             if config.exact_cover && self.nrect > 0 && self.exact_cover_step(t) {
                 continue; // fully decomposed, no residue
@@ -161,7 +171,7 @@ impl PackWorkspace {
             // Greedy first-fit (Algorithm 2 lines 4–7).
             for k in 0..self.nrect {
                 let cols = &self.rect_cols[k * cs..(k + 1) * cs];
-                if !kernel::is_zero(cols) && kernel::is_subset(cols, &self.residue) {
+                if fits(cols, &self.residue, dc) {
                     self.rect_rows[k * rs + t / 64] |= 1 << (t % 64); // vertical grow
                     kernel::andnot_assign(&mut self.residue, cols);
                 }
@@ -178,7 +188,8 @@ impl PackWorkspace {
                 // its rectangle sheds the residue columns ("horizontal
                 // shrink"), and those rows are re-covered by the new
                 // rectangle. (The paper's pseudo-code tracks this with the
-                // column vector `c`.)
+                // column vector `c`.) Cells only move between rectangles,
+                // so under don't-cares every care-1 stays covered once.
                 let (old_rows, new_rows) = self.rect_rows.split_at_mut(row_base);
                 for k in 0..self.nrect {
                     let cols = &mut self.rect_cols[k * cs..(k + 1) * cs];
@@ -209,7 +220,7 @@ impl PackWorkspace {
         self.builder.reset(kernel::count(&self.residue), 0);
         for k in 0..self.nrect {
             let cols = &self.rect_cols[k * cs..(k + 1) * cs];
-            if !kernel::is_zero(cols) && kernel::is_subset(cols, &self.residue) {
+            if fits(cols, &self.residue, None) {
                 // Item index of column `c` = its rank among the row's 1s.
                 self.cover_items.clear();
                 self.cover_items
@@ -256,6 +267,20 @@ impl PackWorkspace {
     }
 }
 
+/// Whether basis vector `cols` fits a row (Algorithm 2 line 5): it meets the
+/// row's uncovered 1s (`residue`) and lies within them plus the row's
+/// don't-cares. Without a mask this is `∅ ≠ cols ⊆ residue`.
+#[inline]
+fn fits(cols: &[u64], residue: &[u64], dont_care: Option<&[u64]>) -> bool {
+    match dont_care {
+        None => !kernel::is_zero(cols) && kernel::is_subset(cols, residue),
+        Some(dc) => {
+            kernel::intersects(cols, residue)
+                && (cols.iter().zip(residue).zip(dc)).all(|((&c, &r), &d)| c & !(r | d) == 0)
+        }
+    }
+}
+
 /// One pass of row packing (Algorithm 2) with an explicit row order:
 /// `order[t]` is the original index of the row processed `t`-th. This is the
 /// entry point used to reproduce the two trials of paper Fig. 3.
@@ -265,7 +290,7 @@ impl PackWorkspace {
 /// Panics if `order` is not a permutation of `0..m.nrows()`.
 pub fn row_packing_once(m: &BitMatrix, order: &[usize], config: &PackingConfig) -> Partition {
     let mut ws = PackWorkspace::new();
-    ws.run_trial(m, order, config);
+    ws.run_trial(m, None, order, config);
     ws.to_partition(m, order)
 }
 
@@ -273,10 +298,43 @@ pub fn row_packing_once(m: &BitMatrix, order: &[usize], config: &PackingConfig) 
 /// the matrix and of its transpose, returning the best partition found,
 /// never worse than [`trivial_partition`].
 pub fn row_packing(m: &BitMatrix, config: &PackingConfig) -> Partition {
+    pack(m, None, config)
+}
+
+/// Row packing of the care-matrix `m` whose cells set in `dont_care`
+/// (vacancies, paper §VI) may be covered any number of times: a basis
+/// vector fits a row when it meets the row's uncovered 1s and lies within
+/// them plus the row's don't-cares. Otherwise exactly [`row_packing`] with
+/// `trials` and `seed` (and the other [`PackingConfig`] defaults): the same
+/// shuffles of both orientations, the basis update, and the trivial
+/// partition as the baseline, so an all-zero mask gives its partition.
+/// Check the result with [`crate::validate_completion`].
+///
+/// # Panics
+///
+/// Panics if the shapes differ or a cell is both 1 and don't-care.
+pub fn row_packing_with_dont_cares(
+    m: &BitMatrix,
+    dont_care: &BitMatrix,
+    trials: usize,
+    seed: u64,
+) -> Partition {
+    assert_eq!(m.shape(), dont_care.shape(), "mask shape mismatch");
+    assert!(m.is_disjoint(dont_care), "cell both 1 and don't-care");
+    let config = PackingConfig {
+        trials,
+        seed,
+        ..PackingConfig::default()
+    };
+    pack(m, Some(dont_care), &config)
+}
+
+/// [`row_packing`] under an optional don't-care mask.
+fn pack(m: &BitMatrix, dont_care: Option<&BitMatrix>, config: &PackingConfig) -> Partition {
     let mut best = trivial_partition(m);
     if best.len() > 1 {
         let mut ws = PackWorkspace::new();
-        run_orientations(m, config, &mut ws, &mut best);
+        run_orientations(m, dont_care, config, &mut ws, &mut best);
     }
     best
 }
@@ -315,17 +373,18 @@ pub fn row_packing_cancellable(
             seed: config.seed.wrapping_add(t),
             ..*config
         };
-        run_orientations(m, &per_trial, &mut ws, &mut best);
+        run_orientations(m, None, &per_trial, &mut ws, &mut best);
     }
     best
 }
 
-/// Runs `config.trials` packing passes on `m` and on its transpose,
-/// improving `best` in place. One `StdRng` seeded from `config.seed` drives
-/// every shuffle, both orientations included, matching the historical trial
-/// stream exactly.
+/// Runs `config.trials` packing passes on `m` and on its transpose (the
+/// mask transposed with it), improving `best` in place. One `StdRng`
+/// seeded from `config.seed` drives every shuffle, both orientations
+/// included, matching the historical trial stream exactly.
 fn run_orientations(
     m: &BitMatrix,
+    dont_care: Option<&BitMatrix>,
     config: &PackingConfig,
     ws: &mut PackWorkspace,
     best: &mut Partition,
@@ -333,6 +392,7 @@ fn run_orientations(
     let mut rng = StdRng::seed_from_u64(config.seed);
     for transposed in [false, true] {
         let target: &BitMatrix = if transposed { m.transposed() } else { m };
+        let dc = dont_care.map(|d| if transposed { d.transposed() } else { d });
         let trials = match config.order {
             RowOrder::Shuffle => config.trials,
             // A deterministic order: extra trials are identical.
@@ -347,7 +407,7 @@ fn run_orientations(
                     idx
                 }
             };
-            if ws.run_trial(target, &order, config) < best.len() {
+            if ws.run_trial(target, dc, &order, config) < best.len() {
                 let p = ws.to_partition(target, &order);
                 *best = if transposed {
                     transpose_partition(&p)

@@ -9,22 +9,28 @@
 //! minimum number of AOD shots needed to address the pattern. Deciding
 //! `r_B(M) ≤ k` is NP-complete.
 //!
-//! The crate provides the paper's full algorithm suite:
+//! The crate provides the paper's full algorithm suite, each algorithm
+//! once:
 //!
 //! * [`trivial_partition`] — the `min(#rows, #cols)` baseline (§III-B);
 //! * [`row_packing`] — Algorithm 2: shuffled greedy set-basis packing with
-//!   the basis-update step, plus the §VI exact-cover (DLX) upgrade behind
-//!   [`PackingConfig::exact_cover`];
+//!   the basis-update step over both orientations, plus the §VI
+//!   exact-cover (DLX) upgrade behind [`PackingConfig::exact_cover`];
 //! * [`EbmfEncoder`] — the Eq. 4 decision problem `r_B(M) ≤ b` as CNF with
-//!   value-precedence symmetry breaking and don't-care support;
+//!   value-precedence symmetry breaking and don't-care support, queried at
+//!   any depth up to its capacity by [`EbmfEncoder::solve_at`] (the
+//!   paper's `narrow_down_depth`);
 //! * [`sap`] — Algorithm 1: packing upper bound, real-rank floor (Eq. 3),
 //!   descending incremental SAT queries, and the incumbent as the anytime
 //!   answer once the conflict budget or the cancel token stops them;
+//! * [`Partition::validate`] — the EBMF check every result passes;
 //! * [`gen`](mod@gen) — the three Table I benchmark families;
 //! * [`tensor_partition`] / [`tensor_bounds`] — the §V FTQC two-level
 //!   structure and the Eq. 5 sandwich;
 //! * [`complete_ebmf`] — the §VI binary-matrix-completion extension
-//!   (vacancies as don't-cares).
+//!   (vacancies as don't-cares): the same packer
+//!   ([`row_packing_with_dont_cares`]), descent and partition check
+//!   ([`validate_completion`]) with a don't-care mask as one more input.
 //!
 //! # Examples
 //!
@@ -56,14 +62,12 @@ mod tensor;
 
 pub use bipartite::{as_bicliques, normal_set_basis, Biclique, Bipartite};
 pub use bounds::{lower_bound, BoundSource, LowerBound};
-pub use completion::{
-    complete_ebmf, row_packing_with_dont_cares, validate_completion, CompletionOutcome,
-};
+pub use completion::{complete_ebmf, validate_completion, CompletionOutcome};
 pub use encode::{AmoEncoding, EbmfEncoder, EncoderOptions};
 pub use exact::{exact_search, ExactSearchOutcome};
 pub use heuristic::{
-    row_packing, row_packing_cancellable, row_packing_once, trivial_partition, PackingConfig,
-    RowOrder,
+    row_packing, row_packing_cancellable, row_packing_once, row_packing_with_dont_cares,
+    trivial_partition, PackingConfig, RowOrder,
 };
 pub use partition::{Partition, PartitionError};
 pub use rect::Rectangle;
@@ -169,6 +173,42 @@ mod proptests {
             let pb = row_packing(&b, &PackingConfig::with_trials(2));
             let t = tensor_partition(&pa, &pb);
             prop_assert!(t.validate(&a.kron(&b)).is_ok());
+        }
+
+        #[test]
+        fn an_all_zero_mask_changes_nothing(
+            m in arb_matrix(30, 30),
+            trials in 0usize..8,
+            seed in any::<u64>(),
+        ) {
+            let (r, c) = m.shape();
+            let zero = BitMatrix::zeros(r, c);
+            let packed = row_packing_with_dont_cares(&m, &zero, trials, seed);
+            let config = PackingConfig { trials, seed, ..PackingConfig::default() };
+            prop_assert_eq!(&packed, &row_packing(&m, &config));
+
+            let mut corrupted = vec![packed.clone()];
+            if let Some((first, rest)) = packed.rectangles().split_first() {
+                corrupted.push(Partition::from_rectangles(r, c, rest.to_vec()));
+                let mut twice = packed.clone();
+                twice.push(first.clone());
+                corrupted.push(twice);
+            }
+            if let Some((i, j)) = (0..r * c).map(|k| (k / c, k % c)).find(|&(i, j)| !m.get(i, j)) {
+                let mut stray = packed.clone();
+                stray.push(Rectangle::singleton(r, c, i, j));
+                corrupted.push(stray);
+            }
+            for p in &corrupted {
+                prop_assert_eq!(validate_completion(p, &m, &zero), p.validate(&m));
+            }
+        }
+
+        #[test]
+        fn an_all_zero_mask_completes_to_the_binary_rank(m in arb_matrix(6, 6)) {
+            let out = complete_ebmf(&m, &BitMatrix::zeros(m.nrows(), m.ncols()));
+            prop_assert!(out.proved_optimal);
+            prop_assert_eq!(out.partition.len(), binary_rank(&m));
         }
 
         #[test]

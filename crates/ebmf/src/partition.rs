@@ -155,6 +155,17 @@ impl Partition {
     ///
     /// Returns the first violation found, see [`PartitionError`].
     pub fn validate(&self, m: &BitMatrix) -> Result<(), PartitionError> {
+        self.validate_with(m, None)
+    }
+
+    /// [`Partition::validate`] where cells set in `dont_care` may be
+    /// covered any number of times: exactly-once coverage binds the 1s of
+    /// `m` only, and a covered cell outside both is a `CoversZero`.
+    pub(crate) fn validate_with(
+        &self,
+        m: &BitMatrix,
+        dont_care: Option<&BitMatrix>,
+    ) -> Result<(), PartitionError> {
         if (self.nrows, self.ncols) != m.shape() {
             return Err(PartitionError::ShapeMismatch {
                 partition: (self.nrows, self.ncols),
@@ -166,7 +177,7 @@ impl Partition {
                 return Err(PartitionError::EmptyRectangle { index: idx });
             }
             for (i, j) in r.cells() {
-                if !m.get(i, j) {
+                if !m.get(i, j) && !dont_care.is_some_and(|d| d.get(i, j)) {
                     return Err(PartitionError::CoversZero {
                         index: idx,
                         cell: (i, j),
@@ -174,16 +185,17 @@ impl Partition {
                 }
             }
         }
-        // Disjointness + coverage via per-row accumulation.
+        // Disjointness + coverage of the 1s via per-row accumulation.
         let mut covered = BitMatrix::zeros(self.nrows, self.ncols);
         for (idx, r) in self.rects.iter().enumerate() {
             for i in r.rows().ones() {
-                if !covered.row(i).is_disjoint(r.cols()) {
+                let hits = r.cols().and(m.row(i));
+                if !covered.row(i).is_disjoint(&hits) {
                     let second = idx;
                     // Identify the earlier overlapping rectangle for the report.
                     let clash_col = covered
                         .row(i)
-                        .and(r.cols())
+                        .and(&hits)
                         .first_one()
                         .expect("non-disjoint row must share a column");
                     let first = self.rects[..idx]
@@ -192,7 +204,7 @@ impl Partition {
                         .expect("overlap must involve an earlier rectangle");
                     return Err(PartitionError::Overlap { first, second });
                 }
-                covered.row_mut(i).or_assign(r.cols());
+                covered.row_mut(i).or_assign(&hits);
             }
         }
         for i in 0..self.nrows {

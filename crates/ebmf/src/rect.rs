@@ -74,11 +74,6 @@ impl Rectangle {
         &self.cols
     }
 
-    /// Mutable row indicator (used by the completion search's vertical grow).
-    pub(crate) fn rows_mut(&mut self) -> &mut BitVec {
-        &mut self.rows
-    }
-
     /// Whether the rectangle contains cell `(i, j)`.
     ///
     /// # Panics

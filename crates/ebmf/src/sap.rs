@@ -439,15 +439,12 @@ impl SapSession {
             bound_seconds: std::mem::take(&mut self.bound_seconds),
             ..SapStats::default()
         };
-        let cancelled = || {
-            config
-                .cancel
-                .as_ref()
-                .is_some_and(CancelToken::is_cancelled)
-        };
-
+        let cancelled = config
+            .cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled);
         let mut certificate = None;
-        if !self.proved && !cancelled() && self.best.len() > 1 {
+        if !self.proved && !cancelled && self.best.len() > 1 {
             let sat_start = Instant::now();
             // A certificate needs every lemma in one trace: an encoder that
             // learnt without logging hands its core to a logging rebuild,
@@ -465,61 +462,17 @@ impl SapSession {
                 self.encoder = self.build_encoder(config);
             }
             if let Some(encoder) = self.encoder.as_mut() {
-                encoder.set_conflict_budget(config.conflict_budget);
-                encoder.set_interrupt(config.cancel.clone());
-                loop {
-                    // Resume point: one below the incumbent, clamped to what the
-                    // encoding can express (the incumbent may have improved past
-                    // the first run's starting capacity via `offer_incumbent`).
-                    let b = (self.best.len() - 1).min(encoder.capacity());
-                    if b < self.lb.value {
-                        self.proved = true; // |best| == lb.value: matches the floor
-                        break;
-                    }
-                    if cancelled() {
-                        break; // anytime exit: keep the incumbent, optimality unproved
-                    }
-                    let stats_before = encoder.solver_stats();
-                    let tq = Instant::now();
-                    let result = encoder.solve_at(b);
-                    let seconds = tq.elapsed().as_secs_f64();
-                    let spent = encoder.solver_stats().since(&stats_before);
-                    self.conflicts += spent.conflicts;
-                    stats.queries.push(SatQuery {
-                        bound: b,
-                        result,
-                        seconds,
-                        conflicts: spent.conflicts,
-                        decisions: spent.decisions,
-                        propagations: spent.propagations,
-                    });
-                    match result {
-                        SolveResult::Sat => {
-                            let p = encoder.extract_partition();
-                            debug_assert!(p.validate(&self.m).is_ok());
-                            debug_assert!(p.len() <= b);
-                            self.best = p;
-                            if self.best.len() <= self.lb.value {
-                                self.proved = true;
-                                break;
-                            }
-                        }
-                        SolveResult::Unsat => {
-                            // r_B > b, and |best| == b + 1.
-                            self.proved = true;
-                            if config.certify {
-                                certificate =
-                                    encoder.unsat_refutation().map(|p| UnsatCertificate {
-                                        bound: b,
-                                        cnf: p.to_dimacs_cnf(),
-                                        drat: p.to_drat(),
-                                    });
-                            }
-                            break;
-                        }
-                        SolveResult::Unknown => break, // budget exhausted: anytime exit
-                    }
-                }
+                let proved;
+                (proved, certificate) = descend(
+                    encoder,
+                    &mut self.best,
+                    self.lb.value,
+                    config,
+                    &mut stats.queries,
+                );
+                self.proved = proved;
+                self.conflicts += stats.queries.iter().map(|q| q.conflicts).sum::<u64>();
+                debug_assert!(self.best.validate(&self.m).is_ok());
             }
             stats.sat_seconds = sat_start.elapsed().as_secs_f64();
         }
@@ -532,6 +485,74 @@ impl SapSession {
             real_rank: self.lb.real_rank,
             certificate,
             stats,
+        }
+    }
+}
+
+/// The descent of Algorithm 1 (lines 5–9, the paper's `narrow_down_depth`
+/// loop): queries `r_B ≤ b` one below the incumbent `best`, clamped to
+/// what the encoder can express, and adopts every model, until a query is
+/// UNSAT, `b` drops below `floor` (a sound lower bound; 1 when none is
+/// known), a query exhausts `config.conflict_budget` or `config.cancel`
+/// trips. Logs every query in `queries`. Returns whether `best` is proved
+/// optimal and, under `config.certify`, the refutation that proved it.
+///
+/// `encoder` must encode the matrix of `best` with assumption-encoded
+/// bounds.
+pub(crate) fn descend(
+    encoder: &mut EbmfEncoder,
+    best: &mut Partition,
+    floor: usize,
+    config: &SapConfig,
+    queries: &mut Vec<SatQuery>,
+) -> (bool, Option<UnsatCertificate>) {
+    encoder.set_conflict_budget(config.conflict_budget);
+    encoder.set_interrupt(config.cancel.clone());
+    loop {
+        // Resume point: one below the incumbent, clamped to what the
+        // encoding can express (a session's incumbent may have improved
+        // past its first run's starting capacity via `offer_incumbent`).
+        let b = (best.len() - 1).min(encoder.capacity());
+        if b < floor {
+            return (true, None); // |best| == floor
+        }
+        if config
+            .cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled)
+        {
+            return (false, None); // anytime exit: keep the incumbent
+        }
+        let stats_before = encoder.solver_stats();
+        let tq = Instant::now();
+        let result = encoder.solve_at(b);
+        let seconds = tq.elapsed().as_secs_f64();
+        let spent = encoder.solver_stats().since(&stats_before);
+        queries.push(SatQuery {
+            bound: b,
+            result,
+            seconds,
+            conflicts: spent.conflicts,
+            decisions: spent.decisions,
+            propagations: spent.propagations,
+        });
+        match result {
+            SolveResult::Sat => {
+                let p = encoder.extract_partition();
+                debug_assert!(p.len() <= b);
+                *best = p;
+            }
+            SolveResult::Unsat => {
+                // r_B > b, and |best| == b + 1.
+                let proof = config.certify.then(|| encoder.unsat_refutation());
+                let certificate = proof.flatten().map(|p| UnsatCertificate {
+                    bound: b,
+                    cnf: p.to_dimacs_cnf(),
+                    drat: p.to_drat(),
+                });
+                return (true, certificate);
+            }
+            SolveResult::Unknown => return (false, None), // budget exhausted
         }
     }
 }

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use bitmatrix::BitMatrix;
 use ebmf::{
-    complete_ebmf, row_packing, sap, trivial_partition, PackingConfig, Partition, SapConfig,
+    complete_ebmf, row_packing_with_dont_cares, sap, trivial_partition, Partition, SapConfig,
 };
 
 use crate::{AodConfig, QubitArray};
@@ -240,7 +240,6 @@ pub fn compile(
     if let Err(site) = array.check_pattern(pattern) {
         return Err(ScheduleError::TargetsVacancy { site });
     }
-    let has_vacancies = !array.vacancies().is_zero();
     let partition = match strategy {
         Strategy::Individual => {
             let mut p = Partition::empty(pattern.nrows(), pattern.ncols());
@@ -256,19 +255,13 @@ pub fn compile(
         }
         Strategy::Trivial => trivial_partition(pattern),
         Strategy::Packing(trials) => {
-            if has_vacancies {
-                ebmf::row_packing_with_dont_cares(pattern, array.vacancies(), trials, 0)
-            } else {
-                row_packing(pattern, &PackingConfig::with_trials(trials))
-            }
+            row_packing_with_dont_cares(pattern, array.vacancies(), trials, 0)
         }
-        Strategy::Exact => {
-            if has_vacancies {
-                complete_ebmf(pattern, array.vacancies()).partition
-            } else {
-                sap(pattern, &SapConfig::default()).partition
-            }
+        // Without vacancies the real-rank floor holds and saves queries.
+        Strategy::Exact if array.vacancies().is_zero() => {
+            sap(pattern, &SapConfig::default()).partition
         }
+        Strategy::Exact => complete_ebmf(pattern, array.vacancies()).partition,
     };
     let schedule = AddressingSchedule::from_partition(&partition, pulse);
     debug_assert_eq!(schedule.verify(array, pattern), Ok(()));
@@ -420,6 +413,32 @@ mod tests {
             }
         }
         assert_eq!(union, m);
+    }
+
+    #[test]
+    fn vacancies_never_deepen_a_packed_schedule() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(7);
+        for case in 0..500 {
+            let (r, c) = (rng.gen_range(1..=25usize), rng.gen_range(1..=25usize));
+            let density = rng.gen_range(5..=95u32) as f64 / 100.0;
+            let pattern = bitmatrix::random_matrix(r, c, density, &mut rng);
+            let share = rng.gen_range(5..=90u32) as f64 / 100.0;
+            let vac = BitMatrix::from_fn(r, c, |i, j| !pattern.get(i, j) && rng.gen_bool(share));
+            let array = QubitArray::with_vacancies(vac);
+            let with = compile(&array, &pattern, Strategy::Packing(10), Pulse::X).unwrap();
+            assert_eq!(with.verify(&array, &pattern), Ok(()));
+            let full = QubitArray::new(r, c);
+            let without = compile(&full, &pattern, Strategy::Packing(10), Pulse::X).unwrap();
+            assert!(
+                with.depth() <= without.depth(),
+                "case {case}: {} shots with vacancies, {} without\n{pattern}",
+                with.depth(),
+                without.depth()
+            );
+        }
     }
 
     #[test]

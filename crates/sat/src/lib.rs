@@ -13,9 +13,10 @@
 //! * non-chronological backtracking,
 //! * Luby-sequence restarts,
 //! * LBD-based learnt-clause database reduction,
-//! * incremental clause addition between solves (used by the paper's
-//!   `narrow_down_depth` loop), solving under assumptions, and conflict
-//!   budgets (`Unknown` answers) for anytime behaviour.
+//! * incremental clause addition between solves, solving under
+//!   assumptions (how the paper's `narrow_down_depth` loop queries each
+//!   depth), and conflict budgets (`Unknown` answers) for anytime
+//!   behaviour.
 //!
 //! # Examples
 //!

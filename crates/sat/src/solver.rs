@@ -278,9 +278,7 @@ impl Solver {
     /// unsatisfiable at level 0 (the clause was empty after simplification,
     /// or propagating its unit consequence produced a contradiction).
     ///
-    /// May be called freely between `solve` calls; the paper's
-    /// `narrow_down_depth` step (Algorithm 1, line 8) is exactly a sequence
-    /// of such additions.
+    /// May be called freely between `solve` calls.
     ///
     /// # Panics
     ///

@@ -116,7 +116,8 @@ struct Conn<'s> {
     closed: Arc<AtomicBool>,
     /// Outbound bytes not yet accepted by the kernel.
     out: VecDeque<u8>,
-    /// Write error or outbound overflow: tear down without a trailer.
+    /// Write error, outbound overflow or peer hang-up: tear down without a
+    /// trailer.
     failed: bool,
     interest: Interest,
 }
@@ -257,10 +258,13 @@ fn run_loop(
                 }
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
+                        // A peer gone both ways reads no answer: teardown
+                        // abandons its queued work instead of draining it.
+                        conn.failed |= event.hangup;
                         if event.readable {
                             conn_read(conn, config.outbound_cap);
                         }
-                        if event.writable && !flush_out(conn) {
+                        if event.writable && !conn.failed && !flush_out(conn) {
                             conn.failed = true;
                         }
                         touched.push(token);
@@ -308,9 +312,9 @@ fn run_loop(
             if !conn.failed && !flush_out(conn) {
                 conn.failed = true;
             }
-            // Abandoned (write error, overflow), or fully drained: every
-            // response and the trailer reached the kernel, and closing
-            // signals EOF to the peer.
+            // Abandoned (write error, overflow, hang-up), or fully
+            // drained: every response and the trailer reached the kernel,
+            // and closing signals EOF to the peer.
             if conn.failed || (conn.session.is_done() && conn.out.is_empty()) {
                 let abandoned = conn.failed;
                 if let Some(conn) = conns.remove(&token) {
@@ -360,8 +364,9 @@ fn new_conn<'s>(
 }
 
 /// Releases a connection's resources. `abandoned` marks the write-error /
-/// overflow / deadline paths, where still-queued work is canceled so the
-/// shared workers move on; the graceful path has nothing left to cancel.
+/// overflow / hang-up / deadline paths, where still-queued work is
+/// canceled so the shared workers move on; the graceful path has nothing
+/// left to cancel.
 fn teardown(mut conn: Conn<'_>, service: &Service, abandoned: bool) {
     conn.closed.store(true, Ordering::Relaxed);
     if abandoned {

@@ -8,7 +8,7 @@
 //! dozen syscall wrappers it needs resolves them against the C library
 //! `std` links anyway. Both backends expose the same level-triggered
 //! interface: register a file descriptor under a caller-chosen token,
-//! wait, and get back `(token, readable, writable)` triples.
+//! wait, and get back `(token, readable, writable, hangup)` reports.
 //!
 //! The `poll(2)` backend is not dead fallback code — it is
 //! runtime-selectable (see [`Poller::new_with`]) and exercised by the
@@ -31,6 +31,11 @@ pub struct Event {
     pub readable: bool,
     /// Writing would not block.
     pub writable: bool,
+    /// The descriptor hung up or failed (`EPOLLHUP`/`EPOLLERR`,
+    /// `POLLHUP`/`POLLERR`): for a socket, the peer closed both
+    /// directions. Reported whatever the interest; a peer that only shut
+    /// its write side reports end of input as `readable` instead.
+    pub hangup: bool,
 }
 
 /// What a registration wants to be woken for.
@@ -53,11 +58,6 @@ impl Interest {
         readable: true,
         writable: true,
     };
-
-    /// Whether neither readiness is wanted.
-    pub(crate) fn is_empty(self) -> bool {
-        !self.readable && !self.writable
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -270,10 +270,8 @@ impl Poller {
     }
 
     /// Updates the interest of a registered token (e.g. adding WRITE when
-    /// a connection's outbound queue becomes non-empty). An empty interest
-    /// stops watching the fd until a later `modify` asks for readiness
-    /// again: both backends report a hang-up whatever the interest, so a
-    /// hung-up fd still watched would wake every wait.
+    /// a connection's outbound queue becomes non-empty). An fd with an
+    /// empty interest still reports a hang-up.
     pub fn modify(&mut self, token: u64, interest: Interest) -> io::Result<()> {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
@@ -284,26 +282,19 @@ impl Poller {
                         format!("token {token} is not registered"),
                     ));
                 };
-                let op = match (slot.is_empty(), interest.is_empty()) {
-                    (true, true) => None,
-                    (true, false) => Some(epoll_sys::EPOLL_CTL_ADD),
-                    (false, true) => Some(epoll_sys::EPOLL_CTL_DEL),
-                    (false, false) => Some(epoll_sys::EPOLL_CTL_MOD),
+                let mut ev = epoll_sys::EpollEvent {
+                    events: epoll_mask(interest),
+                    data: token,
                 };
-                if let Some(op) = op {
-                    let mut ev = epoll_sys::EpollEvent {
-                        events: epoll_mask(interest),
-                        data: token,
-                    };
-                    // SAFETY: as in register; fd is a live registered fd.
-                    if unsafe { epoll_sys::epoll_ctl(*epfd, op, fd, &mut ev) } != 0 {
-                        return Err(last_os_error());
-                    }
+                // SAFETY: as in register; fd is a live registered fd.
+                if unsafe { epoll_sys::epoll_ctl(*epfd, epoll_sys::EPOLL_CTL_MOD, fd, &mut ev) }
+                    != 0
+                {
+                    return Err(last_os_error());
                 }
                 *slot = interest;
                 Ok(())
             }
-            // `wait` skips empty interests.
             Backend::Poll { interests } => match interests.get_mut(&token) {
                 Some((_, slot)) => {
                     *slot = interest;
@@ -323,12 +314,9 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll { epfd, interests } => {
-                let Some((fd, interest)) = interests.remove(&token) else {
+                let Some((fd, _)) = interests.remove(&token) else {
                     return Ok(()); // idempotent
                 };
-                if interest.is_empty() {
-                    return Ok(()); // not watched since `modify` emptied it
-                }
                 // SAFETY: DEL ignores the event argument on modern kernels
                 // but a valid pointer keeps pre-2.6.9 semantics happy.
                 let mut ev = epoll_sys::EpollEvent { events: 0, data: 0 };
@@ -373,23 +361,20 @@ impl Poller {
                 for ev in &buf[..n as usize] {
                     // Copy out of the (possibly packed) struct before use.
                     let (bits, data) = (ev.events, ev.data);
-                    let err = bits & (epoll_sys::EPOLLERR | epoll_sys::EPOLLHUP) != 0;
+                    let hangup = bits & (epoll_sys::EPOLLERR | epoll_sys::EPOLLHUP) != 0;
                     events.push(Event {
                         token: data,
-                        // Errors/hangups surface as readable: the next read
-                        // returns 0 or the error instead of blocking.
-                        readable: bits & epoll_sys::EPOLLIN != 0 || err,
-                        writable: bits & epoll_sys::EPOLLOUT != 0 || err,
+                        // Errors/hangups surface as readable too: the next
+                        // read returns 0 or the error instead of blocking.
+                        readable: bits & epoll_sys::EPOLLIN != 0 || hangup,
+                        writable: bits & epoll_sys::EPOLLOUT != 0 || hangup,
+                        hangup,
                     });
                 }
                 Ok(())
             }
             Backend::Poll { interests } => {
-                let mut order: Vec<u64> = interests
-                    .iter()
-                    .filter(|(_, (_, interest))| !interest.is_empty())
-                    .map(|(&token, _)| token)
-                    .collect();
+                let mut order: Vec<u64> = interests.keys().copied().collect();
                 order.sort_unstable(); // deterministic service order
                 let mut fds: Vec<PollFd> = order
                     .iter()
@@ -403,15 +388,8 @@ impl Poller {
                         }
                     })
                     .collect();
-                if fds.is_empty() {
-                    // Nothing to watch: honor the timeout as a plain sleep
-                    // so callers cannot spin.
-                    if let Some(t) = timeout {
-                        std::thread::sleep(t);
-                    }
-                    return Ok(());
-                }
-                // SAFETY: fds is a valid array of fds.len() entries.
+                // SAFETY: fds is a valid array of fds.len() entries (with
+                // none, poll(2) just sleeps out the timeout).
                 let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
                 if n < 0 {
                     let e = last_os_error();
@@ -424,11 +402,12 @@ impl Poller {
                     if pfd.revents == 0 {
                         continue;
                     }
-                    let err = pfd.revents & (POLLERR | POLLHUP) != 0;
+                    let hangup = pfd.revents & (POLLERR | POLLHUP) != 0;
                     events.push(Event {
                         token: *token,
-                        readable: pfd.revents & POLLIN != 0 || err,
-                        writable: pfd.revents & POLLOUT != 0 || err,
+                        readable: pfd.revents & POLLIN != 0 || hangup,
+                        writable: pfd.revents & POLLOUT != 0 || hangup,
+                        hangup,
                     });
                 }
                 Ok(())
@@ -552,30 +531,38 @@ mod tests {
     }
 
     #[test]
-    fn empty_interest_silences_a_hung_up_fd_until_modified_back() {
+    fn hung_up_fd_reports_hangup_whatever_the_interest() {
         let none = Interest {
             readable: false,
             writable: false,
         };
         for force_poll in [false, true] {
-            let mut poller = Poller::new_with(force_poll).unwrap();
-            let (a, b) = UnixStream::pair().unwrap();
-            a.set_nonblocking(true).unwrap();
-            poller.register(a.as_raw_fd(), 1, Interest::READ).unwrap();
-            drop(b);
-            poller.modify(1, none).unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "force_poll={force_poll}: {events:?}");
-            poller.modify(1, Interest::READ).unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events.iter().any(|e| e.token == 1 && e.readable));
-            poller.modify(1, none).unwrap();
-            poller.deregister(1).unwrap();
+            for interest in [none, Interest::READ, Interest::READ_WRITE] {
+                let mut poller = Poller::new_with(force_poll).unwrap();
+                let (a, b) = UnixStream::pair().unwrap();
+                a.set_nonblocking(true).unwrap();
+                poller.register(a.as_raw_fd(), 1, Interest::READ).unwrap();
+                poller.modify(1, interest).unwrap();
+                // A half-close is end of input, not a hang-up.
+                b.shutdown(std::net::Shutdown::Write).unwrap();
+                let mut events = Vec::new();
+                poller
+                    .wait(&mut events, Some(Duration::from_millis(10)))
+                    .unwrap();
+                assert!(
+                    events.iter().all(|e| !e.hangup),
+                    "force_poll={force_poll} {interest:?}: {events:?}"
+                );
+                drop(b);
+                poller
+                    .wait(&mut events, Some(Duration::from_secs(5)))
+                    .unwrap();
+                assert!(
+                    events.iter().any(|e| e.token == 1 && e.hangup),
+                    "force_poll={force_poll} {interest:?}: {events:?}"
+                );
+                poller.deregister(1).unwrap();
+            }
         }
     }
 

@@ -58,6 +58,10 @@ fn main() {
         plain,
         with_dc.len()
     );
+    assert!(
+        with_dc.len() <= plain,
+        "exploiting vacancies must never be deeper than ignoring them"
+    );
     let sparse_array = QubitArray::with_vacancies(vacancies);
     let s = compile(
         &sparse_array,
