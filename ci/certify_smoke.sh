@@ -86,7 +86,7 @@ grep '"id": "plain"' "$OUT" | grep -q '"ok": true' \
 # Two starved jobs park a warm session learnt without proof logging; the
 # certify job that resumes it must still carry its certificate, and the
 # server must go on answering (the client's timeout catches a wedge).
-GAP=$("$BIN" gen gap 10 10 3 2 | tr '\n' ';' | sed 's/;*$//')
+GAP=$("$BIN" gen gap 14 14 3 5 | tr '\n' ';' | sed 's/;*$//')
 { echo '{"hello": 2, "certificate": true}'
   echo "{\"id\": \"w1\", \"matrix\": \"$GAP\", \"conflicts\": 1}"
   echo "{\"id\": \"w2\", \"matrix\": \"$GAP\", \"conflicts\": 1}"

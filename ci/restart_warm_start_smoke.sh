@@ -21,7 +21,7 @@ rm -rf "$STATE"
 
 # A rank-gap instance whose SAP descent costs about two thousand
 # conflicts, inside the 2500-conflict per-job budget.
-MATRIX=$("$BIN" gen gap 12 12 4 0 | tr '\n' ';' | sed 's/;*$//')
+MATRIX=$("$BIN" gen gap 14 14 3 3 | tr '\n' ';' | sed 's/;*$//')
 {
   echo '{"hello": 2}'
   echo '{"stats": true}'

@@ -4,7 +4,12 @@
 //! basis update, (2) sorting rows by sparsity instead of shuffling — and
 //! §VI proposes exact-cover decomposition as an upgrade. This binary
 //! measures all four variants on the gap and random families. A separate
-//! section measures the effect of symmetry breaking on the SAT phase.
+//! section measures the effect of symmetry breaking on the SAT phase: the
+//! refutation at `b = r_B − 1` of the first six instances with and without
+//! it, timed and counted in conflicts, and the conflicts of every
+//! instance's refutation with it — a deterministic total to compare
+//! encodings by. (Without symmetry breaking, many of these refutations
+//! run past 10⁵ conflicts.)
 //!
 //! ```sh
 //! cargo run --release -p rect-addr-bench --bin ablation
@@ -96,29 +101,41 @@ fn main() {
 
     println!("\nSYMMETRY BREAKING IN THE SAT PHASE (UNSAT proofs at b = r_B - 1)");
     println!(
-        "{:<24} {:>14} {:>14}",
-        "instance", "with SB (s)", "without SB (s)"
+        "{:<24} {:>14} {:>14} {:>14} {:>14}",
+        "instance", "with SB (s)", "without SB (s)", "with SB (cf)", "without SB (cf)"
     );
+    // Refutes `r_B ≤ opt − 1`: (seconds, conflicts).
+    let refute = |bench: &Benchmark, opt: usize, sb: bool| {
+        let t = Instant::now();
+        let options = EncoderOptions {
+            symmetry_breaking: sb,
+            ..EncoderOptions::new(opt - 1)
+        };
+        let mut enc = EbmfEncoder::with_encoder_options(&bench.matrix, None, options);
+        assert!(enc.solve().is_unsat(), "b = r_B - 1 must be UNSAT");
+        (t.elapsed().as_secs_f64(), enc.solver_stats().conflicts)
+    };
     for (bench, &opt) in benches.iter().zip(&optima).take(6) {
         if opt <= 1 {
             continue;
         }
-        let time_solve = |sb: bool| {
-            let t = Instant::now();
-            let options = EncoderOptions {
-                symmetry_breaking: sb,
-                ..EncoderOptions::new(opt - 1)
-            };
-            let mut enc = EbmfEncoder::with_encoder_options(&bench.matrix, None, options);
-            let r = enc.solve();
-            assert!(r.is_unsat(), "b = r_B - 1 must be UNSAT");
-            t.elapsed().as_secs_f64()
-        };
+        let (with_s, with_cf) = refute(bench, opt, true);
+        let (without_s, without_cf) = refute(bench, opt, false);
         println!(
-            "{:<24} {:>14.3} {:>14.3}",
+            "{:<24} {:>14.3} {:>14.3} {:>14} {:>14}",
             format!("{} #{}", bench.params, bench.seed),
-            time_solve(true),
-            time_solve(false),
+            with_s,
+            without_s,
+            with_cf,
+            without_cf,
         );
     }
+    let (refuted, conflicts) = benches
+        .iter()
+        .zip(&optima)
+        .filter(|&(_, &opt)| opt > 1)
+        .fold((0usize, 0u64), |(n, total), (bench, &opt)| {
+            (n + 1, total + refute(bench, opt, true).1)
+        });
+    println!("with SB, all {refuted} refutations: {conflicts} conflicts");
 }

@@ -299,7 +299,7 @@ fn sigterm_drains_into_a_final_snapshot() {
     let slot = fleet.spawn(&["--workers", "1", "--snapshot-every", "0"]);
     let mut client =
         LineClient::connect(&BindAddr::Unix(fleet.procs[slot].sock.clone())).expect("connect");
-    let hard = ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix;
+    let hard = ebmf::gen::gap_benchmark(14, 14, 3, 5).matrix;
     client
         .send_job(&JobRequest::new("hard", hard))
         .expect("send job");

@@ -14,9 +14,9 @@
 //!   1-cell and must join the shared label (the closure property, Eq. 1):
 //!   `(x[e][k] ∧ x[e'][k]) → x[corner][k]`;
 //! * *value-precedence symmetry breaking*: labels are interchangeable, so
-//!   we require label `k` to be introduced (in cell order) only after label
-//!   `k−1` — this prunes the `b!` relabelings that make the plain encoding
-//!   needlessly pigeonhole-hard;
+//!   along a fixed order of the 1-cells label `k` may first appear only
+//!   after label `k−1` has — this prunes the `b!` relabelings that make the
+//!   plain encoding needlessly pigeonhole-hard (see below for the order);
 //! * **don't-cares** (vacancies in the atom array, paper §VI): cells marked
 //!   don't-care carry no variable and impose no corner constraint — a
 //!   rectangle may cover them any number of times.
@@ -25,10 +25,35 @@
 //! is the paper's `narrow_down_depth` (Algorithm 1 line 8): each query
 //! assumes the top labels banned, so one clause database and every learnt
 //! clause serve the whole descent.
+//!
+//! # The precedence order
+//!
+//! Value precedence along **any** fixed cell order preserves
+//! satisfiability: relabel a partition's rectangles by their first
+//! appearance along the order and it satisfies every precedence clause. So
+//! soundness never rests on the order. Strength does: two cells of one row
+//! never conflict, so along row-major order the clauses pin only the first
+//! cell. The order here starts with a greedy fooling set `F` (paper §II:
+//! 1-cells no two of which share a rectangle; under a don't-care mask, no
+//! two that share a rectangle of any completion), then takes the other
+//! 1-cells in row-major order. `F`'s pairwise 0-corner clauses plus
+//! precedence put `F_0, F_1, …` on labels 0, 1, … by unit propagation
+//! before the first decision — the clique-fixing move of SAT graph
+//! colouring — so a bound below `|F|` is refuted with no decision, and a
+//! bound just below the binary rank, the refutation that proves a depth
+//! optimal, searches only the labels `F` leaves open. `F`'s labels are left
+//! to propagation, never asserted as units, so a mistaken fooling set costs
+//! strength, not answers.
+//!
+//! The order is part of the encoding: a clause learnt under one order is
+//! not a consequence of another order's clauses, so changing the order
+//! needs a bump of the engine's snapshot schema (its stored learnt cores
+//! would otherwise be imported as trusted axioms).
 
 use std::time::Instant;
 
 use bitmatrix::{kernel, BitMatrix};
+use linalg::{greedy_fooling_set, greedy_fooling_set_within};
 use sat::{CancelToken, SolveResult, Solver, SolverStats, Var};
 
 use crate::{Partition, Rectangle};
@@ -45,14 +70,15 @@ pub enum AmoEncoding {
     Sequential,
 }
 
-/// The encoder's configuration. [`EbmfEncoder::new`] and
-/// [`EbmfEncoder::with_dont_cares`] build with [`EncoderOptions::new`];
-/// [`EbmfEncoder::with_encoder_options`] takes any value.
+/// The encoder's configuration. [`EbmfEncoder::new`] builds with
+/// [`EncoderOptions::new`]; [`EbmfEncoder::with_encoder_options`] takes any
+/// value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncoderOptions {
     /// The label bound `b` of the query `r_B(M) ≤ b`.
     pub bound: usize,
-    /// Emit value-precedence symmetry-breaking clauses.
+    /// Emit value-precedence symmetry-breaking clauses (along the
+    /// fooling-set-first order of the module docs).
     pub symmetry_breaking: bool,
     /// At-most-one encoding for the per-cell label constraint.
     pub amo: AmoEncoding,
@@ -143,22 +169,14 @@ impl EbmfEncoder {
         Self::with_encoder_options(m, None, EncoderOptions::new(bound))
     }
 
-    /// Like [`EbmfEncoder::new`] but cells set in `dont_care` are vacancies:
-    /// they carry no coverage obligation and rectangles may overlap on them.
-    /// `m` and `dont_care` must not both be 1 at any cell.
+    /// Full-control constructor: every field of [`EncoderOptions`]. Cells
+    /// set in `dont_care` are vacancies: they carry no coverage obligation
+    /// and rectangles may overlap on them.
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatch or on a cell that is both 1 and don't-care.
-    pub fn with_dont_cares(m: &BitMatrix, dont_care: &BitMatrix, bound: usize) -> Self {
-        Self::with_encoder_options(m, Some(dont_care), EncoderOptions::new(bound))
-    }
-
-    /// Full-control constructor: every field of [`EncoderOptions`].
-    ///
-    /// # Panics
-    ///
-    /// See [`EbmfEncoder::new`] / [`EbmfEncoder::with_dont_cares`].
+    /// Panics if `options.bound == 0` while `m` has at least one 1-cell, on
+    /// a mask of another shape, or on a cell that is both 1 and don't-care.
     pub fn with_encoder_options(
         m: &BitMatrix,
         dont_care: Option<&BitMatrix>,
@@ -176,7 +194,7 @@ impl EbmfEncoder {
     ///
     /// # Panics
     ///
-    /// See [`EbmfEncoder::new`] / [`EbmfEncoder::with_dont_cares`].
+    /// See [`EbmfEncoder::with_encoder_options`].
     #[allow(clippy::needless_range_loop)] // parallel cell/label tables
     pub fn with_encoder_options_cancellable(
         m: &BitMatrix,
@@ -346,11 +364,13 @@ impl EbmfEncoder {
             .histogram(obs::names::KERNEL_US_ENCODE_PAIRS)
             .record(pair_start.elapsed().as_micros() as u64);
 
-        // Value-precedence symmetry breaking: cell 0 uses label 0; cell t
-        // may open label k only if some earlier cell opened label k−1.
+        // Value-precedence symmetry breaking along the fooling-set-first
+        // order: `order[0]` uses label 0, and `order[e]` may open label k
+        // only if some earlier cell of the order has label k−1.
         if symmetry_breaking && t > 0 {
+            let order = precedence_order(m, dont_care, &row_cell_start);
             for k in 1..bound {
-                solver.add_clause([var(0, k).negative()]);
+                solver.add_clause([var(order[0], k).negative()]);
             }
             for e in 1..t {
                 if cancelled() {
@@ -358,10 +378,10 @@ impl EbmfEncoder {
                 }
                 for k in 1..bound {
                     if k > e {
-                        solver.add_clause([var(e, k).negative()]);
+                        solver.add_clause([var(order[e], k).negative()]);
                     } else {
-                        let mut clause = vec![var(e, k).negative()];
-                        clause.extend((0..e).map(|s| var(s, k - 1).positive()));
+                        let mut clause = vec![var(order[e], k).negative()];
+                        clause.extend(order[..e].iter().map(|&s| var(s, k - 1).positive()));
                         solver.add_clause(clause);
                     }
                 }
@@ -557,14 +577,6 @@ impl EbmfEncoder {
         res
     }
 
-    /// Solves and extracts the partition on success.
-    pub fn solve_partition(&mut self) -> Option<Partition> {
-        match self.solve() {
-            SolveResult::Sat => Some(self.extract_partition()),
-            _ => None,
-        }
-    }
-
     /// Reads the partition out of the last SAT model, dropping unused
     /// labels.
     ///
@@ -590,12 +602,45 @@ impl EbmfEncoder {
     }
 }
 
+/// The cell order value precedence runs along (see the module docs): a
+/// greedy fooling set of `m` first, computed against the corners that are
+/// neither 1 nor don't-care, then the other 1-cells in row-major order.
+/// Entries index the row-major 1-cells; `row_cell_start[i]` is the index
+/// of row `i`'s first 1-cell.
+fn precedence_order(
+    m: &BitMatrix,
+    dont_care: Option<&BitMatrix>,
+    row_cell_start: &[usize],
+) -> Vec<usize> {
+    let fooling = match dont_care {
+        Some(dc) => greedy_fooling_set_within(m, &m.or(dc)),
+        None => greedy_fooling_set(m),
+    };
+    let t = row_cell_start[m.nrows()];
+    let mut first = vec![false; t];
+    let mut order = Vec::with_capacity(t);
+    for (i, j) in fooling.cells {
+        let e = row_cell_start[i] + kernel::rank(m.row_words(i), j);
+        first[e] = true;
+        order.push(e);
+    }
+    order.extend((0..t).filter(|&e| !first[e]));
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The partition of a model of `r_B(m) ≤ b` (cells of `dont_care`
+    /// free), or `None` when the query is UNSAT.
+    fn solve_with(m: &BitMatrix, dont_care: Option<&BitMatrix>, b: usize) -> Option<Partition> {
+        let mut enc = EbmfEncoder::with_encoder_options(m, dont_care, EncoderOptions::new(b));
+        enc.solve().is_sat().then(|| enc.extract_partition())
+    }
+
     fn solve_rb(m: &BitMatrix, b: usize) -> Option<Partition> {
-        EbmfEncoder::new(m, b).solve_partition()
+        solve_with(m, None, b)
     }
 
     #[test]
@@ -696,9 +741,7 @@ mod tests {
         let m = BitMatrix::identity(2);
         let dc: BitMatrix = "01\n10".parse().unwrap();
         assert!(solve_rb(&m, 1).is_none(), "plain identity needs 2");
-        let mut enc = EbmfEncoder::with_dont_cares(&m, &dc, 1);
-        assert_eq!(enc.solve(), SolveResult::Sat);
-        let p = enc.extract_partition();
+        let p = solve_with(&m, Some(&dc), 1).expect("one rectangle suffices");
         assert_eq!(p.len(), 1);
         // The rectangle geometrically covers the don't-care corners —
         // allowed; validation against the care-matrix is done by
@@ -712,8 +755,7 @@ mod tests {
         // so the two diagonal cells still cannot merge.
         let m = BitMatrix::identity(2);
         let dc: BitMatrix = "01\n00".parse().unwrap();
-        let mut enc = EbmfEncoder::with_dont_cares(&m, &dc, 1);
-        assert_eq!(enc.solve(), SolveResult::Unsat);
+        assert!(solve_with(&m, Some(&dc), 1).is_none());
     }
 
     #[test]
@@ -721,7 +763,7 @@ mod tests {
     fn overlapping_one_and_dont_care_rejected() {
         let m = BitMatrix::ones(1, 1);
         let dc = BitMatrix::ones(1, 1);
-        EbmfEncoder::with_dont_cares(&m, &dc, 1);
+        solve_with(&m, Some(&dc), 1);
     }
 
     #[test]
@@ -881,6 +923,45 @@ mod tests {
         );
     }
 
+    /// FNV-1a 64 of the DIMACS CNF an encoder built with proof logging
+    /// recorded: every clause it added, up to a level-0 refutation.
+    fn cnf_digest(enc: &EbmfEncoder) -> u64 {
+        let cnf = enc.solver.proof().expect("proof logging").to_dimacs_cnf();
+        cnf.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins the CNF of two session encoders (assumption bounds, capacity
+    /// one below the optimum, as SAP builds them): Fig. 1b, whose
+    /// five-cell fooling set refutes bound 4 mid-build, and the SAT-hard
+    /// gap fixture of the session tests, which needs a search. Sessions
+    /// persist learnt cores that a non-certify rebuild imports as trusted
+    /// clauses, so any change to these digests (the precedence order
+    /// included) needs a bump of the engine's `SNAPSHOT_SCHEMA`.
+    #[test]
+    fn session_encodings_are_pinned() {
+        let fig1b: BitMatrix = "101100\n010011\n101010\n010101\n111000\n000111"
+            .parse()
+            .unwrap();
+        let gap = crate::gen::gap_benchmark(14, 14, 3, 1).matrix;
+        for (m, bound, digest) in [
+            (fig1b, 4, 0xd4d5_a38e_3198_7621),
+            (gap, 13, 0xdfee_75cc_239d_427e),
+        ] {
+            let options = EncoderOptions::new(bound)
+                .with_assumption_bounds()
+                .with_proof_logging();
+            let enc = EbmfEncoder::with_encoder_options(&m, None, options);
+            assert_eq!(
+                cnf_digest(&enc),
+                digest,
+                "{:#018x} at bound {bound}",
+                cnf_digest(&enc)
+            );
+        }
+    }
+
     #[test]
     fn conflict_budget_gives_unknown() {
         // A hard UNSAT instance (identity 6 with bound 5 is pigeonhole-ish).
@@ -895,5 +976,97 @@ mod tests {
         );
         enc.set_conflict_budget(Some(1));
         assert_eq!(enc.solve(), SolveResult::Unknown);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::validate_completion;
+    use proptest::prelude::*;
+
+    /// A matrix up to 6×8 and, when `masked`, a don't-care mask over some
+    /// of its 0s.
+    fn arb_instance(masked: bool) -> impl Strategy<Value = (BitMatrix, Option<BitMatrix>)> {
+        (1..=6usize, 1..=8usize).prop_flat_map(move |(r, c)| {
+            proptest::collection::vec((any::<bool>(), any::<bool>()), r * c).prop_map(move |bits| {
+                let m = BitMatrix::from_fn(r, c, |i, j| bits[i * c + j].0);
+                let dc = masked.then(|| {
+                    BitMatrix::from_fn(r, c, |i, j| {
+                        let (one, dc) = bits[i * c + j];
+                        !one && dc
+                    })
+                });
+                (m, dc)
+            })
+        })
+    }
+
+    /// Checks the shipped encoder against one without symmetry breaking
+    /// at every bound up to `min(rows, cols)`: equal SAT/UNSAT answers,
+    /// valid models, and every model puts the `i`-th fooling cell of the
+    /// precedence order on label `i` whenever the bound admits them all.
+    fn agrees_with_unbroken(m: &BitMatrix, dc: Option<&BitMatrix>) -> Result<(), TestCaseError> {
+        let fooling = match dc {
+            Some(dc) => greedy_fooling_set_within(m, &m.or(dc)),
+            None => greedy_fooling_set(m),
+        };
+        let cells = m.ones_positions();
+        for b in 1..=m.nrows().min(m.ncols()) {
+            let mut shipped = EbmfEncoder::with_encoder_options(m, dc, EncoderOptions::new(b));
+            let mut unbroken = EbmfEncoder::with_encoder_options(
+                m,
+                dc,
+                EncoderOptions {
+                    symmetry_breaking: false,
+                    ..EncoderOptions::new(b)
+                },
+            );
+            let answer = shipped.solve();
+            prop_assert_eq!(answer, unbroken.solve(), "bound {}", b);
+            if !answer.is_sat() {
+                continue;
+            }
+            for enc in [&shipped, &unbroken] {
+                let p = enc.extract_partition();
+                let valid = match dc {
+                    Some(dc) => validate_completion(&p, m, dc),
+                    None => p.validate(m),
+                };
+                prop_assert!(valid.is_ok(), "bound {}: {:?}", b, valid);
+            }
+            if fooling.size() <= b {
+                let model = shipped.solver.model();
+                for (label, cell) in fooling.cells.iter().enumerate() {
+                    let e = cells.iter().position(|c| c == cell).expect("a 1-cell");
+                    prop_assert!(
+                        model[shipped.vars[e * b + label].index()],
+                        "fooling cell {:?} off label {} at bound {}",
+                        cell,
+                        label,
+                        b
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn symmetry_breaking_answers_what_no_symmetry_breaking_answers(
+            (m, _) in arb_instance(false),
+        ) {
+            agrees_with_unbroken(&m, None)?;
+        }
+
+        #[test]
+        fn symmetry_breaking_under_a_mask_answers_what_no_symmetry_breaking_answers(
+            (m, dc) in arb_instance(true),
+        ) {
+            agrees_with_unbroken(&m, dc.as_ref())?;
+        }
     }
 }

@@ -17,9 +17,14 @@
 //!   the basis-update step over both orientations, plus the §VI
 //!   exact-cover (DLX) upgrade behind [`PackingConfig::exact_cover`];
 //! * [`EbmfEncoder`] — the Eq. 4 decision problem `r_B(M) ≤ b` as CNF with
-//!   value-precedence symmetry breaking and don't-care support, queried at
-//!   any depth up to its capacity by [`EbmfEncoder::solve_at`] (the
-//!   paper's `narrow_down_depth`);
+//!   don't-care support and value-precedence symmetry breaking along a
+//!   fooling-set-first cell order, queried at any depth up to its capacity
+//!   by [`EbmfEncoder::solve_at`] (the paper's `narrow_down_depth`). Any
+//!   fixed order is sound (relabel the rectangles by first appearance);
+//!   starting with a fooling set (§II) lets unit propagation pin its cells
+//!   to labels 0, 1, …, so the refutation at `r_B − 1` that proves a depth
+//!   optimal is cheap. The order is part of the encoding: changing it
+//!   needs a snapshot schema bump;
 //! * [`sap`] — Algorithm 1: packing upper bound, real-rank floor (Eq. 3),
 //!   descending incremental SAT queries, and the incumbent as the anytime
 //!   answer once the conflict budget or the cancel token stops them;

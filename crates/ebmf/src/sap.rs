@@ -880,9 +880,9 @@ mod tests {
 
     /// A matrix whose descent needs enough conflicts that a [`SLICE`]
     /// budget leaves the session mid-descent at least once (a rank-gap
-    /// instance whose final UNSAT query costs about 30 conflicts).
+    /// instance whose final UNSAT query costs about 400 conflicts).
     fn hard_matrix() -> BitMatrix {
-        crate::gen::gap_benchmark(10, 10, 3, 2).matrix
+        crate::gen::gap_benchmark(14, 14, 3, 1).matrix
     }
 
     #[test]

@@ -19,17 +19,81 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use ebmf::Partition;
+use bitmatrix::{kernel, BitVec};
+use ebmf::{Partition, Rectangle};
 
 use crate::canon::CanonicalForm;
 use crate::portfolio::Provenance;
 
-/// A memoized solve outcome, stored in canonical coordinates.
+/// A memoized solve outcome, stored in canonical coordinates in one word
+/// slice: each rectangle's row words, then its column words. One
+/// allocation per entry, where a [`Partition`] holds two per rectangle.
 #[derive(Debug, Clone)]
 struct StoredEntry {
-    partition: Partition,
+    words: Box<[u64]>,
     proved_optimal: bool,
     provenance: Provenance,
+}
+
+/// The words of a packed rectangle's rows, and of the whole rectangle:
+/// rows, then columns (at least one word, so even a 0×0 shape chunks).
+fn layout(canon: &CanonicalForm) -> (usize, usize) {
+    let row_words = canon.row_perm.len().div_ceil(64);
+    let col_words = canon.col_perm.len().div_ceil(64);
+    (row_words, (row_words + col_words).max(1))
+}
+
+impl StoredEntry {
+    /// Packs `p`, a partition of the matrix `canon` was computed from, in
+    /// canonical coordinates: canonical row `i` is original row
+    /// `row_perm[i]`.
+    fn pack(
+        canon: &CanonicalForm,
+        p: &Partition,
+        proved_optimal: bool,
+        provenance: Provenance,
+    ) -> Self {
+        let (row_words, stride) = layout(canon);
+        let mut words = vec![0u64; p.len() * stride];
+        for (rect, w) in p.iter().zip(words.chunks_exact_mut(stride)) {
+            let (rows, cols) = w.split_at_mut(row_words);
+            for (i, &orig) in canon.row_perm.iter().enumerate() {
+                rows[i / 64] |= u64::from(rect.rows().get(orig)) << (i % 64);
+            }
+            for (j, &orig) in canon.col_perm.iter().enumerate() {
+                cols[j / 64] |= u64::from(rect.cols().get(orig)) << (j % 64);
+            }
+        }
+        StoredEntry {
+            words: words.into_boxed_slice(),
+            proved_optimal,
+            provenance,
+        }
+    }
+
+    /// Unpacks straight into the coordinates of the matrix `canon` was
+    /// computed from, mapping each canonical index through its
+    /// permutation.
+    fn unpack(&self, canon: &CanonicalForm) -> CachedOutcome {
+        let (nrows, ncols) = (canon.row_perm.len(), canon.col_perm.len());
+        let (row_words, stride) = layout(canon);
+        let rects = self
+            .words
+            .chunks_exact(stride)
+            .map(|w| {
+                let (rows, cols) = w.split_at(row_words);
+                Rectangle::new(
+                    BitVec::from_indices(nrows, kernel::ones(rows).map(|i| canon.row_perm[i])),
+                    BitVec::from_indices(ncols, kernel::ones(cols).map(|j| canon.col_perm[j])),
+                )
+            })
+            .collect();
+        CachedOutcome {
+            partition: Partition::from_rectangles(nrows, ncols, rects),
+            proved_optimal: self.proved_optimal,
+            provenance: self.provenance,
+        }
+    }
 }
 
 /// A solve outcome retrieved from (or destined for) the cache, already
@@ -188,8 +252,10 @@ impl FlightGuard<'_> {
 }
 
 /// The cache's replacement rule: smaller depth wins, then newly-proved.
+/// Both entries belong to one key, hence one shape, so their word counts
+/// order as their depths.
 fn better_than(candidate: &StoredEntry, existing: &StoredEntry) -> bool {
-    candidate.partition.len() < existing.partition.len()
+    candidate.words.len() < existing.words.len()
         || (candidate.proved_optimal && !existing.proved_optimal)
 }
 
@@ -374,20 +440,12 @@ impl CanonicalCache {
         }
     }
 
-    fn map_outcome(canon: &CanonicalForm, entry: &StoredEntry) -> CachedOutcome {
-        CachedOutcome {
-            partition: canon.partition_to_original(&entry.partition),
-            proved_optimal: entry.proved_optimal,
-            provenance: entry.provenance,
-        }
-    }
-
     /// The cache's lookup, single-flight: a ready entry answers
     /// immediately; a pending flight **blocks** until its leader publishes
     /// (the wait is counted as a hit); a genuine miss registers a pending
     /// entry and returns a [`FlightGuard`] making the caller the leader.
-    /// The shard mutex guards only the map access; permutation mapping
-    /// happens after unlock.
+    /// The shard mutex guards only the map access; unpacking into the
+    /// caller's coordinates happens after unlock.
     pub fn begin(&self, canon: &CanonicalForm) -> CacheDecision<'_> {
         let lookup_start = std::time::Instant::now();
         let lookup_hist = obs::registry().histogram(obs::names::CACHE_LOOKUP_US);
@@ -407,7 +465,7 @@ impl CanonicalCache {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         lookup_hist.record_duration(lookup_start.elapsed());
                         return CacheDecision::Hit {
-                            outcome: Self::map_outcome(canon, &entry),
+                            outcome: entry.unpack(canon),
                             waited: false,
                         };
                     }
@@ -443,7 +501,7 @@ impl CanonicalCache {
                     self.flight_waits.fetch_add(1, Ordering::Relaxed);
                     lookup_hist.record_duration(lookup_start.elapsed());
                     return CacheDecision::Hit {
-                        outcome: Self::map_outcome(canon, &entry),
+                        outcome: entry.unpack(canon),
                         waited: true,
                     };
                 }
@@ -464,11 +522,7 @@ impl CanonicalCache {
         proved_optimal: bool,
         provenance: Provenance,
     ) {
-        let entry = StoredEntry {
-            partition: canon.partition_to_canonical(partition),
-            proved_optimal,
-            provenance,
-        };
+        let entry = StoredEntry::pack(canon, partition, proved_optimal, provenance);
         let shard = &self.shards[self.shard_of(canon.key())];
         let resolved = {
             let mut map = shard.map.lock().expect("cache shard poisoned");
@@ -582,6 +636,28 @@ mod tests {
         assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
         assert_eq!(stats.canon_complete, 2, "both lookups used complete keys");
         assert_eq!(stats.canon_heuristic, 0);
+    }
+
+    #[test]
+    fn packed_entries_round_trip_past_a_word_and_on_empty_partitions() {
+        let cache = CanonicalCache::new(64);
+        // 70 columns: each rectangle's column set spans two words.
+        let m = BitMatrix::from_fn(5, 70, |i, j| (i * 7 + j * 3) % 5 < 2);
+        let p = row_packing(&m, &PackingConfig::with_trials(2));
+        cache.insert(&canonical_form(&m), &p, false, Provenance::Packing);
+        let rows = [3, 0, 4, 1, 2];
+        let cols: Vec<usize> = (0..70).map(|j| (j * 11) % 70).collect();
+        let dup = m.submatrix(&rows, &cols);
+        let hit = lookup(&cache, &canonical_form(&dup)).expect("permuted duplicate hits");
+        assert!(hit.partition.validate(&dup).is_ok());
+        assert_eq!(hit.partition.len(), p.len());
+
+        let zero = BitMatrix::zeros(3, 4);
+        let canon = canonical_form(&zero);
+        cache.insert(&canon, &Partition::empty(3, 4), true, Provenance::Trivial);
+        let hit = lookup(&cache, &canon).expect("stored");
+        assert_eq!(hit.partition.shape(), (3, 4));
+        assert!(hit.partition.is_empty());
     }
 
     #[test]

@@ -673,7 +673,7 @@ mod tests {
     #[test]
     fn unproved_sessions_park_only_once_their_class_recurs() {
         let e = engine();
-        let m = ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix;
+        let m = ebmf::gen::gap_benchmark(14, 14, 3, 5).matrix;
         let req = JobRequest::new("g", m).with_conflicts(1);
         let first = e.solve_job(&req);
         assert!(
@@ -691,7 +691,7 @@ mod tests {
         // without proof logging; the certify job that resumes it must
         // still prove the class and export a refutation that checks.
         let e = engine();
-        let m = ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix;
+        let m = ebmf::gen::gap_benchmark(14, 14, 3, 5).matrix;
         let starved = JobRequest::new("g", m.clone()).with_conflicts(1);
         e.solve_job(&starved);
         e.solve_job(&starved);

@@ -45,8 +45,12 @@ use crate::Engine;
 /// existing snapshot (clean cold start) — the upgrade story is
 /// deliberately "re-learn", never "migrate". Version 2 dropped the
 /// scheduler's bucket section, version 3 the session record's conflict
-/// count and symmetry-breaking flag.
-pub const SNAPSHOT_SCHEMA: u32 = 3;
+/// count and symmetry-breaking flag. Version 4 keeps version 3's records
+/// but marks the encoder's fooling-set-first precedence order: a learnt
+/// core is only sound in the encoding that learnt it, and an imported
+/// core is trusted, so a core of the row-major order could refute a
+/// satisfiable bound.
+pub const SNAPSHOT_SCHEMA: u32 = 4;
 
 /// File name of the snapshot inside a state directory.
 pub const SNAPSHOT_FILE: &str = "engine.snapshot";
@@ -560,7 +564,7 @@ mod tests {
 
     fn solve_hard(engine: &Engine) -> u64 {
         // A rank-gap instance: SAP must spend real conflicts.
-        let m = ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix;
+        let m = ebmf::gen::gap_benchmark(14, 14, 3, 5).matrix;
         let out = engine.solve(&m);
         assert!(out.partition.validate(&m).is_ok());
         out.sat_conflicts
@@ -723,6 +727,36 @@ mod tests {
             snapshot_generation(&dir),
             None,
             "a v2 header peeks as absent"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A v3 record is well formed under v4's parser, but its learnt core
+    /// comes from the row-major precedence order: imported as trusted
+    /// clauses, it could refute a satisfiable bound. The header alone
+    /// keeps it out.
+    #[test]
+    fn v3_snapshot_with_a_row_major_core_is_a_clean_cold_start() {
+        let dir = state_dir("schema-v3");
+        std::fs::create_dir_all(&dir).unwrap();
+        let body = "sessions 1\ns 2 2 0 1 2 1\nm 11 10\nr 0 0,1\nr 1 0\nc -1 -2\n";
+        assert_eq!(parse_body(body).expect("v3 records parse").len(), 1);
+        let file = format!(
+            "{MAGIC} 3 9\nchecksum {:016x}\n{body}",
+            fnv1a(body.as_bytes())
+        );
+        std::fs::write(snapshot_path(&dir), file).unwrap();
+        let fresh = hard_engine();
+        assert!(matches!(
+            load_snapshot(&dir, &fresh),
+            Err(SnapshotError::SchemaMismatch { found: 3 })
+        ));
+        assert_eq!(fresh.warm_sessions(), 0);
+        assert_eq!(fresh.restored_sessions(), 0);
+        assert_eq!(
+            snapshot_generation(&dir),
+            None,
+            "a v3 header peeks as absent"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -285,6 +285,11 @@ mod tests {
         assert_eq!(out.partition.len(), 5);
         assert!(out.partition.validate(&fig1b()).is_ok());
         assert_eq!(out.provenance, Provenance::Sap);
+        // Fig. 1b's five-cell fooling set refutes depth 4 by propagation
+        // alone, so the conflict report is checked on a SAT-hard instance.
+        let hard = ebmf::gen::gap_benchmark(14, 14, 3, 5).matrix;
+        let out = solve(&hard, &PortfolioConfig::default());
+        assert!(out.proved_optimal && out.provenance == Provenance::Sap);
         assert!(out.sat_conflicts > 0, "SAP must report its conflicts");
     }
 

@@ -558,7 +558,7 @@ mod tests {
     /// second job recurs, and returns whether the store then holds that
     /// class's unproved session.
     fn recurring_class_is_parked(engine: &Engine) -> bool {
-        let m = ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix;
+        let m = ebmf::gen::gap_benchmark(14, 14, 3, 5).matrix;
         let portfolio = PortfolioConfig {
             conflict_budget: Some(1),
             ..engine.config().portfolio.clone()

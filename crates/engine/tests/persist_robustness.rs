@@ -28,7 +28,7 @@ fn genuine_snapshot() -> &'static [u8] {
             std::env::temp_dir().join(format!("rect-addr-persist-prop-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let donor = engine();
-        let m = ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix;
+        let m = ebmf::gen::gap_benchmark(14, 14, 3, 5).matrix;
         let req = JobRequest::new("gap", m.clone()).with_conflicts(20);
         for _ in 0..2 {
             let out = donor.solve_job(&req);

@@ -32,10 +32,12 @@ impl FoolingSet {
     }
 }
 
-/// Whether two distinct 1-cells may coexist in a fooling set of `m`.
+/// Whether two distinct 1-cells may coexist in a fooling set: some corner
+/// of the pair lies outside `care`, the cells a rectangle may cover (the
+/// matrix itself, or its 1s plus don't-cares).
 #[inline]
-fn compatible(m: &BitMatrix, a: (usize, usize), b: (usize, usize)) -> bool {
-    a.0 != b.0 && a.1 != b.1 && (!m.get(a.0, b.1) || !m.get(b.0, a.1))
+fn compatible(care: &BitMatrix, a: (usize, usize), b: (usize, usize)) -> bool {
+    a.0 != b.0 && a.1 != b.1 && (!care.get(a.0, b.1) || !care.get(b.0, a.1))
 }
 
 /// Verifies that `cells` forms a valid fooling set of `m`.
@@ -58,8 +60,17 @@ pub fn is_fooling_set(m: &BitMatrix, cells: &[(usize, usize)]) -> bool {
 
 /// Greedy fooling set: scans the 1-cells (rows with fewer 1s first, a cheap
 /// proxy for "hard to cover") and keeps every cell compatible with the
-/// current set.
+/// current set. Deterministic: equal matrices give equal sets.
 pub fn greedy_fooling_set(m: &BitMatrix) -> FoolingSet {
+    greedy_fooling_set_within(m, m)
+}
+
+/// [`greedy_fooling_set`] of `m`'s 1-cells where only corners outside
+/// `care` separate two cells. `care` holds every cell a rectangle may
+/// cover: `m`'s 1s plus the don't-cares of a completion problem (paper
+/// §VI), so no two cells of the result share a rectangle of any
+/// completion. With `care == m` this is [`greedy_fooling_set`].
+pub fn greedy_fooling_set_within(m: &BitMatrix, care: &BitMatrix) -> FoolingSet {
     let mut cells = m.ones_positions();
     // Cells in sparse rows/columns are more likely to be pairwise
     // compatible; visit them first.
@@ -68,7 +79,7 @@ pub fn greedy_fooling_set(m: &BitMatrix) -> FoolingSet {
     cells.sort_by_key(|&(i, j)| row_w[i] + col_w[j]);
     let mut chosen: Vec<(usize, usize)> = Vec::new();
     for c in cells {
-        if chosen.iter().all(|&d| compatible(m, c, d)) {
+        if chosen.iter().all(|&d| compatible(care, c, d)) {
             chosen.push(c);
         }
     }

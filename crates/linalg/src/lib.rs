@@ -31,7 +31,9 @@ mod gf2;
 mod gfp;
 mod rational;
 
-pub use fooling::{greedy_fooling_set, is_fooling_set, max_fooling_set, FoolingSet};
+pub use fooling::{
+    greedy_fooling_set, greedy_fooling_set_within, is_fooling_set, max_fooling_set, FoolingSet,
+};
 pub use gf2::rank_gf2;
 pub use gfp::{rank_gfp, rank_gfp_max, PRIMES_61};
 pub use rational::{rank_rational, real_rank, RealRank};

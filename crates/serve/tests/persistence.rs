@@ -36,8 +36,8 @@ fn service_at(dir: &Path, snapshot_every: Option<u64>) -> Service {
 }
 
 fn hard_job(id: &str) -> JobRequest {
-    // Seed 2's rank-gap instance is known to need a real SAT descent.
-    JobRequest::new(id, ebmf::gen::gap_benchmark(10, 10, 3, 2).matrix)
+    // Seed 5's 14×14 rank-gap instance is known to need a real SAT descent.
+    JobRequest::new(id, ebmf::gen::gap_benchmark(14, 14, 3, 5).matrix)
 }
 
 #[test]
