@@ -14,11 +14,10 @@
 set -euo pipefail
 source "$(dirname "$0")/lib.sh"
 
-SOCK=/tmp/rect-addr-certify-ci.sock
-PREFIX=/tmp/rect-addr-certify-ci
-JOBS=/tmp/rect-addr-certify-ci-jobs.jsonl
-OUT=/tmp/rect-addr-certify-ci-out.jsonl
-CLEANUP_FILES+=("$PREFIX.cnf" "$PREFIX.drat" "$PREFIX.drat.bad" "$JOBS" "$OUT")
+SOCK=$WORK/certify.sock
+PREFIX=$WORK/certify
+JOBS=$WORK/certify-jobs.jsonl
+OUT=$WORK/certify-out.jsonl
 
 # Fig. 1b: depth 5 over a rank floor of 4 — optimality rests on an UNSAT
 # answer, so the certified solve must export its refutation.

@@ -5,6 +5,8 @@
 #
 # Provides:
 #   $BIN                 — the binary under test (override with BIN=...)
+#   $WORK                — a fresh directory for the script's sockets,
+#                          state dirs and scratch files, removed on exit
 #   fail MSG             — print "FAIL: MSG" and exit 1
 #   start_server SOCK .. — start `$BIN serve --listen SOCK ..` in the
 #                          background, wait for the socket, track the pid
@@ -15,7 +17,6 @@
 #                        — grep a JSON-lines file for "FIELD": VALUE_RE
 #   json_field_value FILE FIELD
 #                        — print the first numeric value of FIELD
-#   CLEANUP_FILES+=(..)  — extra files to remove on exit
 #   CLEANUP_DIRS+=(..)   — extra directories to remove on exit
 #
 # Every tracked server is killed *and reaped* by the EXIT trap, so a
@@ -25,8 +26,9 @@
 BIN=${BIN:-./target/release/rect-addr}
 SERVER_PIDS=()
 SERVER_SOCKS=()
-CLEANUP_FILES=()
-CLEANUP_DIRS=()
+# Short, so socket paths under it stay inside the 108-byte limit.
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/rect-addr-ci.XXXXXX")
+CLEANUP_DIRS=("$WORK")
 
 fail() {
   echo "FAIL: $*"
@@ -99,10 +101,6 @@ lib_cleanup() {
   local sock
   for sock in ${SERVER_SOCKS[@]+"${SERVER_SOCKS[@]}"}; do
     rm -f "$sock"
-  done
-  local f
-  for f in ${CLEANUP_FILES[@]+"${CLEANUP_FILES[@]}"}; do
-    rm -f "$f"
   done
   local d
   for d in ${CLEANUP_DIRS[@]+"${CLEANUP_DIRS[@]}"}; do

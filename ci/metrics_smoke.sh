@@ -9,14 +9,12 @@
 set -euo pipefail
 source "$(dirname "$0")/lib.sh"
 
-SOCK=/tmp/rect-addr-metrics-ci.sock
-DUMP=/tmp/rect-addr-metrics-ci.json
-JOBS=/tmp/rect-addr-metrics-ci-jobs.jsonl
-OUT=/tmp/rect-addr-metrics-ci-out.jsonl
-STATS=/tmp/rect-addr-metrics-ci-stats.jsonl
-CLEANUP_FILES+=("$DUMP" "$JOBS" "$OUT" "$STATS")
+SOCK=$WORK/metrics.sock
+DUMP=$WORK/metrics.json
+JOBS=$WORK/metrics-jobs.jsonl
+OUT=$WORK/metrics-out.jsonl
+STATS=$WORK/metrics-stats.jsonl
 
-rm -f "$DUMP"
 start_server "$SOCK" --metrics-dump "$DUMP"
 
 # Session 1: a timing-opted v2 connection pumping 20 jobs (10 distinct

@@ -9,15 +9,11 @@
 set -euo pipefail
 source "$(dirname "$0")/lib.sh"
 
-SOCK=/tmp/rect-addr-restart.sock
-STATE=/tmp/rect-addr-restart-state
-JOBS=/tmp/rect-addr-restart-jobs.jsonl
-OUT1=/tmp/rect-addr-restart-1.jsonl
-OUT2=/tmp/rect-addr-restart-2.jsonl
-CLEANUP_FILES+=("$JOBS" "$OUT1" "$OUT2")
-CLEANUP_DIRS+=("$STATE")
-
-rm -rf "$STATE"
+SOCK=$WORK/restart.sock
+STATE=$WORK/restart-state
+JOBS=$WORK/restart-jobs.jsonl
+OUT1=$WORK/restart-1.jsonl
+OUT2=$WORK/restart-2.jsonl
 
 # A rank-gap instance whose SAP descent costs about two thousand
 # conflicts, inside the 2500-conflict per-job budget.

@@ -11,20 +11,12 @@
 set -euo pipefail
 source "$(dirname "$0")/lib.sh"
 
-SOCK1=/tmp/rect-addr-scale-ci-1.sock
-SOCK2=/tmp/rect-addr-scale-ci-2.sock
-STATE=/tmp/rect-addr-scale-ci-state
-HOLD=/tmp/rect-addr-scale-ci.hold
-IDLE_OUT=/tmp/rect-addr-scale-ci-idle.out
-WARM=/tmp/rect-addr-scale-ci-warm.jsonl
-CLEANUP_FILES+=("$HOLD" "$IDLE_OUT" "$WARM")
-CLEANUP_DIRS+=("$STATE")
-for i in 1 2 3 4; do
-  CLEANUP_FILES+=("/tmp/rect-addr-scale-ci-jobs$i.jsonl" "/tmp/rect-addr-scale-ci-out$i.jsonl")
-done
-CLEANUP_FILES+=(/tmp/rect-addr-scale-ci-warm-out.jsonl
-  /tmp/rect-addr-scale-ci-dual-a.jsonl /tmp/rect-addr-scale-ci-dual-b.jsonl
-  /tmp/rect-addr-scale-ci-stats1.jsonl /tmp/rect-addr-scale-ci-stats2.jsonl)
+SOCK1=$WORK/scale-1.sock
+SOCK2=$WORK/scale-2.sock
+STATE=$WORK/scale-state
+HOLD=$WORK/scale.hold
+IDLE_OUT=$WORK/scale-idle.out
+WARM=$WORK/scale-warm.jsonl
 
 IDLE_PID=""
 release_ballast() {
@@ -43,8 +35,6 @@ scale_cleanup() {
   lib_cleanup
 }
 trap scale_cleanup EXIT
-
-rm -rf "$STATE"
 
 # Writer instance: the first process on the state dir takes its writer lock.
 start_server "$SOCK1" --state-dir "$STATE" --snapshot-every 1
@@ -72,15 +62,15 @@ for i in 1 2 3 4; do
       else
         echo "{\"id\": \"c$i-$j\", \"matrix\": \"01;10\"}"
       fi
-    done } > "/tmp/rect-addr-scale-ci-jobs$i.jsonl"
+    done } > "$WORK/scale-jobs$i.jsonl"
   timeout 120 "$BIN" client "$SOCK1" \
-    < "/tmp/rect-addr-scale-ci-jobs$i.jsonl" \
-    > "/tmp/rect-addr-scale-ci-out$i.jsonl" &
+    < "$WORK/scale-jobs$i.jsonl" \
+    > "$WORK/scale-out$i.jsonl" &
   eval "CLIENT$i=\$!"
 done
 for i in 1 2 3 4; do
   eval "wait \$CLIENT$i" || fail "active client $i failed under ballast"
-  assert_json_field "/tmp/rect-addr-scale-ci-out$i.jsonl" solved 25 \
+  assert_json_field "$WORK/scale-out$i.jsonl" solved 25 \
     "active client $i must solve all 25 jobs"
 done
 
@@ -92,7 +82,7 @@ MATRIX=$("$BIN" gen gap 12 12 4 0 | tr '\n' ';' | sed 's/;*$//')
   for j in $(seq 8); do
     echo "{\"id\": \"warm$j\", \"matrix\": \"$MATRIX\", \"conflicts\": 2500}"
   done } > "$WARM"
-timeout 180 "$BIN" client "$SOCK1" < "$WARM" > /tmp/rect-addr-scale-ci-warm-out.jsonl
+timeout 180 "$BIN" client "$SOCK1" < "$WARM" > "$WORK/scale-warm-out.jsonl"
 for _ in $(seq 40); do
   [ -f "$STATE/engine.snapshot" ] && break
   sleep 0.25
@@ -101,8 +91,8 @@ done
 
 # The writer's stats frame counts the ballast.
 printf '{"hello": 2}\n{"stats": true}\n' \
-  | timeout 120 "$BIN" client "$SOCK1" > /tmp/rect-addr-scale-ci-stats1.jsonl
-OPEN=$(json_field_value /tmp/rect-addr-scale-ci-stats1.jsonl open_connections)
+  | timeout 120 "$BIN" client "$SOCK1" > "$WORK/scale-stats1.jsonl"
+OPEN=$(json_field_value "$WORK/scale-stats1.jsonl" open_connections)
 [ -n "$OPEN" ] || fail "stats frame lacks open_connections"
 [ "$OPEN" -ge 2048 ] || fail "open_connections $OPEN < 2048 under ballast"
 
@@ -110,26 +100,26 @@ OPEN=$(json_field_value /tmp/rect-addr-scale-ci-stats1.jsonl open_connections)
 # the writer's snapshot while the writer keeps running.
 start_server "$SOCK2" --state-dir "$STATE" --snapshot-every 1
 printf '{"hello": 2}\n{"stats": true}\n' \
-  | timeout 120 "$BIN" client "$SOCK2" > /tmp/rect-addr-scale-ci-stats2.jsonl
-SESS=$(json_field_value /tmp/rect-addr-scale-ci-stats2.jsonl persisted_sessions)
+  | timeout 120 "$BIN" client "$SOCK2" > "$WORK/scale-stats2.jsonl"
+SESS=$(json_field_value "$WORK/scale-stats2.jsonl" persisted_sessions)
 [ -n "$SESS" ] && [ "$SESS" -ge 1 ] \
   || fail "second process adopted no persisted sessions (got '$SESS')"
-GEN=$(json_field_value /tmp/rect-addr-scale-ci-stats2.jsonl snapshot_generation)
+GEN=$(json_field_value "$WORK/scale-stats2.jsonl" snapshot_generation)
 [ -n "$GEN" ] && [ "$GEN" -ge 1 ] \
   || fail "second process reports no snapshot generation (got '$GEN')"
 
 # Both processes serve concurrently against the same state dir.
-timeout 120 "$BIN" client "$SOCK1" < /tmp/rect-addr-scale-ci-jobs1.jsonl \
-  > /tmp/rect-addr-scale-ci-dual-a.jsonl &
+timeout 120 "$BIN" client "$SOCK1" < "$WORK/scale-jobs1.jsonl" \
+  > "$WORK/scale-dual-a.jsonl" &
 DUAL_A=$!
-timeout 120 "$BIN" client "$SOCK2" < /tmp/rect-addr-scale-ci-jobs2.jsonl \
-  > /tmp/rect-addr-scale-ci-dual-b.jsonl &
+timeout 120 "$BIN" client "$SOCK2" < "$WORK/scale-jobs2.jsonl" \
+  > "$WORK/scale-dual-b.jsonl" &
 DUAL_B=$!
 wait "$DUAL_A" || fail "writer-side client failed during dual serving"
 wait "$DUAL_B" || fail "reader-side client failed during dual serving"
-assert_json_field /tmp/rect-addr-scale-ci-dual-a.jsonl solved 25 \
+assert_json_field "$WORK/scale-dual-a.jsonl" solved 25 \
   "writer instance must keep solving during dual serving"
-assert_json_field /tmp/rect-addr-scale-ci-dual-b.jsonl solved 25 \
+assert_json_field "$WORK/scale-dual-b.jsonl" solved 25 \
   "reader instance must solve during dual serving"
 
 # Release the ballast and shut down cleanly.

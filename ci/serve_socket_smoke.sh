@@ -7,10 +7,9 @@
 set -euo pipefail
 source "$(dirname "$0")/lib.sh"
 
-SOCK=/tmp/rect-addr-ci.sock
-JOBS=/tmp/rect-addr-ci-jobs.jsonl
-OUT=/tmp/rect-addr-ci-out.jsonl
-CLEANUP_FILES+=("$JOBS" "$OUT")
+SOCK=$WORK/serve.sock
+JOBS=$WORK/serve-jobs.jsonl
+OUT=$WORK/serve-out.jsonl
 
 start_server "$SOCK"
 

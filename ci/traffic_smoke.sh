@@ -11,12 +11,11 @@
 set -euo pipefail
 source "$(dirname "$0")/lib.sh"
 
-SOCK=/tmp/rect-addr-traffic-ci.sock
-IN=/tmp/rect-addr-traffic-ci-in.jsonl
-OUT=/tmp/rect-addr-traffic-ci-out.jsonl
-GEN_A=/tmp/rect-addr-traffic-ci-gen-a.jsonl
-GEN_B=/tmp/rect-addr-traffic-ci-gen-b.jsonl
-CLEANUP_FILES+=("$IN" "$OUT" "$GEN_A" "$GEN_B")
+SOCK=$WORK/traffic.sock
+IN=$WORK/traffic-in.jsonl
+OUT=$WORK/traffic-out.jsonl
+GEN_A=$WORK/traffic-gen-a.jsonl
+GEN_B=$WORK/traffic-gen-b.jsonl
 
 start_server "$SOCK"
 

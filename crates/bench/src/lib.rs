@@ -7,9 +7,7 @@ use std::time::{Duration, Instant};
 
 use bitmatrix::{random_permutation, BitMatrix};
 use ebmf::gen::{table1_suite, Benchmark};
-use ebmf::{
-    row_packing_once, sap, trivial_partition, PackingConfig, Partition, SapConfig, SapSession,
-};
+use ebmf::{row_packing_once, trivial_partition, PackingConfig, SapConfig, SapSession};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sat::CancelToken;
@@ -288,11 +286,6 @@ pub fn run_table1(
         rows.push(aggregate(set, &results));
     }
     (rows, all_cases)
-}
-
-/// Best partition for reporting purposes (helper shared by binaries).
-pub fn best_partition(m: &BitMatrix) -> Partition {
-    sap(m, &SapConfig::with_trials(100)).partition
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! Implementation of the `rect-addr` command-line tool.
 //!
-//! The binary front-end (`src/main.rs`) is a thin wrapper over [`run`] so
-//! that every subcommand, including its argument parsing and output
-//! formatting, is unit-testable without spawning processes.
+//! The binary (`src/main.rs`) is one call to [`run`] with the process's
+//! stdin, stdout and stderr; the tests call the same function with
+//! in-memory buffers. So every subcommand, its argument parsing and the
+//! stream each line goes to are tested the way they ship, without
+//! spawning processes.
 //!
 //! Subcommands:
 //!
@@ -31,13 +33,21 @@
 //!   accepted and ignored);
 //! * `client <addr|path>` — connect to a `serve --listen` server and pump
 //!   stdin job lines through it (send a `{"hello": 2}` first line to use
-//!   protocol v2).
+//!   protocol v2);
+//! * `idle <addr|path> <count>` — hold `count` idle connections against a
+//!   server until stdin's end (connection ballast for the scaling smoke).
 //!
 //! `--version` / `-V` prints the version. Matrices are read as lines of
 //! `0`/`1` characters (the `bitmatrix` parsing format); `-` means stdin.
 //! See `PROTOCOL.md` for the v1/v2 wire framing.
+//!
+//! `batch`, `serve`, `client` and `idle` write to stdout as responses
+//! complete; the other subcommands write their report once it is done.
+//! A usage or I/O error goes to stderr, with the usage text, and exits 2;
+//! `certcheck` reports a rejected proof on stdout and exits 1.
 
 use std::fmt::Write as _;
+use std::io::{BufRead, Read, Write};
 
 use bitmatrix::BitMatrix;
 use ebmf::gen::{gap_benchmark, known_optimal_benchmark, random_benchmark};
@@ -48,28 +58,6 @@ use engine::EngineConfig;
 use linalg::{max_fooling_set, rank_gf2};
 use qaddress::{AddressingSchedule, Pulse, QubitArray};
 use serve::{serve_connection, Service, ServiceConfig};
-
-/// Exit status plus rendered stdout of one CLI invocation.
-#[derive(Debug, PartialEq, Eq)]
-pub struct CliOutput {
-    /// Process exit code (0 = success).
-    pub code: i32,
-    /// Text for stdout.
-    pub stdout: String,
-}
-
-impl CliOutput {
-    fn ok(stdout: String) -> Self {
-        CliOutput { code: 0, stdout }
-    }
-
-    fn err(msg: String) -> Self {
-        CliOutput {
-            code: 2,
-            stdout: format!("error: {msg}\n\n{USAGE}"),
-        }
-    }
-}
 
 /// Usage text shown on argument errors and by `help`.
 pub const USAGE: &str = "\
@@ -127,7 +115,7 @@ PROTOCOL.md.
 
 Matrix files contain one row of 0/1 digits per line; '-' reads stdin.";
 
-fn read_input(path: &str, stdin: &mut dyn std::io::Read) -> Result<String, String> {
+fn read_input(path: &str, stdin: &mut dyn Read) -> Result<String, String> {
     if path == "-" {
         let mut buf = String::new();
         stdin
@@ -139,51 +127,70 @@ fn read_input(path: &str, stdin: &mut dyn std::io::Read) -> Result<String, Strin
     }
 }
 
-fn read_matrix(path: &str, stdin: &mut dyn std::io::Read) -> Result<BitMatrix, String> {
+fn read_matrix(path: &str, stdin: &mut dyn Read) -> Result<BitMatrix, String> {
     read_input(path, stdin)?
         .parse()
         .map_err(|e| format!("parsing {path}: {e}"))
 }
 
-/// Runs the CLI on the given arguments (without the program name).
-/// Reads stdin only when an input path is `-`.
-pub fn run(args: &[String], stdin: &mut dyn std::io::Read) -> CliOutput {
-    match args.first().map(String::as_str) {
-        Some("solve") => cmd_matrix_required(args, stdin, cmd_solve),
-        Some("pack") => cmd_matrix_required(args, stdin, cmd_pack),
-        Some("rank") => cmd_matrix_required(args, stdin, cmd_rank),
-        Some("cover") => cmd_matrix_required(args, stdin, cmd_cover),
-        Some("schedule") => cmd_matrix_required(args, stdin, cmd_schedule),
-        Some("traffic") => cmd_traffic(args),
-        Some("complete") => cmd_complete(args, stdin),
-        Some("gen") => cmd_gen(args),
-        Some("sat") => cmd_sat(args, stdin),
-        Some("certcheck") => cmd_certcheck(args, stdin),
-        Some("batch") => cmd_batch(args, stdin),
-        Some("serve") => cmd_serve(args, stdin),
-        Some("client") => cmd_client(args, stdin),
-        Some("idle") => cmd_idle(args),
-        Some("help") | Some("--help") | Some("-h") => CliOutput::ok(format!("{USAGE}\n")),
-        Some("--version") | Some("-V") => {
-            CliOutput::ok(format!("rect-addr {}\n", env!("CARGO_PKG_VERSION")))
-        }
-        Some(other) => CliOutput::err(format!("unknown subcommand {other:?}")),
-        None => CliOutput::err("missing subcommand".to_string()),
-    }
+/// Runs the CLI on `args` (without the program name) and returns the
+/// exit status. Results go to `out`; a usage or I/O error goes to `err`
+/// with the usage text, and the status is 2. Reads `stdin` where an
+/// input path is `-`, and for `client`, `idle` and `serve` without
+/// `--listen`.
+pub fn run(
+    args: &[String],
+    stdin: &mut (dyn BufRead + Send),
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> u8 {
+    let status = match args.first().map(String::as_str) {
+        Some("solve") => report(out, cmd_matrix_required(args, stdin, cmd_solve)),
+        Some("pack") => report(out, cmd_matrix_required(args, stdin, cmd_pack)),
+        Some("rank") => report(out, cmd_matrix_required(args, stdin, cmd_rank)),
+        Some("cover") => report(out, cmd_matrix_required(args, stdin, cmd_cover)),
+        Some("schedule") => report(out, cmd_matrix_required(args, stdin, cmd_schedule)),
+        Some("traffic") => report(out, cmd_traffic(args)),
+        Some("complete") => report(out, cmd_complete(args, stdin)),
+        Some("gen") => report(out, cmd_gen(args)),
+        Some("sat") => report(out, cmd_sat(args, stdin)),
+        Some("certcheck") => cmd_certcheck(args, stdin, out),
+        Some("batch") => cmd_batch(args, stdin, out),
+        Some("serve") => cmd_serve(args, stdin, out),
+        Some("client") => cmd_client(args, stdin, out),
+        Some("idle") => cmd_idle(args, stdin, out),
+        Some("help") | Some("--help") | Some("-h") => report(out, Ok(format!("{USAGE}\n"))),
+        Some("--version") | Some("-V") => report(
+            out,
+            Ok(format!("rect-addr {}\n", env!("CARGO_PKG_VERSION"))),
+        ),
+        Some(other) => Err(format!("unknown subcommand {other:?}")),
+        None => Err("missing subcommand".to_string()),
+    };
+    status.unwrap_or_else(|e| {
+        // Never on `out`: for the streaming subcommands that is the
+        // machine-parsed JSON-lines response channel.
+        let _ = writeln!(err, "error: {e}\n\n{USAGE}");
+        2
+    })
+}
+
+/// Writes a finished report to `out`. A closed stdout (`rect-addr gen …
+/// | head -1`) is not the command's failure, so a write error is ignored.
+fn report(out: &mut dyn Write, text: Result<String, String>) -> Result<u8, String> {
+    let _ = out.write_all(text?.as_bytes());
+    Ok(0)
 }
 
 fn cmd_matrix_required(
     args: &[String],
-    stdin: &mut dyn std::io::Read,
+    stdin: &mut dyn Read,
     f: fn(&BitMatrix, &[String]) -> Result<String, String>,
-) -> CliOutput {
-    let Some(path) = args.get(1) else {
-        return CliOutput::err(format!("{} needs a matrix file", args[0]));
-    };
-    match read_matrix(path, stdin).and_then(|m| f(&m, &args[2..])) {
-        Ok(s) => CliOutput::ok(s),
-        Err(e) => CliOutput::err(e),
-    }
+) -> Result<String, String> {
+    let path = args
+        .get(1)
+        .ok_or_else(|| format!("{} needs a matrix file", args[0]))?;
+    f(&read_matrix(path, stdin)?, &args[2..])
 }
 
 fn parse_flag(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
@@ -268,41 +275,28 @@ fn cmd_solve(m: &BitMatrix, rest: &[String]) -> Result<String, String> {
     Ok(s)
 }
 
-fn cmd_certcheck(args: &[String], stdin: &mut dyn std::io::Read) -> CliOutput {
+fn cmd_certcheck(args: &[String], stdin: &mut dyn Read, out: &mut dyn Write) -> Result<u8, String> {
     let (Some(cnf_path), Some(drat_path)) = (args.get(1), args.get(2)) else {
-        return CliOutput::err(
-            "certcheck needs <file.cnf> <file.drat> (one may be '-')".to_string(),
-        );
+        return Err("certcheck needs <file.cnf> <file.drat> (one may be '-')".to_string());
     };
     if cnf_path == "-" && drat_path == "-" {
-        return CliOutput::err("certcheck: only one input may be '-'".to_string());
+        return Err("certcheck: only one input may be '-'".to_string());
     }
-    let result = (|| -> Result<CliOutput, String> {
-        let cnf = read_input(cnf_path, stdin)?;
-        let drat = read_input(drat_path, stdin)?;
-        Ok(match certcheck::check_certificate(&cnf, &drat) {
-            Ok(outcome) => CliOutput {
-                code: 0,
-                stdout: format!(
-                    "s VERIFIED\n{} steps checked ({} RAT); trimmed core: {} axioms, {} lemmas\n",
-                    outcome.steps_checked,
-                    outcome.rat_steps,
-                    outcome.core_axioms,
-                    outcome.core_lemmas,
-                ),
-            },
-            // A rejected proof is a *verification verdict*, not a usage
-            // error: report it on stdout with exit 1, no usage text.
-            Err(e) => CliOutput {
-                code: 1,
-                stdout: format!("s NOT VERIFIED: {e}\n"),
-            },
-        })
-    })();
-    match result {
-        Ok(out) => out,
-        Err(e) => CliOutput::err(e),
-    }
+    let cnf = read_input(cnf_path, stdin)?;
+    let drat = read_input(drat_path, stdin)?;
+    let (status, verdict) = match certcheck::check_certificate(&cnf, &drat) {
+        Ok(outcome) => (
+            0,
+            format!(
+                "s VERIFIED\n{} steps checked ({} RAT); trimmed core: {} axioms, {} lemmas\n",
+                outcome.steps_checked, outcome.rat_steps, outcome.core_axioms, outcome.core_lemmas,
+            ),
+        ),
+        // A rejected proof is a *verification verdict*, not a usage
+        // error: report it on stdout with exit 1, no usage text.
+        Err(e) => (1, format!("s NOT VERIFIED: {e}\n")),
+    };
+    report(out, Ok(verdict)).map(|_| status)
 }
 
 fn cmd_pack(m: &BitMatrix, rest: &[String]) -> Result<String, String> {
@@ -463,120 +457,102 @@ fn schedule_over_socket(schedule: &AddressingSchedule, addr: &str) -> Result<Str
 /// `traffic <mix>`: print `--count` JSON job lines from one of the seeded
 /// generator mixes — ready to pipe into `batch -`, `client`, or a raw
 /// socket. The same flags always reproduce the same byte stream.
-fn cmd_traffic(args: &[String]) -> CliOutput {
-    let result = (|| -> Result<String, String> {
-        let mix = args
-            .get(1)
-            .ok_or_else(|| "traffic needs a mix: zipf|bursty|layered|adversarial".to_string())?;
-        let rest = &args[2..];
-        let seed = parse_flag(rest, "--seed", 7)? as u64;
-        let count = parse_flag(rest, "--count", 32)?;
-        let rows = parse_flag(rest, "--rows", 6)?.max(1);
-        let cols = parse_flag(rest, "--cols", 6)?.max(1);
-        let classes = parse_flag(rest, "--classes", 8)?.max(1);
-        let workload = match mix.as_str() {
-            "zipf" => traffic::Workload::zipf(seed, (rows, cols), classes, 1.1),
-            "bursty" => traffic::Workload::bursty(seed, (rows, cols), classes, 1.1, 8, 50, 5_000),
-            "layered" => traffic::Workload::layered(seed, (rows, cols)),
-            "adversarial" => traffic::Workload::adversarial(seed),
-            other => {
-                return Err(format!(
-                    "unknown mix {other:?} (zipf|bursty|layered|adversarial)"
-                ))
-            }
-        };
-        let name = workload.name();
-        let mut s = String::new();
-        for (k, spec) in workload.take(count).enumerate() {
-            // The duplicate class rides in the id, so response streams can
-            // be correlated back to cache-reuse expectations.
-            let job = proto::JobRequest::new(format!("{name}-{k}-c{}", spec.class), spec.matrix);
-            let _ = writeln!(s, "{}", job.to_json_line());
+fn cmd_traffic(args: &[String]) -> Result<String, String> {
+    let mix = args
+        .get(1)
+        .ok_or("traffic needs a mix: zipf|bursty|layered|adversarial")?;
+    let rest = &args[2..];
+    let seed = parse_flag(rest, "--seed", 7)? as u64;
+    let count = parse_flag(rest, "--count", 32)?;
+    let rows = parse_flag(rest, "--rows", 6)?.max(1);
+    let cols = parse_flag(rest, "--cols", 6)?.max(1);
+    let classes = parse_flag(rest, "--classes", 8)?.max(1);
+    let workload = match mix.as_str() {
+        "zipf" => traffic::Workload::zipf(seed, (rows, cols), classes, 1.1),
+        "bursty" => traffic::Workload::bursty(seed, (rows, cols), classes, 1.1, 8, 50, 5_000),
+        "layered" => traffic::Workload::layered(seed, (rows, cols)),
+        "adversarial" => traffic::Workload::adversarial(seed),
+        other => {
+            return Err(format!(
+                "unknown mix {other:?} (zipf|bursty|layered|adversarial)"
+            ))
         }
-        Ok(s)
-    })();
-    match result {
-        Ok(s) => CliOutput::ok(s),
-        Err(e) => CliOutput::err(e),
-    }
-}
-
-fn cmd_complete(args: &[String], stdin: &mut dyn std::io::Read) -> CliOutput {
-    let (Some(mpath), Some(dcpath)) = (args.get(1), args.get(2)) else {
-        return CliOutput::err("complete needs <matrix-file> <dc-file>".to_string());
     };
-    let result = (|| -> Result<String, String> {
-        let m = read_matrix(mpath, stdin)?;
-        let dc = read_matrix(dcpath, stdin)?;
-        if dc.shape() != m.shape() {
-            return Err("matrix and don't-care mask shapes differ".to_string());
-        }
-        if !m.and(&dc).is_zero() {
-            return Err("a cell cannot be both 1 and don't-care".to_string());
-        }
-        let out = complete_ebmf(&m, &dc);
-        validate_completion(&out.partition, &m, &dc)
-            .map_err(|e| format!("internal: invalid completion: {e}"))?;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "depth {} with don't-cares ({})",
-            out.partition.len(),
-            if out.proved_optimal {
-                "optimal"
-            } else {
-                "best effort"
-            },
-        );
-        let _ = writeln!(s, "{}", out.partition);
-        Ok(s)
-    })();
-    match result {
-        Ok(s) => CliOutput::ok(s),
-        Err(e) => CliOutput::err(e),
+    let name = workload.name();
+    let mut s = String::new();
+    for (k, spec) in workload.take(count).enumerate() {
+        // The duplicate class rides in the id, so response streams can be
+        // correlated back to cache-reuse expectations.
+        let job = proto::JobRequest::new(format!("{name}-{k}-c{}", spec.class), spec.matrix);
+        let _ = writeln!(s, "{}", job.to_json_line());
     }
+    Ok(s)
 }
 
-fn cmd_gen(args: &[String]) -> CliOutput {
+fn cmd_complete(args: &[String], stdin: &mut dyn Read) -> Result<String, String> {
+    let (Some(mpath), Some(dcpath)) = (args.get(1), args.get(2)) else {
+        return Err("complete needs <matrix-file> <dc-file>".to_string());
+    };
+    let m = read_matrix(mpath, stdin)?;
+    let dc = read_matrix(dcpath, stdin)?;
+    if dc.shape() != m.shape() {
+        return Err("matrix and don't-care mask shapes differ".to_string());
+    }
+    if !m.and(&dc).is_zero() {
+        return Err("a cell cannot be both 1 and don't-care".to_string());
+    }
+    let out = complete_ebmf(&m, &dc);
+    validate_completion(&out.partition, &m, &dc)
+        .map_err(|e| format!("internal: invalid completion: {e}"))?;
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "depth {} with don't-cares ({})",
+        out.partition.len(),
+        if out.proved_optimal {
+            "optimal"
+        } else {
+            "best effort"
+        },
+    );
+    let _ = writeln!(s, "{}", out.partition);
+    Ok(s)
+}
+
+fn cmd_gen(args: &[String]) -> Result<String, String> {
     let usage = "gen needs: rand|opt|gap <m> <n> <param> <seed>";
     let parse = |s: Option<&String>| -> Result<u64, String> {
-        s.ok_or_else(|| usage.to_string())?
+        s.ok_or(usage)?
             .parse::<u64>()
             .map_err(|e| format!("{usage}: {e}"))
     };
-    let result = (|| -> Result<String, String> {
-        let family = args.get(1).ok_or(usage)?.clone();
-        let m = parse(args.get(2))? as usize;
-        let n = parse(args.get(3))? as usize;
-        let param = parse(args.get(4))?;
-        let seed = parse(args.get(5))?;
-        let bench = match family.as_str() {
-            "rand" => {
-                if param > 100 {
-                    return Err("occupancy must be 0..=100".to_string());
-                }
-                random_benchmark(m, n, param as f64 / 100.0, seed)
+    let family = args.get(1).ok_or(usage)?;
+    let m = parse(args.get(2))? as usize;
+    let n = parse(args.get(3))? as usize;
+    let param = parse(args.get(4))?;
+    let seed = parse(args.get(5))?;
+    let bench = match family.as_str() {
+        "rand" => {
+            if param > 100 {
+                return Err("occupancy must be 0..=100".to_string());
             }
-            "opt" => {
-                if param as usize > m.min(n) || param == 0 {
-                    return Err(format!("k must be in 1..={}", m.min(n)));
-                }
-                known_optimal_benchmark(m, n, param as usize, seed).0
+            random_benchmark(m, n, param as f64 / 100.0, seed)
+        }
+        "opt" => {
+            if param as usize > m.min(n) || param == 0 {
+                return Err(format!("k must be in 1..={}", m.min(n)));
             }
-            "gap" => {
-                if param == 0 || 2 * param as usize > m {
-                    return Err(format!("pairs must be in 1..={}", m / 2));
-                }
-                gap_benchmark(m, n, param as usize, seed)
+            known_optimal_benchmark(m, n, param as usize, seed).0
+        }
+        "gap" => {
+            if param == 0 || 2 * param as usize > m {
+                return Err(format!("pairs must be in 1..={}", m / 2));
             }
-            other => return Err(format!("unknown family {other:?} ({usage})")),
-        };
-        Ok(format!("{}\n", bench.matrix))
-    })();
-    match result {
-        Ok(s) => CliOutput::ok(s),
-        Err(e) => CliOutput::err(e),
-    }
+            gap_benchmark(m, n, param as usize, seed)
+        }
+        other => return Err(format!("unknown family {other:?} ({usage})")),
+    };
+    Ok(format!("{}\n", bench.matrix))
 }
 
 /// Builds an [`EngineConfig`] from `--workers/--budget-ms/--conflicts/
@@ -600,16 +576,6 @@ fn engine_config(rest: &[String]) -> Result<EngineConfig, String> {
         cfg.portfolio.sap = false;
     }
     Ok(cfg)
-}
-
-/// The job source of one batch/serve invocation.
-enum BatchInput<'a> {
-    /// Already-collected text (the unit-testable [`run`] path).
-    Text(String),
-    /// The process's real stdin, streamed (binary `batch -` / `serve`).
-    Stdin,
-    /// A job file, streamed.
-    File(&'a str),
 }
 
 /// Builds the [`Service`] (engine + bounded queue + optional warm-state
@@ -670,36 +636,27 @@ const METRICS_DUMP_PERIOD: std::time::Duration = std::time::Duration::from_secs(
 /// How often a `serve --listen` process checks for a stop signal.
 const STOP_POLL_PERIOD: std::time::Duration = std::time::Duration::from_millis(100);
 
-/// Shared core of all batch/serve entry points: build the service from
-/// flags and drive one protocol connection over `input`/`output` (the
+/// Shared core of `batch` and of `serve` without `--listen`: build the
+/// service from flags and drive one protocol connection over
+/// `input`/`out`, responses streaming to `out` as jobs complete (the
 /// connection emits the summary trailer itself on drain). With
 /// `--metrics-dump`, the drained process's metrics are written once at
 /// the end — the batch-mode analogue of the listen server's periodic
 /// export.
-fn run_service_batch<W: std::io::Write>(
-    input: BatchInput<'_>,
+fn run_service_batch(
+    input: &mut (dyn BufRead + Send),
     rest: &[String],
-    output: &mut W,
-) -> Result<(), String> {
+    mut out: &mut dyn Write,
+) -> Result<u8, String> {
     let dump = metrics_dump_path(rest)?;
     let service = build_service(rest)?;
-    match input {
-        BatchInput::Text(text) => serve_connection(&service, text.as_bytes(), output),
-        BatchInput::Stdin => {
-            serve_connection(&service, std::io::BufReader::new(std::io::stdin()), output)
-        }
-        BatchInput::File(path) => {
-            let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-            serve_connection(&service, std::io::BufReader::new(file), output)
-        }
-    }
-    .map_err(|e| format!("batch I/O: {e}"))?;
+    serve_connection(&service, input, &mut out).map_err(|e| format!("batch I/O: {e}"))?;
     if let Some(path) = dump {
         obs::registry()
             .dump_to_path(&path)
             .map_err(|e| format!("writing metrics to {}: {e}", path.display()))?;
     }
-    Ok(())
+    Ok(0)
 }
 
 /// The socket server behind `serve --listen`: binds, prints the bound
@@ -710,7 +667,7 @@ fn run_service_batch<W: std::io::Write>(
 /// rename) once per [`METRICS_DUMP_PERIOD`] so an operator — or the CI
 /// smoke test — can watch latency percentiles move while the server
 /// runs.
-fn run_serve_listen(addr: &str, rest: &[String]) -> Result<(), String> {
+fn run_serve_listen(addr: &str, rest: &[String]) -> Result<u8, String> {
     serve::sys::catch_stop_signals().map_err(|e| format!("catching stop signals: {e}"))?;
     let dump = metrics_dump_path(rest)?;
     let service = std::sync::Arc::new(build_service(rest)?);
@@ -737,33 +694,30 @@ fn run_serve_listen(addr: &str, rest: &[String]) -> Result<(), String> {
             eprintln!("rect-addr: stop signal received; draining");
             server.shutdown();
             service.shutdown();
-            return Ok(());
+            return Ok(0);
         }
         std::thread::sleep(STOP_POLL_PERIOD);
     }
     server
         .join()
-        .map_err(|e| format!("accept loop failed: {e}"))
+        .map_err(|e| format!("accept loop failed: {e}"))?;
+    Ok(0)
 }
 
-/// Collect-mode wrapper around [`run_service_batch`] for the [`run`] harness.
-fn cmd_batch_collected(path: &str, rest: &[String], stdin: &mut dyn std::io::Read) -> CliOutput {
-    let result = read_input(path, stdin).and_then(|text| {
-        let mut out = Vec::new();
-        run_service_batch(BatchInput::Text(text), rest, &mut out)?;
-        Ok(String::from_utf8(out).expect("responses are UTF-8"))
-    });
-    match result {
-        Ok(s) => CliOutput::ok(s),
-        Err(e) => CliOutput::err(e),
+/// `batch <file|->`: the job stream of a file, or of stdin.
+fn cmd_batch(
+    args: &[String],
+    stdin: &mut (dyn BufRead + Send),
+    out: &mut dyn Write,
+) -> Result<u8, String> {
+    let path = args
+        .get(1)
+        .ok_or("batch needs a JSON-lines job file (or '-')")?;
+    if path == "-" {
+        return run_service_batch(stdin, &args[2..], out);
     }
-}
-
-fn cmd_batch(args: &[String], stdin: &mut dyn std::io::Read) -> CliOutput {
-    let Some(path) = args.get(1) else {
-        return CliOutput::err("batch needs a JSON-lines job file (or '-')".to_string());
-    };
-    cmd_batch_collected(path, &args[2..], stdin)
+    let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
+    run_service_batch(&mut std::io::BufReader::new(file), &args[2..], out)
 }
 
 /// The value following `--listen`, when present.
@@ -777,47 +731,33 @@ fn listen_addr(rest: &[String]) -> Result<Option<&String>, String> {
     }
 }
 
-fn cmd_serve(args: &[String], stdin: &mut dyn std::io::Read) -> CliOutput {
-    match listen_addr(&args[1..]) {
-        // The socket server runs until a stop signal; it only makes sense
-        // from the streaming binary entry point, not the collecting test
-        // harness.
-        Ok(Some(_)) => {
-            CliOutput::err("serve --listen runs only as the binary's streaming mode".to_string())
-        }
-        Ok(None) => cmd_batch_collected("-", &args[1..], stdin),
-        Err(e) => CliOutput::err(e),
+/// `serve`: the socket server with `--listen`, else the job stream of
+/// stdin. `--event-loop`, once the switch to the socket server's one
+/// transport, is accepted and ignored like any unknown flag.
+fn cmd_serve(
+    args: &[String],
+    stdin: &mut (dyn BufRead + Send),
+    out: &mut dyn Write,
+) -> Result<u8, String> {
+    let rest = &args[1..];
+    match listen_addr(rest)? {
+        Some(addr) => run_serve_listen(addr, rest),
+        None => run_service_batch(stdin, rest, out),
     }
 }
 
-/// Validates `idle` arguments for the collecting harness; the command
-/// itself blocks until stdin EOF, so like `serve --listen` it only runs
-/// from the binary's streaming entry point.
-fn cmd_idle(args: &[String]) -> CliOutput {
-    match idle_args(&args[1..]) {
-        Ok(_) => CliOutput::err("idle runs only as the binary's streaming mode".to_string()),
-        Err(e) => CliOutput::err(e),
-    }
-}
-
-/// Parses `idle <addr> <count>` arguments.
-fn idle_args(rest: &[String]) -> Result<(&String, usize), String> {
-    let addr = rest
-        .first()
-        .ok_or_else(|| "idle needs a server address (host:port or socket path)".to_string())?;
-    let count = rest
+/// `idle <addr> <count>`: holds `count` idle connections against a
+/// server, reports `held N`, and keeps them open until stdin reaches EOF
+/// — a remote-controlled connection ballast for the scaling smoke test
+/// and bench.
+fn cmd_idle(args: &[String], stdin: &mut dyn Read, out: &mut dyn Write) -> Result<u8, String> {
+    let addr = args
         .get(1)
-        .ok_or_else(|| "idle needs a connection count".to_string())?;
+        .ok_or("idle needs a server address (host:port or socket path)")?;
+    let count = args.get(2).ok_or("idle needs a connection count")?;
     let count: usize = count
         .parse()
         .map_err(|_| format!("idle: invalid connection count {count:?}"))?;
-    Ok((addr, count))
-}
-
-/// Holds `count` idle connections against a server, reports `held N`,
-/// and keeps them open until stdin reaches EOF — a remote-controlled
-/// connection ballast for the scaling smoke test and bench.
-fn run_idle<W: std::io::Write>(addr: &str, count: usize, output: &mut W) -> Result<(), String> {
     if let Err(e) = serve::sys::raise_nofile_limit() {
         eprintln!("rect-addr: could not raise fd limit: {e}");
     }
@@ -829,142 +769,80 @@ fn run_idle<W: std::io::Write>(addr: &str, count: usize, output: &mut W) -> Resu
             Err(e) => return Err(format!("idle: connection {} of {count}: {e}", i + 1)),
         }
     }
-    writeln!(output, "held {}", held.len()).map_err(|e| format!("idle: {e}"))?;
-    output.flush().map_err(|e| format!("idle: {e}"))?;
-    let mut sink = Vec::new();
-    let _ = std::io::Read::read_to_end(&mut std::io::stdin(), &mut sink);
-    Ok(())
+    writeln!(out, "held {}", held.len()).map_err(|e| format!("idle: {e}"))?;
+    out.flush().map_err(|e| format!("idle: {e}"))?;
+    let _ = std::io::copy(stdin, &mut std::io::sink());
+    Ok(0)
 }
 
-fn cmd_client(args: &[String], stdin: &mut dyn std::io::Read) -> CliOutput {
-    let Some(addr) = args.get(1) else {
-        return CliOutput::err(
-            "client needs a server address (host:port or socket path)".to_string(),
-        );
-    };
-    let result = read_input("-", stdin).and_then(|text| {
-        let mut out = Vec::new();
-        serve::pump(&serve::BindAddr::parse(addr), text.as_bytes(), &mut out)
-            .map_err(|e| format!("client: {e}"))?;
-        Ok(String::from_utf8(out).expect("responses are UTF-8"))
-    });
-    match result {
-        Ok(s) => CliOutput::ok(s),
-        Err(e) => CliOutput::err(e),
-    }
+/// `client <addr>`: pumps stdin's job lines through a socket server,
+/// responses streaming to `out` as they arrive.
+fn cmd_client(
+    args: &[String],
+    stdin: &mut (dyn BufRead + Send),
+    mut out: &mut dyn Write,
+) -> Result<u8, String> {
+    let addr = args
+        .get(1)
+        .ok_or("client needs a server address (host:port or socket path)")?;
+    serve::pump(&serve::BindAddr::parse(addr), stdin, &mut out)
+        .map_err(|e| format!("client: {e}"))?;
+    Ok(0)
 }
 
-/// Streaming front-end for `batch` / `serve` / `client`, used by the
-/// binary: response lines reach `output` as jobs complete (a long-lived
-/// `serve` peer sees every answer immediately), rather than being
-/// collected like [`run`] does. Returns `None` when `args` is not a
-/// streaming subcommand, so the caller can fall back to [`run`].
-pub fn try_run_streaming<W: std::io::Write>(args: &[String], output: &mut W) -> Option<i32> {
-    let fail = |e: String| {
-        // stderr, not `output`: the output stream is the machine-parsed
-        // JSON-lines response channel and must never carry usage text.
-        eprintln!("error: {e}\n\n{USAGE}");
-        Some(2)
-    };
-    let (path, rest) = match args.first().map(String::as_str) {
-        Some("batch") => match args.get(1) {
-            Some(p) => (p.as_str(), &args[2..]),
-            None => return None, // run() reports the usage error
-        },
-        Some("serve") => {
-            let rest = &args[1..];
-            match listen_addr(rest) {
-                Ok(Some(addr)) => {
-                    return match run_serve_listen(addr, rest) {
-                        Ok(()) => Some(0),
-                        Err(e) => fail(e),
+fn cmd_sat(args: &[String], stdin: &mut dyn Read) -> Result<String, String> {
+    let path = args.get(1).ok_or("sat needs a DIMACS file")?;
+    let text = read_input(path, stdin)?;
+    let cnf = sat::parse_dimacs(&text).map_err(|e| e.to_string())?;
+    let mut solver = cnf.into_solver();
+    let mut s = String::new();
+    match solver.solve() {
+        sat::SolveResult::Sat => {
+            let _ = writeln!(s, "s SATISFIABLE");
+            let lits: Vec<String> = solver
+                .model()
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    if v {
+                        format!("{}", i + 1)
+                    } else {
+                        format!("-{}", i + 1)
                     }
-                }
-                Ok(None) => ("-", rest),
-                Err(e) => return fail(e),
-            }
+                })
+                .collect();
+            let _ = writeln!(s, "v {} 0", lits.join(" "));
         }
-        Some("client") => {
-            let Some(addr) = args.get(1) else {
-                return None; // run() reports the usage error
-            };
-            let input = std::io::BufReader::new(std::io::stdin());
-            return match serve::pump(&serve::BindAddr::parse(addr), input, output) {
-                Ok(_) => Some(0),
-                Err(e) => fail(format!("client: {e}")),
-            };
+        sat::SolveResult::Unsat => {
+            let _ = writeln!(s, "s UNSATISFIABLE");
         }
-        Some("idle") => {
-            let (addr, count) = match idle_args(&args[1..]) {
-                Ok(parsed) => parsed,
-                Err(_) => return None, // run() reports the usage error
-            };
-            return match run_idle(addr, count, output) {
-                Ok(()) => Some(0),
-                Err(e) => fail(e),
-            };
+        sat::SolveResult::Unknown => {
+            let _ = writeln!(s, "s UNKNOWN");
         }
-        _ => return None,
-    };
-    let input = if path == "-" {
-        BatchInput::Stdin
-    } else {
-        BatchInput::File(path)
-    };
-    match run_service_batch(input, rest, output) {
-        Ok(()) => Some(0),
-        Err(e) => fail(e),
     }
-}
-
-fn cmd_sat(args: &[String], stdin: &mut dyn std::io::Read) -> CliOutput {
-    let Some(path) = args.get(1) else {
-        return CliOutput::err("sat needs a DIMACS file".to_string());
-    };
-    let result = (|| -> Result<String, String> {
-        let text = read_input(path, stdin)?;
-        let cnf = sat::parse_dimacs(&text).map_err(|e| e.to_string())?;
-        let mut solver = cnf.into_solver();
-        let mut s = String::new();
-        match solver.solve() {
-            sat::SolveResult::Sat => {
-                let _ = writeln!(s, "s SATISFIABLE");
-                let lits: Vec<String> = solver
-                    .model()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| {
-                        if v {
-                            format!("{}", i + 1)
-                        } else {
-                            format!("-{}", i + 1)
-                        }
-                    })
-                    .collect();
-                let _ = writeln!(s, "v {} 0", lits.join(" "));
-            }
-            sat::SolveResult::Unsat => {
-                let _ = writeln!(s, "s UNSATISFIABLE");
-            }
-            sat::SolveResult::Unknown => {
-                let _ = writeln!(s, "s UNKNOWN");
-            }
-        }
-        Ok(s)
-    })();
-    match result {
-        Ok(s) => CliOutput::ok(s),
-        Err(e) => CliOutput::err(e),
-    }
+    Ok(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run_str(args: &[&str], stdin: &str) -> CliOutput {
+    /// What one [`run`] returned and wrote.
+    struct Output {
+        code: u8,
+        stdout: String,
+        stderr: String,
+    }
+
+    fn run_str(args: &[&str], stdin: &str) -> Output {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        run(&args, &mut stdin.as_bytes())
+        let (mut stdout, mut stderr) = (Vec::new(), Vec::new());
+        let code = run(&args, &mut stdin.as_bytes(), &mut stdout, &mut stderr);
+        Output {
+            code,
+            stdout: String::from_utf8(stdout).unwrap(),
+            stderr: String::from_utf8(stderr).unwrap(),
+        }
     }
 
     const FIG1B: &str = "101100\n010011\n101010\n010101\n111000\n000111\n";
@@ -980,7 +858,8 @@ mod tests {
     fn missing_subcommand_errors() {
         let out = run_str(&[], "");
         assert_eq!(out.code, 2);
-        assert!(out.stdout.contains("missing subcommand"));
+        assert!(out.stderr.contains("missing subcommand"), "{}", out.stderr);
+        assert!(out.stdout.is_empty(), "{}", out.stdout);
     }
 
     #[test]
@@ -992,7 +871,7 @@ mod tests {
     #[test]
     fn solve_fig1b_from_stdin() {
         let out = run_str(&["solve", "-"], FIG1B);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         assert!(out.stdout.contains("depth 5 (optimal)"), "{}", out.stdout);
     }
 
@@ -1001,7 +880,7 @@ mod tests {
         let path = std::env::temp_dir().join("rect_addr_cli_out.svg");
         let path_str = path.to_str().unwrap();
         let out = run_str(&["solve", "-", "--svg", path_str], FIG1B);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         let doc = std::fs::read_to_string(&path).unwrap();
         assert!(doc.starts_with("<svg"));
         let _ = std::fs::remove_file(&path);
@@ -1049,7 +928,7 @@ mod tests {
     #[test]
     fn gen_rand_produces_parseable_matrix() {
         let out = run_str(&["gen", "rand", "6", "8", "50", "3"], "");
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         let m: BitMatrix = out.stdout.trim().parse().unwrap();
         assert_eq!(m.shape(), (6, 8));
     }
@@ -1068,7 +947,7 @@ mod tests {
             std::env::temp_dir().join(format!("rect_addr_cli_cert_{}", std::process::id()));
         let prefix_str = prefix.to_str().unwrap();
         let out = run_str(&["solve", "-", "--certify", prefix_str], FIG1B);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         assert!(
             out.stdout.contains("because depth 4 is UNSAT"),
             "{}",
@@ -1079,7 +958,7 @@ mod tests {
 
         // The embedded checker verifies the exported pair from disk.
         let check = run_str(&["certcheck", &cnf_path, &drat_path], "");
-        assert_eq!(check.code, 0, "{}", check.stdout);
+        assert_eq!(check.code, 0, "{}", check.stderr);
         assert!(check.stdout.contains("s VERIFIED"), "{}", check.stdout);
         assert!(check.stdout.contains("trimmed core"), "{}", check.stdout);
 
@@ -1095,6 +974,7 @@ mod tests {
         assert_eq!(bad.code, 1, "{}", bad.stdout);
         assert!(bad.stdout.contains("s NOT VERIFIED"), "{}", bad.stdout);
         assert!(!bad.stdout.contains("USAGE"), "{}", bad.stdout);
+        assert!(bad.stderr.is_empty(), "{}", bad.stderr);
 
         let _ = std::fs::remove_file(&cnf_path);
         let _ = std::fs::remove_file(&drat_path);
@@ -1108,7 +988,7 @@ mod tests {
             &["solve", "-", "--certify", prefix.to_str().unwrap()],
             "10\n01\n",
         );
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         assert!(out.stdout.contains("certificate: none"), "{}", out.stdout);
         assert!(!prefix.with_extension("cnf").exists());
     }
@@ -1147,7 +1027,7 @@ mod tests {
             ],
             "",
         );
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         assert!(out.stdout.contains("depth 1"), "{}", out.stdout);
     }
 
@@ -1170,7 +1050,7 @@ mod tests {
 {\"id\": \"b\", \"matrix\": \"10;01\"}\n\
 {\"id\": \"c\", \"matrix\": [\"11\", \"11\"]}\n";
         let out = run_str(&["batch", "-", "--workers", "2"], jobs);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         let lines: Vec<&str> = out.stdout.lines().collect();
         assert_eq!(lines.len(), 4, "3 responses + summary:\n{}", out.stdout);
         assert!(lines[3].contains("\"summary\": true"));
@@ -1195,7 +1075,7 @@ mod tests {
     fn serve_processes_stdin_jobs() {
         let jobs = "{\"id\": \"x\", \"matrix\": \"1\"}\n";
         let out = run_str(&["serve"], jobs);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         assert!(out.stdout.contains("\"id\": \"x\""));
         assert!(out.stdout.contains("\"solved\": 1"));
     }
@@ -1238,7 +1118,7 @@ mod tests {
         let jobs =
             "{\"id\": \"x\", \"matrix\": \"10;01\"}\n{\"id\": \"y\", \"matrix\": \"01;10\"}\n";
         let out = run_str(&["batch", "-", "--workers", "1"], jobs);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         let summary = out.stdout.lines().last().unwrap();
         for field in [
             "\"cache_evictions\":",
@@ -1256,70 +1136,59 @@ mod tests {
     fn batch_reports_bad_flag_values() {
         let out = run_str(&["batch", "-", "--workers", "lots"], "");
         assert_eq!(out.code, 2);
-        assert!(out.stdout.contains("--workers"), "{}", out.stdout);
-    }
-
-    #[test]
-    fn streaming_entry_point_only_handles_streaming_subcommands() {
-        let mut sink = Vec::new();
-        let args: Vec<String> = vec!["rank".to_string(), "-".to_string()];
-        assert!(try_run_streaming(&args, &mut sink).is_none());
-        assert!(sink.is_empty());
-        // `client` without an address falls back to run()'s usage error.
-        let args: Vec<String> = vec!["client".to_string()];
-        assert!(try_run_streaming(&args, &mut sink).is_none());
+        assert!(out.stderr.contains("--workers"), "{}", out.stderr);
     }
 
     #[test]
     fn serve_listen_is_streaming_only_in_collect_mode() {
-        let out = run_str(&["serve", "--listen", "127.0.0.1:0"], "");
-        assert_eq!(out.code, 2);
-        assert!(out.stdout.contains("streaming"), "{}", out.stdout);
         // A dangling --listen reports its own usage error.
         let out = run_str(&["serve", "--listen"], "");
         assert_eq!(out.code, 2);
-        assert!(out.stdout.contains("--listen needs"), "{}", out.stdout);
+        assert!(out.stderr.contains("--listen needs"), "{}", out.stderr);
     }
 
     #[test]
     fn client_requires_an_address() {
         let out = run_str(&["client"], "");
         assert_eq!(out.code, 2);
-        assert!(out.stdout.contains("client needs"), "{}", out.stdout);
+        assert!(out.stderr.contains("client needs"), "{}", out.stderr);
     }
 
     #[test]
     fn idle_argument_errors_and_streaming_only() {
         let out = run_str(&["idle"], "");
         assert_eq!(out.code, 2);
-        assert!(out.stdout.contains("idle needs a server"), "{}", out.stdout);
+        assert!(out.stderr.contains("idle needs a server"), "{}", out.stderr);
 
         let out = run_str(&["idle", "127.0.0.1:9"], "");
         assert_eq!(out.code, 2);
         assert!(
-            out.stdout.contains("idle needs a connection count"),
+            out.stderr.contains("idle needs a connection count"),
             "{}",
-            out.stdout
+            out.stderr
         );
 
         let out = run_str(&["idle", "127.0.0.1:9", "many"], "");
         assert_eq!(out.code, 2);
         assert!(
-            out.stdout.contains("invalid connection count"),
+            out.stderr.contains("invalid connection count"),
             "{}",
-            out.stdout
+            out.stderr
         );
 
-        // A well-formed invocation blocks until stdin EOF, so the
-        // collecting harness refuses it like `serve --listen`.
-        let out = run_str(&["idle", "127.0.0.1:9", "4"], "");
-        assert_eq!(out.code, 2);
-        assert!(out.stdout.contains("streaming"), "{}", out.stdout);
-
-        // Malformed arguments fall back to run() for the usage error.
-        let mut sink = Vec::new();
-        let args: Vec<String> = vec!["idle".to_string(), "127.0.0.1:9".to_string()];
-        assert!(try_run_streaming(&args, &mut sink).is_none());
+        // Well formed: the connections are held until stdin's EOF, which
+        // an empty stdin gives at once.
+        let service = std::sync::Arc::new(Service::with_engine_config(
+            EngineConfig::default(),
+            ServiceConfig::default(),
+        ));
+        let mut server =
+            serve::serve_socket_event(service, &serve::BindAddr::parse("127.0.0.1:0")).unwrap();
+        let addr = server.local_addr().to_string();
+        let out = run_str(&["idle", &addr, "4"], "");
+        assert_eq!(out.code, 0, "{}", out.stderr);
+        assert_eq!(out.stdout, "held 4\n");
+        server.shutdown();
     }
 
     #[test]
@@ -1335,7 +1204,7 @@ mod tests {
         let jobs =
             "{\"id\": \"x\", \"matrix\": \"10;01\"}\n{\"id\": \"y\", \"matrix\": \"01;10\"}\n";
         let out = run_str(&["client", &addr], jobs);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         assert!(out.stdout.contains("\"id\": \"x\""), "{}", out.stdout);
         assert!(out.stdout.contains("\"id\": \"y\""), "{}", out.stdout);
         let last = out.stdout.lines().last().unwrap();
@@ -1347,7 +1216,7 @@ mod tests {
     #[test]
     fn traffic_emits_a_reproducible_job_stream() {
         let out = run_str(&["traffic", "zipf", "--seed", "3", "--count", "10"], "");
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         assert_eq!(out.stdout.lines().count(), 10);
         for line in out.stdout.lines() {
             let req = ::proto::JobRequest::parse_line(line, 0).unwrap();
@@ -1367,9 +1236,9 @@ mod tests {
     #[test]
     fn traffic_pipes_into_batch() {
         let jobs = run_str(&["traffic", "layered", "--count", "8"], "");
-        assert_eq!(jobs.code, 0, "{}", jobs.stdout);
+        assert_eq!(jobs.code, 0, "{}", jobs.stderr);
         let out = run_str(&["batch", "-", "--workers", "2"], &jobs.stdout);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         let summary = out.stdout.lines().last().unwrap();
         assert!(summary.contains("\"solved\": 8"), "{summary}");
     }
@@ -1385,7 +1254,7 @@ mod tests {
         let addr = server.local_addr().to_string();
 
         let out = run_str(&["schedule", "-", "--connect", &addr], FIG1B);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         assert!(out.stdout.contains("5 layers sent"), "{}", out.stdout);
         assert!(out.stdout.contains("cli/L4: depth 1"), "{}", out.stdout);
         assert!(
@@ -1399,7 +1268,7 @@ mod tests {
         // Flag validation.
         let bad = run_str(&["schedule", "-", "--connect"], FIG1B);
         assert_eq!(bad.code, 2);
-        assert!(bad.stdout.contains("--connect needs"), "{}", bad.stdout);
+        assert!(bad.stderr.contains("--connect needs"), "{}", bad.stderr);
     }
 
     #[test]
@@ -1471,7 +1340,7 @@ mod tests {
             &["batch", "-", "--metrics-dump", path.to_str().unwrap()],
             jobs,
         );
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        assert_eq!(out.code, 0, "{}", out.stderr);
         let dump = std::fs::read_to_string(&path).expect("metrics file written on drain");
         // The export carries both sections; the completed job is visible
         // in the end-to-end histogram (counters are process-global, so
@@ -1494,7 +1363,7 @@ mod tests {
     fn bad_matrix_reports_parse_error() {
         let out = run_str(&["solve", "-"], "10\n2\n");
         assert_eq!(out.code, 2);
-        assert!(out.stdout.contains("error"), "{}", out.stdout);
+        assert!(out.stderr.contains("error"), "{}", out.stderr);
     }
 
     #[test]

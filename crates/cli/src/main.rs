@@ -1,20 +1,15 @@
-//! `rect-addr` — command-line front-end. All logic lives in the library
-//! crate (`rect_addr_cli::run`) so it can be unit-tested; the streaming
-//! subcommands (`batch`, `serve`) write responses as jobs complete via
-//! `rect_addr_cli::try_run_streaming`.
+//! `rect-addr` — command-line front-end: one call to
+//! `rect_addr_cli::run`, the function the CLI's tests call, with the
+//! process's stdin, stdout and stderr.
 
-use std::io::Write as _;
+use std::io::{stderr, stdin, stdout, BufReader};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut stdout = std::io::stdout();
-    if let Some(code) = rect_addr_cli::try_run_streaming(&args, &mut stdout) {
-        return ExitCode::from(code as u8);
-    }
-    let out = rect_addr_cli::run(&args, &mut std::io::stdin().lock());
-    // Ignore write failures (e.g. broken pipe from `rect-addr ... | head`)
-    // instead of panicking; the exit code still reflects the command.
-    let _ = stdout.write_all(out.stdout.as_bytes());
-    ExitCode::from(out.code as u8)
+    // `StdinLock` is not `Send`, and the streaming subcommands read stdin
+    // on a thread of their own.
+    let mut input = BufReader::new(stdin());
+    let status = rect_addr_cli::run(&args, &mut input, &mut stdout(), &mut stderr());
+    ExitCode::from(status)
 }

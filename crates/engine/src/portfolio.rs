@@ -27,44 +27,16 @@ pub enum Provenance {
     Sap,
 }
 
-/// The single source of truth tying every [`Provenance`] variant to its
-/// stable protocol name. `Provenance::index` is the compile-time guarantee
-/// that the table stays exhaustive.
-const PROVENANCE_TABLE: [(Provenance, &str); Provenance::COUNT] = [
-    (Provenance::Cache, "cache"),
-    (Provenance::Trivial, "trivial"),
-    (Provenance::Packing, "packing"),
-    (Provenance::Sap, "sap"),
-];
-
 impl Provenance {
-    /// Number of variants (the length of [`Provenance::ALL`]).
-    pub const COUNT: usize = 4;
-
-    /// Every variant, in table order.
-    pub const ALL: [Provenance; Provenance::COUNT] = [
-        Provenance::Cache,
-        Provenance::Trivial,
-        Provenance::Packing,
-        Provenance::Sap,
-    ];
-
-    /// Position of this variant in the name table / [`Provenance::ALL`].
-    /// The exhaustive `match` here is what forces the table to grow when a
-    /// variant is added: a new variant fails to compile until it is indexed,
-    /// and the round-trip test then fails until the table carries its name.
-    pub const fn index(self) -> usize {
-        match self {
-            Provenance::Cache => 0,
-            Provenance::Trivial => 1,
-            Provenance::Packing => 2,
-            Provenance::Sap => 3,
-        }
-    }
-
-    /// Stable lowercase name used by the JSON-lines protocol.
+    /// Stable lowercase name used by the JSON-lines protocol. The match
+    /// is exhaustive, so a new variant fails to compile until it is named.
     pub fn as_str(&self) -> &'static str {
-        PROVENANCE_TABLE[self.index()].1
+        match self {
+            Provenance::Cache => "cache",
+            Provenance::Trivial => "trivial",
+            Provenance::Packing => "packing",
+            Provenance::Sap => "sap",
+        }
     }
 }
 
@@ -336,15 +308,16 @@ mod tests {
 
     #[test]
     fn provenance_strings_roundtrip_exhaustively() {
-        // `ALL` + `index` are compiler-checked to cover every variant; this
-        // closes the loop through the name table and `Display`.
-        for (i, p) in Provenance::ALL.into_iter().enumerate() {
-            assert_eq!(p.index(), i, "ALL must be in table order");
-            assert_eq!(PROVENANCE_TABLE[i].0, p, "table row {i} out of order");
+        let all = [
+            Provenance::Cache,
+            Provenance::Trivial,
+            Provenance::Packing,
+            Provenance::Sap,
+        ];
+        for p in all {
             assert_eq!(p.to_string(), p.as_str());
         }
-        let names: std::collections::HashSet<&str> =
-            Provenance::ALL.iter().map(Provenance::as_str).collect();
-        assert_eq!(names.len(), Provenance::COUNT, "names must be distinct");
+        let names: std::collections::HashSet<&str> = all.iter().map(Provenance::as_str).collect();
+        assert_eq!(names.len(), all.len(), "names must be distinct");
     }
 }

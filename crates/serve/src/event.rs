@@ -2,9 +2,8 @@
 //! fixed thread count regardless of how many connections or schedules are
 //! open.
 //!
-//! * a single **readiness loop** (epoll on Linux, `poll(2)` fallback —
-//!   see [`crate::sys`]) owns the listener and every connection socket,
-//!   all nonblocking;
+//! * a single **readiness loop** (epoll, see [`crate::sys`]) owns the
+//!   listener and every connection socket, all nonblocking;
 //! * each connection's bytes go through its protocol [`Session`], which
 //!   frames lines under the [`MAX_LINE_BYTES`](proto::MAX_LINE_BYTES)
 //!   cap, dispatches frames to the shared [`Service`]'s worker pool and
@@ -49,16 +48,12 @@ pub struct EventLoopConfig {
     /// rather than by unbounded buffering. The default admits any single
     /// legal response line ([`MAX_RESPONSE_LINE_BYTES`]).
     pub outbound_cap: usize,
-    /// Force the portable `poll(2)` backend even where epoll exists; the
-    /// tests use this to exercise the fallback on Linux.
-    pub force_poll: bool,
 }
 
 impl Default for EventLoopConfig {
     fn default() -> Self {
         EventLoopConfig {
             outbound_cap: MAX_RESPONSE_LINE_BYTES,
-            force_poll: false,
         }
     }
 }
@@ -164,7 +159,7 @@ fn run_loop(
     config: EventLoopConfig,
 ) -> Option<io::Error> {
     use std::os::unix::io::AsRawFd as _;
-    let mut poller = match Poller::new_with(config.force_poll) {
+    let mut poller = match Poller::new() {
         Ok(p) => p,
         Err(e) => return Some(e),
     };
@@ -318,7 +313,7 @@ fn run_loop(
             if conn.failed || (conn.session.is_done() && conn.out.is_empty()) {
                 let abandoned = conn.failed;
                 if let Some(conn) = conns.remove(&token) {
-                    let _ = poller.deregister(token);
+                    let _ = poller.deregister(conn.stream.as_raw_fd());
                     teardown(conn, service, abandoned);
                 }
                 continue;
@@ -327,7 +322,11 @@ fn run_loop(
                 readable: conn.session.wants_input(),
                 writable: !conn.out.is_empty(),
             };
-            if desired != conn.interest && poller.modify(token, desired).is_ok() {
+            if desired != conn.interest
+                && poller
+                    .modify(conn.stream.as_raw_fd(), token, desired)
+                    .is_ok()
+            {
                 conn.interest = desired;
             }
         }

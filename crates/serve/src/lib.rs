@@ -17,11 +17,15 @@
 //! * [`serve_connection`] — one connection over any `BufRead`/`Write`
 //!   pair (stdin/stdout, files, in-memory buffers). Drains in-flight
 //!   jobs and emits the summary trailer on end-of-input.
-//! * [`serve_socket_event`] — the socket transport: one readiness loop
-//!   owning every Unix-domain/TCP connection, fanning them all into one
-//!   shared service, so the canonical cache and the warm SAP sessions
-//!   are shared across clients. The process runs that loop plus the
-//!   worker pool however many connections or schedules are open. [`LineClient`]/[`pump`] are the matching client side.
+//! * [`serve_socket_event`] — the socket transport: one epoll readiness
+//!   loop ([`sys`]) owning every Unix-domain/TCP connection, fanning them
+//!   all into one shared service, so the canonical cache and the warm
+//!   SAP sessions are shared across clients. The process runs that loop
+//!   plus the worker pool however many connections or schedules are
+//!   open. [`LineClient`]/[`pump`] are the matching client side.
+//!
+//! The crate builds on Linux only: the loop's epoll binding is Linux's,
+//! and [`sys`] stops any other target with a compile error.
 //!
 //! # Examples
 //!

@@ -704,20 +704,17 @@ impl Service {
 
     /// Submits a job, delivering its [`OutEvent::Response`] to `sink` on
     /// completion. The job joins cancellation `group` (`0` = ungrouped),
-    /// so a transport can abandon everything its peer still has queued in
-    /// one call ([`Service::cancel_group`]). Against a full queue a
-    /// `blocking` submit waits for space; otherwise it answers
-    /// [`SubmitError::Busy`] at once, which a transport turns into a
-    /// `busy` response (v2 backpressure).
+    /// so a caller can abandon everything it still has queued in one call
+    /// ([`Service::cancel_group`]). It never waits for queue space: a
+    /// full queue answers [`SubmitError::Busy`] at once.
     pub fn submit_sink(
         &self,
         req: JobRequest,
         sink: Arc<dyn ResponseSink>,
         group: GroupId,
-        blocking: bool,
     ) -> Result<Ticket, SubmitError> {
-        let admit = if blocking { Admit::Wait } else { Admit::Try };
-        self.enqueue(req, sink, group, admit).map_err(|(e, _req)| e)
+        self.enqueue(req, sink, group, Admit::Try)
+            .map_err(|(e, _req)| e)
     }
 
     /// Submits a job and returns a [`JobHandle`] to wait on — the
@@ -725,11 +722,11 @@ impl Service {
     pub fn submit(&self, req: JobRequest) -> Result<JobHandle, SubmitError> {
         let (tx, rx) = mpsc::channel();
         let id = req.id.clone();
-        let ticket = self.submit_sink(req, Arc::new(tx), 0, false)?;
+        let ticket = self.submit_sink(req, Arc::new(tx), 0)?;
         Ok(JobHandle { ticket, id, rx })
     }
 
-    /// The crate's submission path: [`Service::submit_sink`] with every
+    /// The crate's submission path: [`Service::submit_sink`] under any
     /// [`Admit`] policy, handing the request back on rejection so a
     /// parked v1 job can be retried without a clone.
     #[allow(clippy::result_large_err)] // rejection returns the request by value, no alloc

@@ -1,21 +1,23 @@
 //! Zero-dependency readiness polling: thin `extern "C"` bindings to the
-//! libc the standard library already links (`epoll` on Linux, portable
-//! `poll(2)` everywhere), wrapped in a safe [`Poller`]; plus the
-//! stop-signal flag a server drains on ([`catch_stop_signals`]).
+//! epoll calls of the C library the standard library already links,
+//! wrapped in a safe [`Poller`]; plus the open-file limit a server
+//! raises ([`raise_nofile_limit`]) and the stop-signal flag it drains on
+//! ([`catch_stop_signals`]).
 //!
 //! The workspace deliberately carries no external crates, so the
 //! event-driven acceptor cannot lean on `libc`/`mio`; declaring the half
 //! dozen syscall wrappers it needs resolves them against the C library
-//! `std` links anyway. Both backends expose the same level-triggered
-//! interface: register a file descriptor under a caller-chosen token,
-//! wait, and get back `(token, readable, writable, hangup)` reports.
+//! `std` links anyway. The interface is epoll's level-triggered one:
+//! register a file descriptor under a caller-chosen token, wait, and get
+//! back `(token, readable, writable, hangup)` reports.
 //!
-//! The `poll(2)` backend is not dead fallback code — it is
-//! runtime-selectable (see [`Poller::new_with`]) and exercised by the
-//! event-loop tests on every platform, so a regression in either backend
-//! fails CI on Linux rather than only on the platform that uses it.
+//! Linux is the one platform: the epoll calls and every constant below
+//! (`RLIMIT_NOFILE` among them) are Linux's, so another target fails to
+//! compile here instead of failing to link, or raising the wrong limit.
 
-use std::collections::HashMap;
+#[cfg(not(target_os = "linux"))]
+compile_error!("rect-addr-serve runs on Linux only: its event loop is built on epoll");
+
 use std::io;
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,10 +33,10 @@ pub struct Event {
     pub readable: bool,
     /// Writing would not block.
     pub writable: bool,
-    /// The descriptor hung up or failed (`EPOLLHUP`/`EPOLLERR`,
-    /// `POLLHUP`/`POLLERR`): for a socket, the peer closed both
-    /// directions. Reported whatever the interest; a peer that only shut
-    /// its write side reports end of input as `readable` instead.
+    /// The descriptor hung up or failed (`EPOLLHUP`/`EPOLLERR`): for a
+    /// socket, the peer closed both directions. Reported whatever the
+    /// interest; a peer that only shut its write side reports end of
+    /// input as `readable` instead.
     pub hangup: bool,
 }
 
@@ -61,22 +63,27 @@ impl Interest {
 }
 
 // ---------------------------------------------------------------------
-// Raw bindings. Linux-only symbols live behind cfg(target_os = "linux");
-// poll(2) and the rlimit pair are POSIX.
+// Raw bindings.
 // ---------------------------------------------------------------------
 
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
+const EPOLL_CLOEXEC: i32 = 0x80000;
 
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-const POLLERR: i16 = 0x008;
-const POLLHUP: i16 = 0x010;
+// Matches the kernel ABI: packed on x86-64 (the one architecture whose
+// kernel struct is unaligned), natural alignment elsewhere.
+#[repr(C)]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
 
 #[repr(C)]
 struct Rlimit {
@@ -92,39 +99,13 @@ const SIGTERM: i32 = 15;
 const SIG_ERR: usize = usize::MAX;
 
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
     fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
     fn close(fd: i32) -> i32;
     fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-}
-
-#[cfg(target_os = "linux")]
-mod epoll_sys {
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-    pub const EPOLL_CLOEXEC: i32 = 0x80000;
-
-    // Matches the kernel ABI: packed on x86-64 (the one architecture
-    // whose kernel struct is unaligned), natural alignment elsewhere.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    extern "C" {
-        pub fn epoll_create1(flags: i32) -> i32;
-        pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    }
 }
 
 fn last_os_error() -> io::Error {
@@ -184,154 +165,69 @@ pub fn stop_requested() -> bool {
     STOP_REQUESTED.load(Ordering::SeqCst)
 }
 
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll {
-        epfd: RawFd,
-        /// Registered interests, kept for [`Poller::wait`]'s capacity and
-        /// for re-registration bookkeeping parity with the poll backend.
-        interests: HashMap<u64, (RawFd, Interest)>,
-    },
-    Poll {
-        /// token → (fd, interest); materialized into a `pollfd` array per
-        /// wait. O(n) per wait against epoll's O(ready) — which is exactly
-        /// why epoll is the Linux default and this the portable fallback.
-        interests: HashMap<u64, (RawFd, Interest)>,
-    },
-}
+/// The most readiness reports one [`Poller::wait`] returns. Descriptors
+/// ready beyond it are reported by the next wait: epoll is
+/// level-triggered, so their readiness stays pending.
+const MAX_EVENTS: usize = 1024;
 
-/// A level-triggered readiness poller over one of the two backends.
+/// A level-triggered epoll instance. The caller owns each descriptor and
+/// its current interest, so the poller keeps neither.
 pub struct Poller {
-    backend: Backend,
+    epfd: RawFd,
+    /// The kernel's report buffer, reused by every [`Poller::wait`].
+    reports: Vec<EpollEvent>,
 }
 
 impl Poller {
-    /// The platform-preferred backend: epoll on Linux, poll elsewhere.
+    /// A fresh epoll instance (close-on-exec).
     pub fn new() -> io::Result<Poller> {
-        Poller::new_with(false)
-    }
-
-    /// `force_poll` selects the portable `poll(2)` backend even where
-    /// epoll is available — how the tests keep the fallback honest on
-    /// Linux CI.
-    pub fn new_with(force_poll: bool) -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        if !force_poll {
-            // SAFETY: plain syscall; a negative return is the error case.
-            let epfd = unsafe { epoll_sys::epoll_create1(epoll_sys::EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(last_os_error());
-            }
-            return Ok(Poller {
-                backend: Backend::Epoll {
-                    epfd,
-                    interests: HashMap::new(),
-                },
-            });
+        // SAFETY: plain syscall; a negative return is the error case.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(last_os_error());
         }
-        let _ = force_poll;
         Ok(Poller {
-            backend: Backend::Poll {
-                interests: HashMap::new(),
-            },
+            epfd,
+            reports: vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS],
         })
     }
 
-    /// Whether this poller runs the portable `poll(2)` backend.
-    pub fn is_poll_backend(&self) -> bool {
-        matches!(self.backend, Backend::Poll { .. })
-    }
-
-    /// Registers `fd` under `token`. Tokens must be unique per poller;
-    /// re-registering a live token is a logic error the epoll backend
-    /// reports as `EEXIST`.
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, interests } => {
-                let mut ev = epoll_sys::EpollEvent {
-                    events: epoll_mask(interest),
-                    data: token,
-                };
-                // SAFETY: ev is valid for the call; epfd/fd are live fds.
-                if unsafe { epoll_sys::epoll_ctl(*epfd, epoll_sys::EPOLL_CTL_ADD, fd, &mut ev) }
-                    != 0
-                {
-                    return Err(last_os_error());
-                }
-                interests.insert(token, (fd, interest));
-                Ok(())
-            }
-            Backend::Poll { interests } => {
-                interests.insert(token, (fd, interest));
-                Ok(())
-            }
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: (if interest.readable { EPOLLIN } else { 0 })
+                | (if interest.writable { EPOLLOUT } else { 0 }),
+            data: token,
+        };
+        // SAFETY: ev is valid for the call (DEL ignores it on kernels
+        // since 2.6.9, but older ones want a valid pointer); a stale or
+        // foreign fd is an error return, not a memory access.
+        if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } != 0 {
+            return Err(last_os_error());
         }
+        Ok(())
     }
 
-    /// Updates the interest of a registered token (e.g. adding WRITE when
+    /// Registers `fd` under `token`; an fd registered twice is an
+    /// `EEXIST` error.
+    pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
+    }
+
+    /// Replaces the interest of a registered `fd` (e.g. adding WRITE when
     /// a connection's outbound queue becomes non-empty). An fd with an
     /// empty interest still reports a hang-up.
-    pub fn modify(&mut self, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, interests } => {
-                let Some((fd, slot)) = interests.get_mut(&token).map(|(fd, i)| (*fd, i)) else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!("token {token} is not registered"),
-                    ));
-                };
-                let mut ev = epoll_sys::EpollEvent {
-                    events: epoll_mask(interest),
-                    data: token,
-                };
-                // SAFETY: as in register; fd is a live registered fd.
-                if unsafe { epoll_sys::epoll_ctl(*epfd, epoll_sys::EPOLL_CTL_MOD, fd, &mut ev) }
-                    != 0
-                {
-                    return Err(last_os_error());
-                }
-                *slot = interest;
-                Ok(())
-            }
-            Backend::Poll { interests } => match interests.get_mut(&token) {
-                Some((_, slot)) => {
-                    *slot = interest;
-                    Ok(())
-                }
-                None => Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("token {token} is not registered"),
-                )),
-            },
-        }
+    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    /// Removes a token's registration. Call *before* closing the fd —
-    /// epoll deregisters by descriptor.
-    pub fn deregister(&mut self, token: u64) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, interests } => {
-                let Some((fd, _)) = interests.remove(&token) else {
-                    return Ok(()); // idempotent
-                };
-                // SAFETY: DEL ignores the event argument on modern kernels
-                // but a valid pointer keeps pre-2.6.9 semantics happy.
-                let mut ev = epoll_sys::EpollEvent { events: 0, data: 0 };
-                if unsafe { epoll_sys::epoll_ctl(*epfd, epoll_sys::EPOLL_CTL_DEL, fd, &mut ev) }
-                    != 0
-                {
-                    return Err(last_os_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { interests } => {
-                interests.remove(&token);
-                Ok(())
-            }
-        }
+    /// Removes `fd`'s registration. Call it *before* closing the fd: a
+    /// closed descriptor can no longer be named.
+    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        let none = Interest {
+            readable: false,
+            writable: false,
+        };
+        self.ctl(EPOLL_CTL_DEL, fd, 0, none)
     }
 
     /// Blocks until at least one registered descriptor is ready (or the
@@ -344,103 +240,48 @@ impl Poller {
             None => -1,
             Some(t) => t.as_millis().min(i32::MAX as u128) as i32,
         };
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, interests } => {
-                let cap = interests.len().clamp(1, 1024) as i32;
-                let mut buf = vec![epoll_sys::EpollEvent { events: 0, data: 0 }; cap as usize];
-                // SAFETY: buf holds `cap` writable events for the call.
-                let n = unsafe { epoll_sys::epoll_wait(*epfd, buf.as_mut_ptr(), cap, timeout_ms) };
-                if n < 0 {
-                    let e = last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(e);
-                }
-                for ev in &buf[..n as usize] {
-                    // Copy out of the (possibly packed) struct before use.
-                    let (bits, data) = (ev.events, ev.data);
-                    let hangup = bits & (epoll_sys::EPOLLERR | epoll_sys::EPOLLHUP) != 0;
-                    events.push(Event {
-                        token: data,
-                        // Errors/hangups surface as readable too: the next
-                        // read returns 0 or the error instead of blocking.
-                        readable: bits & epoll_sys::EPOLLIN != 0 || hangup,
-                        writable: bits & epoll_sys::EPOLLOUT != 0 || hangup,
-                        hangup,
-                    });
-                }
-                Ok(())
+        // SAFETY: reports holds MAX_EVENTS writable entries for the call
+        // (`new` allocates that many and nothing resizes the private field),
+        // and the kernel writes at most `maxevents` of them.
+        let n = unsafe {
+            epoll_wait(
+                self.epfd,
+                self.reports.as_mut_ptr(),
+                MAX_EVENTS as i32,
+                timeout_ms,
+            )
+        };
+        if n < 0 {
+            let e = last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(());
             }
-            Backend::Poll { interests } => {
-                let mut order: Vec<u64> = interests.keys().copied().collect();
-                order.sort_unstable(); // deterministic service order
-                let mut fds: Vec<PollFd> = order
-                    .iter()
-                    .map(|token| {
-                        let (fd, interest) = interests[token];
-                        PollFd {
-                            fd,
-                            events: (if interest.readable { POLLIN } else { 0 })
-                                | (if interest.writable { POLLOUT } else { 0 }),
-                            revents: 0,
-                        }
-                    })
-                    .collect();
-                // SAFETY: fds is a valid array of fds.len() entries (with
-                // none, poll(2) just sleeps out the timeout).
-                let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-                if n < 0 {
-                    let e = last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(e);
-                }
-                for (token, pfd) in order.iter().zip(&fds) {
-                    if pfd.revents == 0 {
-                        continue;
-                    }
-                    let hangup = pfd.revents & (POLLERR | POLLHUP) != 0;
-                    events.push(Event {
-                        token: *token,
-                        readable: pfd.revents & POLLIN != 0 || hangup,
-                        writable: pfd.revents & POLLOUT != 0 || hangup,
-                        hangup,
-                    });
-                }
-                Ok(())
-            }
+            return Err(e);
         }
+        events.extend(self.reports[..n as usize].iter().map(|report| {
+            // Copy out of the (possibly packed) struct before use.
+            let (bits, token) = (report.events, report.data);
+            let hangup = bits & (EPOLLERR | EPOLLHUP) != 0;
+            Event {
+                token,
+                // Errors/hangups surface as readable too: the next read
+                // returns 0 or the error instead of blocking.
+                readable: bits & EPOLLIN != 0 || hangup,
+                writable: bits & EPOLLOUT != 0 || hangup,
+                hangup,
+            }
+        }));
+        Ok(())
     }
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_mask(interest: Interest) -> u32 {
-    (if interest.readable {
-        epoll_sys::EPOLLIN
-    } else {
-        0
-    }) | (if interest.writable {
-        epoll_sys::EPOLLOUT
-    } else {
-        0
-    })
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Backend::Epoll { epfd, .. } = &self.backend {
-            // SAFETY: epfd was created by epoll_create1 and is only closed
-            // here.
-            unsafe {
-                close(*epfd);
-            }
+        // SAFETY: epfd was created by epoll_create1 and is only closed
+        // here.
+        unsafe {
+            close(self.epfd);
         }
-        // Silence the unused-import warning for `close` on non-Linux.
-        let _ = close as unsafe extern "C" fn(i32) -> i32;
     }
 }
 
@@ -451,16 +292,14 @@ mod tests {
     use std::os::unix::io::AsRawFd as _;
     use std::os::unix::net::UnixStream;
 
-    fn backend_roundtrip(force_poll: bool) {
-        let mut poller = Poller::new_with(force_poll).expect("poller");
-        assert_eq!(
-            poller.is_poll_backend(),
-            force_poll || cfg!(not(target_os = "linux"))
-        );
+    #[test]
+    fn default_backend_reports_readiness() {
+        let mut poller = Poller::new().expect("poller");
         let (mut a, mut b) = UnixStream::pair().expect("socketpair");
         a.set_nonblocking(true).unwrap();
         b.set_nonblocking(true).unwrap();
-        poller.register(a.as_raw_fd(), 7, Interest::READ).unwrap();
+        let fd = a.as_raw_fd();
+        poller.register(fd, 7, Interest::READ).unwrap();
 
         // Nothing written yet: a short wait reports no events.
         let mut events = Vec::new();
@@ -487,13 +326,13 @@ mod tests {
         assert_eq!(a.read(&mut buf).unwrap(), 1);
 
         // Write interest on an empty kernel buffer reports writable.
-        poller.modify(7, Interest::READ_WRITE).unwrap();
+        poller.modify(fd, 7, Interest::READ_WRITE).unwrap();
         poller
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.writable));
 
-        poller.deregister(7).unwrap();
+        poller.deregister(fd).unwrap();
         b.write_all(b"y").unwrap();
         poller
             .wait(&mut events, Some(Duration::from_millis(10)))
@@ -502,32 +341,20 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_reports_readiness() {
-        backend_roundtrip(false);
-    }
-
-    #[test]
-    fn poll_fallback_reports_readiness() {
-        backend_roundtrip(true);
-    }
-
-    #[test]
     fn peer_hangup_reports_readable() {
-        for force_poll in [false, true] {
-            let mut poller = Poller::new_with(force_poll).unwrap();
-            let (a, b) = UnixStream::pair().unwrap();
-            a.set_nonblocking(true).unwrap();
-            poller.register(a.as_raw_fd(), 1, Interest::READ).unwrap();
-            drop(b);
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 1 && e.readable),
-                "hangup must wake the reader (backend force_poll={force_poll})"
-            );
-        }
+        let mut poller = Poller::new().unwrap();
+        let (a, b) = UnixStream::pair().unwrap();
+        a.set_nonblocking(true).unwrap();
+        poller.register(a.as_raw_fd(), 1, Interest::READ).unwrap();
+        drop(b);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 1 && e.readable),
+            "hangup must wake the reader"
+        );
     }
 
     #[test]
@@ -536,33 +363,29 @@ mod tests {
             readable: false,
             writable: false,
         };
-        for force_poll in [false, true] {
-            for interest in [none, Interest::READ, Interest::READ_WRITE] {
-                let mut poller = Poller::new_with(force_poll).unwrap();
-                let (a, b) = UnixStream::pair().unwrap();
-                a.set_nonblocking(true).unwrap();
-                poller.register(a.as_raw_fd(), 1, Interest::READ).unwrap();
-                poller.modify(1, interest).unwrap();
-                // A half-close is end of input, not a hang-up.
-                b.shutdown(std::net::Shutdown::Write).unwrap();
-                let mut events = Vec::new();
-                poller
-                    .wait(&mut events, Some(Duration::from_millis(10)))
-                    .unwrap();
-                assert!(
-                    events.iter().all(|e| !e.hangup),
-                    "force_poll={force_poll} {interest:?}: {events:?}"
-                );
-                drop(b);
-                poller
-                    .wait(&mut events, Some(Duration::from_secs(5)))
-                    .unwrap();
-                assert!(
-                    events.iter().any(|e| e.token == 1 && e.hangup),
-                    "force_poll={force_poll} {interest:?}: {events:?}"
-                );
-                poller.deregister(1).unwrap();
-            }
+        for interest in [none, Interest::READ, Interest::READ_WRITE] {
+            let mut poller = Poller::new().unwrap();
+            let (a, b) = UnixStream::pair().unwrap();
+            a.set_nonblocking(true).unwrap();
+            let fd = a.as_raw_fd();
+            poller.register(fd, 1, Interest::READ).unwrap();
+            poller.modify(fd, 1, interest).unwrap();
+            // A half-close is end of input, not a hang-up.
+            b.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut events = Vec::new();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .unwrap();
+            assert!(events.iter().all(|e| !e.hangup), "{interest:?}: {events:?}");
+            drop(b);
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert!(
+                events.iter().any(|e| e.token == 1 && e.hangup),
+                "{interest:?}: {events:?}"
+            );
+            poller.deregister(fd).unwrap();
         }
     }
 

@@ -83,19 +83,12 @@ fn byte_at_a_time_v1_job_solves() {
 }
 
 /// Idle connections are counted in `open_connections` and reported in
-/// the v2 stats frame; exercised on the portable `poll` backend.
+/// the v2 stats frame, and a dropped one leaves the count.
 #[test]
-fn idle_connections_counted_on_poll_backend() {
+fn idle_connections_counted_in_stats() {
     let service = event_service(1);
-    let mut server = serve_socket_event_with(
-        Arc::clone(&service),
-        &BindAddr::parse("tcp:127.0.0.1:0"),
-        EventLoopConfig {
-            force_poll: true,
-            ..EventLoopConfig::default()
-        },
-    )
-    .unwrap();
+    let mut server =
+        serve_socket_event(Arc::clone(&service), &BindAddr::parse("tcp:127.0.0.1:0")).unwrap();
 
     let idle: Vec<_> = (0..8)
         .map(|_| connect(server.local_addr()).unwrap())
@@ -108,7 +101,7 @@ fn idle_connections_counted_on_poll_backend() {
 
     let mut client = LineClient::connect(server.local_addr()).unwrap();
     client.handshake().unwrap();
-    client.send_job(&distinct_job("poll-0", 0)).unwrap();
+    client.send_job(&distinct_job("idle-0", 0)).unwrap();
     let response = JobResponse::parse_line(&client.recv_line().unwrap().unwrap()).unwrap();
     assert!(response.error.is_none());
     client.send_line("{\"stats\": true}").unwrap();
@@ -145,7 +138,6 @@ fn slow_reader_is_disconnected_not_buffered() {
             // very first completed job tips the connection over the cap
             // without having to fill kernel socket buffers first.
             outbound_cap: 200,
-            ..EventLoopConfig::default()
         },
     )
     .unwrap();

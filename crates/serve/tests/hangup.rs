@@ -1,5 +1,5 @@
 //! A peer that hangs up while its answers are pending leaves the event
-//! loop idle: epoll and poll report a hang-up whatever the interest, so a
+//! loop idle: epoll reports a hang-up whatever the interest, so a
 //! connection that wants neither input nor output must leave the poller
 //! until a completion needs it. (A test binary of its own: it reads the
 //! CPU time of the whole process, so no other test may run beside it.)
@@ -11,9 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{distinct_job, gated_engine, Gate};
-use rect_addr_serve::{
-    connect, serve_socket_event_with, BindAddr, EventLoopConfig, Service, ServiceConfig,
-};
+use rect_addr_serve::{connect, serve_socket_event, BindAddr, Service, ServiceConfig};
 
 /// User plus system CPU time of the whole process, in the clock ticks of
 /// `/proc/self/stat` (100 per second on Linux).
@@ -27,16 +25,8 @@ fn cpu_ticks() -> u64 {
     fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
 }
 
-/// Both backends in one test: two tests would run side by side and add
-/// each other's CPU time.
 #[test]
 fn hung_up_peer_leaves_the_loop_idle() {
-    for force_poll in [false, true] {
-        hung_up_peer_costs_no_cpu(force_poll);
-    }
-}
-
-fn hung_up_peer_costs_no_cpu(force_poll: bool) {
     let gate = Gate::new();
     let service = Arc::new(Service::new(
         gated_engine(&gate, 1),
@@ -45,19 +35,8 @@ fn hung_up_peer_costs_no_cpu(force_poll: bool) {
             persist: None,
         },
     ));
-    let path = std::env::temp_dir().join(format!(
-        "rect-addr-hangup-{}-{force_poll}.sock",
-        std::process::id()
-    ));
-    let mut server = serve_socket_event_with(
-        Arc::clone(&service),
-        &BindAddr::Unix(path),
-        EventLoopConfig {
-            force_poll,
-            ..EventLoopConfig::default()
-        },
-    )
-    .unwrap();
+    let path = std::env::temp_dir().join(format!("rect-addr-hangup-{}.sock", std::process::id()));
+    let mut server = serve_socket_event(Arc::clone(&service), &BindAddr::Unix(path)).unwrap();
 
     let mut stream = connect(server.local_addr()).unwrap();
     let line = format!("{}\n", distinct_job("held", 0).to_json_line());
@@ -75,7 +54,6 @@ fn hung_up_peer_costs_no_cpu(force_poll: bool) {
     server.join().unwrap();
     assert!(
         spent < 10,
-        "the loop burned {spent} ticks of 10 ms over 300 ms after the peer hung up \
-         (force_poll={force_poll})"
+        "the loop burned {spent} ticks of 10 ms over 300 ms after the peer hung up"
     );
 }

@@ -11,20 +11,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::{distinct_job, gated_engine, Gate};
-use rect_addr_serve::{
-    connect, serve_socket_event_with, BindAddr, EventLoopConfig, Service, ServiceConfig,
-};
+use rect_addr_serve::{connect, serve_socket_event, BindAddr, Service, ServiceConfig};
 
 #[test]
 fn hung_up_peer_leaves_no_queued_jobs() {
-    for force_poll in [false, true] {
-        for half_close_first in [false, true] {
-            queue_empties_after_hangup(force_poll, half_close_first);
-        }
+    for half_close_first in [false, true] {
+        queue_empties_after_hangup(half_close_first);
     }
 }
 
-fn queue_empties_after_hangup(force_poll: bool, half_close_first: bool) {
+fn queue_empties_after_hangup(half_close_first: bool) {
     let gate = Gate::new();
     let service = Arc::new(Service::new(
         gated_engine(&gate, 1),
@@ -34,18 +30,10 @@ fn queue_empties_after_hangup(force_poll: bool, half_close_first: bool) {
         },
     ));
     let path = std::env::temp_dir().join(format!(
-        "rect-addr-abandon-{}-{force_poll}-{half_close_first}.sock",
+        "rect-addr-abandon-{}-{half_close_first}.sock",
         std::process::id()
     ));
-    let mut server = serve_socket_event_with(
-        Arc::clone(&service),
-        &BindAddr::Unix(path),
-        EventLoopConfig {
-            force_poll,
-            ..EventLoopConfig::default()
-        },
-    )
-    .unwrap();
+    let mut server = serve_socket_event(Arc::clone(&service), &BindAddr::Unix(path)).unwrap();
 
     let mut stream = connect(server.local_addr()).unwrap();
     for i in 0..3 {
@@ -68,7 +56,7 @@ fn queue_empties_after_hangup(force_poll: bool, half_close_first: bool) {
         assert_eq!(
             service.stats().queue_len,
             2,
-            "a half-closed peer still drains (force_poll={force_poll})"
+            "a half-closed peer still drains"
         );
     }
     drop(stream);
@@ -84,6 +72,6 @@ fn queue_empties_after_hangup(force_poll: bool, half_close_first: bool) {
     assert_eq!(
         left, 0,
         "jobs still queued 1 s after the peer hung up \
-         (force_poll={force_poll}, half_close_first={half_close_first})"
+         (half_close_first={half_close_first})"
     );
 }

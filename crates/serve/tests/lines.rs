@@ -450,13 +450,13 @@ fn extreme_priorities_are_ordered_not_overflowed() {
     let (tx, rx) = std::sync::mpsc::channel();
     let sink = std::sync::Arc::new(tx);
     service
-        .submit_sink(distinct_job("running", 0), sink.clone(), 0, false)
+        .submit_sink(distinct_job("running", 0), sink.clone(), 0)
         .unwrap();
     gate.wait_started(1);
     let lowest = JobRequest::new("lowest", common::distinct_matrix(1)).with_priority(i64::MIN);
-    service.submit_sink(lowest, sink.clone(), 0, false).unwrap();
+    service.submit_sink(lowest, sink.clone(), 0).unwrap();
     service
-        .submit_sink(distinct_job("normal", 2), sink.clone(), 0, false)
+        .submit_sink(distinct_job("normal", 2), sink.clone(), 0)
         .unwrap();
     drop(sink);
     gate.open();

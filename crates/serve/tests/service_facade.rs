@@ -95,7 +95,7 @@ fn higher_priority_jobs_run_first_fifo_within_a_tier() {
 
     // Occupy the single worker, then queue under distinct priorities.
     service
-        .submit_sink(distinct_job("running", 0), sink.clone(), 0, false)
+        .submit_sink(distinct_job("running", 0), sink.clone(), 0)
         .unwrap();
     gate.wait_started(1);
     for (i, (id, priority)) in [("low-a", 0), ("high", 5), ("low-b", 0), ("mid", 3)]
@@ -107,7 +107,6 @@ fn higher_priority_jobs_run_first_fifo_within_a_tier() {
                 distinct_job(id, i + 1).with_priority(priority),
                 sink.clone(),
                 0,
-                false,
             )
             .unwrap();
     }
@@ -202,17 +201,17 @@ fn cancel_group_abandons_only_that_groups_queued_jobs() {
     let mine = service.new_group();
     let other = service.new_group();
     service
-        .submit_sink(distinct_job("running", 0), sink.clone(), mine, false)
+        .submit_sink(distinct_job("running", 0), sink.clone(), mine)
         .unwrap();
     gate.wait_started(1);
     service
-        .submit_sink(distinct_job("mine-a", 1), sink.clone(), mine, false)
+        .submit_sink(distinct_job("mine-a", 1), sink.clone(), mine)
         .unwrap();
     service
-        .submit_sink(distinct_job("theirs", 2), sink.clone(), other, false)
+        .submit_sink(distinct_job("theirs", 2), sink.clone(), other)
         .unwrap();
     service
-        .submit_sink(distinct_job("mine-b", 3), sink.clone(), mine, false)
+        .submit_sink(distinct_job("mine-b", 3), sink.clone(), mine)
         .unwrap();
 
     // Only the two queued jobs of `mine` go; "running" and "theirs" stay.

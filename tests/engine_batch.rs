@@ -12,9 +12,17 @@ use proto::{JobRequest, JobResponse};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn run_cli(args: &[&str], stdin: &str) -> cli::CliOutput {
+/// Runs the CLI's one entry point, the binary's, on in-memory streams:
+/// `(exit status, stdout, stderr)`.
+fn run_cli(args: &[&str], stdin: &str) -> (u8, String, String) {
     let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-    cli::run(&args, &mut stdin.as_bytes())
+    let (mut out, mut err) = (Vec::new(), Vec::new());
+    let code = cli::run(&args, &mut stdin.as_bytes(), &mut out, &mut err);
+    (
+        code,
+        String::from_utf8(out).unwrap(),
+        String::from_utf8(err).unwrap(),
+    )
 }
 
 /// Builds a 100-job stream: 20 distinct random instances (the `gen rand`
@@ -46,10 +54,10 @@ fn hundred_jobs() -> (String, BTreeMap<String, BitMatrix>) {
 #[test]
 fn batch_solves_100_job_stream_with_cache_hits() {
     let (jobs, by_id) = hundred_jobs();
-    let out = run_cli(&["batch", "-", "--workers", "4", "--trials", "8"], &jobs);
-    assert_eq!(out.code, 0, "{}", out.stdout);
+    let (code, stdout, stderr) = run_cli(&["batch", "-", "--workers", "4", "--trials", "8"], &jobs);
+    assert_eq!(code, 0, "{stderr}");
 
-    let lines: Vec<&str> = out.stdout.lines().collect();
+    let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 101, "100 responses + summary");
 
     let mut hits = 0usize;
@@ -101,9 +109,9 @@ fn batch_stream_mixes_errors_and_results_without_stalling() {
 {\"id\": \"good\", \"matrix\": [\"110\", \"011\"]}\n\
 this line is not json\n\
 {\"id\": \"empty\", \"matrix\": []}\n";
-    let out = run_cli(&["batch", "-"], jobs);
-    assert_eq!(out.code, 0, "{}", out.stdout);
-    assert!(out.stdout.contains("\"id\": \"good\""));
-    assert!(out.stdout.contains("\"solved\": 1"));
-    assert!(out.stdout.contains("\"failed\": 2"));
+    let (code, stdout, stderr) = run_cli(&["batch", "-"], jobs);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("\"id\": \"good\""));
+    assert!(stdout.contains("\"solved\": 1"));
+    assert!(stdout.contains("\"failed\": 2"));
 }
