@@ -510,40 +510,50 @@ struct SocketMetrics {
     hit_rate: f64,
 }
 
-fn socket_phase(stream: &str, jobs: usize, workers: usize) -> SocketMetrics {
-    let service = Arc::new(Service::with_engine_config(
+/// A service for the socket phases: `workers` workers and a queue as deep
+/// as the `jobs` that [`pump_v2`] floods it with at once (non-blocking v2
+/// submits), so the bench measures throughput, not busy-bounces.
+fn socket_service(workers: usize, jobs: usize, persist: Option<PersistConfig>) -> Arc<Service> {
+    Arc::new(Service::with_engine_config(
         EngineConfig {
             workers,
             ..EngineConfig::default()
         },
         ServiceConfig {
-            // pump() floods the whole stream at once over a v2 connection
-            // (non-blocking submits): size the queue to the job count so
-            // the bench measures throughput, not busy-bounces.
             queue_depth: jobs.max(serve::DEFAULT_QUEUE_DEPTH),
-            ..ServiceConfig::default()
+            persist,
         },
-    ));
-    let engine = service.engine().clone();
-    let mut server =
-        serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).expect("bind loopback");
+    ))
+}
 
-    // Handshake first, then the identical job stream over the wire.
+/// Pumps a v2 handshake and then `stream` over a fresh connection to
+/// `addr`; returns the wall seconds and the jobs the summary frame counts
+/// solved.
+fn pump_v2(addr: &BindAddr, stream: &str) -> (f64, usize) {
     let mut input = String::from("{\"hello\": 2}\n");
     input.push_str(stream);
     let start = Instant::now();
     let mut raw = Vec::new();
-    pump(server.local_addr(), input.as_bytes(), &mut raw).expect("socket pump");
+    pump(addr, input.as_bytes(), &mut raw).expect("socket pump");
     let wall = start.elapsed().as_secs_f64();
-    server.shutdown();
-
-    let text = String::from_utf8(raw).expect("responses are UTF-8");
-    let summary = text
+    let solved = String::from_utf8(raw)
+        .expect("responses are UTF-8")
         .lines()
         .find(|l| SummaryFrame::is_summary_line(l))
         .map(|l| SummaryFrame::parse_line(l).expect("well-formed summary"))
-        .expect("summary frame present");
-    assert_eq!(summary.solved as usize, jobs, "every socket job must solve");
+        .expect("summary frame present")
+        .solved;
+    (wall, solved as usize)
+}
+
+fn socket_phase(stream: &str, jobs: usize, workers: usize) -> SocketMetrics {
+    let service = socket_service(workers, jobs, None);
+    let engine = service.engine().clone();
+    let mut server =
+        serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).expect("bind loopback");
+    let (wall, solved) = pump_v2(server.local_addr(), stream);
+    server.shutdown();
+    assert_eq!(solved, jobs, "every socket job must solve");
     let stats = engine.cache_stats();
     SocketMetrics {
         wall_seconds: wall,
@@ -622,18 +632,7 @@ fn traffic_schedule_phase(workers: usize) -> TrafficScheduleMetrics {
     use proto::{ScheduleRequest, ScheduleSummary};
 
     let layers = traffic::circuit_layers(8, 8, 12);
-    let fresh_service = || {
-        Arc::new(Service::with_engine_config(
-            EngineConfig {
-                workers,
-                ..EngineConfig::default()
-            },
-            ServiceConfig {
-                queue_depth: layers.len().max(serve::DEFAULT_QUEUE_DEPTH),
-                ..ServiceConfig::default()
-            },
-        ))
-    };
+    let fresh_service = || socket_service(workers, layers.len(), None);
 
     // Arm 1: one schedule frame; the server solves the layers in order
     // against its shared cache and reports the hits in the summary.
@@ -669,16 +668,16 @@ fn traffic_schedule_phase(workers: usize) -> TrafficScheduleMetrics {
     let engine = service.engine().clone();
     let mut server =
         serve_socket_event(service, &BindAddr::parse("127.0.0.1:0")).expect("bind loopback");
-    let mut input = String::from("{\"hello\": 2}\n");
-    for (k, layer) in layers.iter().enumerate() {
-        input.push_str(&JobRequest::new(format!("ind-{k:02}"), layer.clone()).to_json_line());
-        input.push('\n');
-    }
-    let start = Instant::now();
-    let mut raw = Vec::new();
-    pump(server.local_addr(), input.as_bytes(), &mut raw).expect("socket pump");
-    let independent_wall = start.elapsed().as_secs_f64();
+    let stream: String = layers
+        .iter()
+        .enumerate()
+        .map(|(k, layer)| {
+            JobRequest::new(format!("ind-{k:02}"), layer.clone()).to_json_line() + "\n"
+        })
+        .collect();
+    let (independent_wall, solved) = pump_v2(server.local_addr(), &stream);
     server.shutdown();
+    assert_eq!(solved, layers.len(), "every independent layer must solve");
     let independent_hits = engine.cache_stats().hits;
 
     TrafficScheduleMetrics {
@@ -691,15 +690,25 @@ fn traffic_schedule_phase(workers: usize) -> TrafficScheduleMetrics {
     }
 }
 
-/// One idle-ballast arm of the scaling phase (phase 8): the event-driven
-/// front-end holds `idle` parked connections while a single active client
-/// measures stream throughput and then sequential round-trip latency.
-/// The jobs/s figure must not collapse as the connection table grows —
-/// that is what the 70% `--check` gate compares (1024 idle vs 1).
+/// One idle-ballast arm of the scaling phase (phase 8): a live event-loop
+/// server holding `idle` parked connections, timed in interleaved pairs
+/// against a second live server that holds none (the `0`-idle arm). Both
+/// are primed, so every timed job is a cache hit and the figures are the
+/// serving tier's. The ratios are what the `--check` gate reads at 1024
+/// idle connections: idle sockets must cost fds, not throughput or
+/// latency.
 struct ScalingArm {
     idle: usize,
+    /// Median stream throughput over the arm's passes.
     jobs_per_second: f64,
+    /// p99 over all of the arm's sequential round trips.
     p99_rtt_us: u64,
+    /// Median over the pairs of this arm's jobs/s over the idle-free
+    /// server's.
+    throughput_ratio: f64,
+    /// Median over the pairs of this arm's median round trip (one block)
+    /// over the idle-free server's.
+    rtt_ratio: f64,
 }
 
 /// Two service instances sharing one `--state-dir` behind the writer
@@ -719,95 +728,134 @@ struct ScalingMetrics {
     two_instance: TwoInstanceMetrics,
 }
 
-const SCALING_RTT_PROBES: usize = 150;
+/// Interleaved pairs per scaling arm, each one stream pass and one block
+/// of round trips per server.
+const SCALING_PAIRS: usize = 9;
+/// Sequential round trips per block.
+const SCALING_RTT_BLOCK: usize = 50;
 
-fn scaling_arm(stream: &str, jobs: usize, workers: usize, idle: usize) -> ScalingArm {
-    let service = Arc::new(Service::with_engine_config(
-        EngineConfig {
-            workers,
-            ..EngineConfig::default()
-        },
-        ServiceConfig {
-            queue_depth: jobs.max(serve::DEFAULT_QUEUE_DEPTH),
-            ..ServiceConfig::default()
-        },
-    ));
-    let mut server = serve_socket_event(Arc::clone(&service), &BindAddr::parse("127.0.0.1:0"))
-        .expect("bind loopback");
+/// A live event-loop server of the scaling phase: `idle` parked
+/// connections, a cache primed with the stream and the round-trip probe,
+/// one handshaken client for the round trips, and every timed pass and
+/// round trip. Fields drop in order, so the clients close before the
+/// server shuts down.
+struct ScalingServer {
+    rtt_client: LineClient,
+    ballast: Vec<serve::SocketStream>,
+    server: serve::SocketServer,
+    passes: Vec<f64>,
+    rtts: Vec<u64>,
+}
 
-    let ballast: Vec<_> = (0..idle)
-        .map(|k| {
-            serve::connect(server.local_addr())
-                .unwrap_or_else(|e| panic!("ballast connection {k} of {idle}: {e}"))
-        })
-        .collect();
-    // Measure only once the loop has the full connection table registered.
-    while service.open_connections() < idle as u64 {
-        std::thread::sleep(std::time::Duration::from_millis(2));
+impl ScalingServer {
+    fn start(stream: &str, jobs: usize, workers: usize, idle: usize) -> ScalingServer {
+        let service = socket_service(workers, jobs, None);
+        let server = serve_socket_event(Arc::clone(&service), &BindAddr::parse("127.0.0.1:0"))
+            .expect("bind loopback");
+        let ballast = (0..idle)
+            .map(|k| {
+                serve::connect(server.local_addr())
+                    .unwrap_or_else(|e| panic!("ballast connection {k} of {idle}: {e}"))
+            })
+            .collect();
+        // Measure only once the loop has the full connection table registered.
+        while service.open_connections() < idle as u64 {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let mut rtt_client = LineClient::connect(server.local_addr()).expect("rtt client");
+        rtt_client.handshake().expect("rtt handshake");
+        let mut primed = ScalingServer {
+            rtt_client,
+            ballast,
+            server,
+            passes: Vec::new(),
+            rtts: Vec::new(),
+        };
+        primed.pass(stream, jobs);
+        primed.rtt_block(1);
+        primed.passes.clear();
+        primed.rtts.clear();
+        primed
     }
 
-    let mut input = String::from("{\"hello\": 2}\n");
-    input.push_str(stream);
-    let start = Instant::now();
-    let mut raw = Vec::new();
-    pump(server.local_addr(), input.as_bytes(), &mut raw).expect("scaling pump");
-    let wall = start.elapsed().as_secs_f64();
-    let text = String::from_utf8(raw).expect("responses are UTF-8");
-    let summary = text
-        .lines()
-        .find(|l| SummaryFrame::is_summary_line(l))
-        .map(|l| SummaryFrame::parse_line(l).expect("well-formed summary"))
-        .expect("summary frame present");
-    assert_eq!(
-        summary.solved as usize, jobs,
-        "every scaling job must solve under {idle} idle connections"
-    );
-
-    // Sequential request/response round trips for tail latency: the same
-    // (cached) probe job each time, so the p99 is serving-tier overhead,
-    // not solver variance.
-    let probe = random_benchmark(8, 8, 0.4, 77).matrix;
-    let mut client = LineClient::connect(server.local_addr()).expect("rtt client");
-    client.handshake().expect("rtt handshake");
-    let mut rtts: Vec<u64> = (0..SCALING_RTT_PROBES)
-        .map(|k| {
-            let req = JobRequest::new(format!("rtt-{idle}-{k:03}"), probe.clone());
-            let start = Instant::now();
-            client.send_job(&req).expect("rtt send");
-            let line = client.recv_line().expect("rtt recv").expect("rtt response");
-            let resp = JobResponse::parse_line(&line).expect("well-formed rtt response");
-            assert!(resp.error.is_none(), "rtt probe failed: {line}");
-            start.elapsed().as_micros() as u64
-        })
-        .collect();
-    rtts.sort_unstable();
-    let p99 = rtts[(rtts.len() * 99 / 100).min(rtts.len() - 1)];
-
-    drop(client);
-    drop(ballast);
-    server.shutdown();
-    ScalingArm {
-        idle,
-        jobs_per_second: jobs as f64 / wall,
-        p99_rtt_us: p99,
+    /// One pass of the stream over a fresh connection, in jobs/s.
+    fn pass(&mut self, stream: &str, jobs: usize) -> f64 {
+        let (wall, solved) = pump_v2(self.server.local_addr(), stream);
+        assert_eq!(
+            solved,
+            jobs,
+            "every scaling job must solve under {} idle connections",
+            self.ballast.len()
+        );
+        let jobs_per_second = jobs as f64 / wall;
+        self.passes.push(jobs_per_second);
+        jobs_per_second
     }
+
+    /// The median of `n` sequential round trips of one cached job, in µs:
+    /// serving tier overhead, not solver variance.
+    fn rtt_block(&mut self, n: usize) -> f64 {
+        let probe = JobRequest::new("rtt", random_benchmark(8, 8, 0.4, 77).matrix);
+        let block: Vec<f64> = (0..n)
+            .map(|_| {
+                let start = Instant::now();
+                self.rtt_client.send_job(&probe).expect("rtt send");
+                let line = self
+                    .rtt_client
+                    .recv_line()
+                    .expect("rtt recv")
+                    .expect("rtt response");
+                let resp = JobResponse::parse_line(&line).expect("well-formed rtt response");
+                assert!(resp.error.is_none(), "rtt probe failed: {line}");
+                let rtt = start.elapsed().as_micros() as u64;
+                self.rtts.push(rtt);
+                rtt as f64
+            })
+            .collect();
+        median(block)
+    }
+
+    /// This server's figures as an arm with the given ratios.
+    fn arm(&self, throughput_ratio: f64, rtt_ratio: f64) -> ScalingArm {
+        let mut rtts = self.rtts.clone();
+        rtts.sort_unstable();
+        ScalingArm {
+            idle: self.ballast.len(),
+            jobs_per_second: median(self.passes.clone()),
+            p99_rtt_us: rtts[(rtts.len() * 99 / 100).min(rtts.len() - 1)],
+            throughput_ratio,
+            rtt_ratio,
+        }
+    }
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Times a server with `idle` parked connections against `base` (none) in
+/// [`SCALING_PAIRS`] interleaved pairs.
+fn scaling_arm(
+    base: &mut ScalingServer,
+    stream: &str,
+    jobs: usize,
+    workers: usize,
+    idle: usize,
+) -> ScalingArm {
+    let arm = &mut ScalingServer::start(stream, jobs, workers, idle);
+    let (mut throughput_ratios, mut rtt_ratios) = (Vec::new(), Vec::new());
+    for _ in 0..SCALING_PAIRS {
+        throughput_ratios.push(arm.pass(stream, jobs) / base.pass(stream, jobs));
+        rtt_ratios.push(arm.rtt_block(SCALING_RTT_BLOCK) / base.rtt_block(SCALING_RTT_BLOCK));
+    }
+    arm.arm(median(throughput_ratios), median(rtt_ratios))
 }
 
 fn scaling_two_instance(stream: &str, jobs: usize, workers: usize) -> TwoInstanceMetrics {
     let dir = std::env::temp_dir().join(format!("rect-addr-bench-scaling-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let instance = || {
-        Arc::new(Service::with_engine_config(
-            EngineConfig {
-                workers,
-                ..EngineConfig::default()
-            },
-            ServiceConfig {
-                queue_depth: jobs.max(serve::DEFAULT_QUEUE_DEPTH),
-                persist: Some(PersistConfig::at(&dir)),
-            },
-        ))
-    };
+    let instance = || socket_service(workers, jobs, Some(PersistConfig::at(&dir)));
 
     // Instance 1 (the lock holder) serves the whole stream alone: the
     // single-instance figure, and the warm state the second instance
@@ -815,12 +863,8 @@ fn scaling_two_instance(stream: &str, jobs: usize, workers: usize) -> TwoInstanc
     let writer = instance();
     let mut server1 = serve_socket_event(Arc::clone(&writer), &BindAddr::parse("127.0.0.1:0"))
         .expect("bind writer instance");
-    let mut input = String::from("{\"hello\": 2}\n");
-    input.push_str(stream);
-    let start = Instant::now();
-    let mut raw = Vec::new();
-    pump(server1.local_addr(), input.as_bytes(), &mut raw).expect("single-instance pump");
-    let single_wall = start.elapsed().as_secs_f64();
+    let (single_wall, solved) = pump_v2(server1.local_addr(), stream);
+    assert_eq!(solved, jobs, "every single-instance job must solve");
     assert!(
         writer.is_snapshot_writer(),
         "first instance must hold the writer lock"
@@ -841,33 +885,13 @@ fn scaling_two_instance(stream: &str, jobs: usize, workers: usize) -> TwoInstanc
 
     // Both instances serve half the stream concurrently.
     let lines: Vec<&str> = stream.lines().collect();
-    let half_input = |chunk: &[&str]| {
-        let mut s = String::from("{\"hello\": 2}\n");
-        for line in chunk {
-            s.push_str(line);
-            s.push('\n');
-        }
-        s
-    };
-    let first = half_input(&lines[..lines.len() / 2]);
-    let second = half_input(&lines[lines.len() / 2..]);
-    let addr1 = server1.local_addr().clone();
-    let addr2 = server2.local_addr().clone();
-    fn jobs_on(addr: &BindAddr, input: String) -> usize {
-        let mut raw = Vec::new();
-        pump(addr, input.as_bytes(), &mut raw).expect("dual-instance pump");
-        String::from_utf8(raw)
-            .expect("responses are UTF-8")
-            .lines()
-            .find(|l| SummaryFrame::is_summary_line(l))
-            .map(|l| SummaryFrame::parse_line(l).expect("well-formed summary"))
-            .expect("summary frame present")
-            .solved as usize
-    }
+    let (first, second) = lines.split_at(lines.len() / 2);
+    let (first, second) = (first.join("\n") + "\n", second.join("\n") + "\n");
+    let (addr1, addr2) = (server1.local_addr(), server2.local_addr());
     let start = Instant::now();
     let solved: usize = std::thread::scope(|scope| {
-        let h1 = scope.spawn(move || jobs_on(&addr1, first));
-        let h2 = scope.spawn(move || jobs_on(&addr2, second));
+        let h1 = scope.spawn(|| pump_v2(addr1, &first).1);
+        let h2 = scope.spawn(|| pump_v2(addr2, &second).1);
         h1.join().expect("first half") + h2.join().expect("second half")
     });
     let dual_wall = start.elapsed().as_secs_f64();
@@ -899,7 +923,8 @@ fn scaling_phase(workers: usize) -> ScalingMetrics {
     };
     let jobs = 300;
     let stream = build_stream(jobs, 30, 8);
-    let arms: Vec<ScalingArm> = [1usize, 64, 1024, 8192]
+    let mut base = ScalingServer::start(&stream, jobs, workers, 0);
+    let mut arms: Vec<ScalingArm> = [64usize, 1024, 8192]
         .into_iter()
         .filter(|&idle| {
             let fits = 2 * idle as u64 + 256 <= fd_limit;
@@ -908,8 +933,10 @@ fn scaling_phase(workers: usize) -> ScalingMetrics {
             }
             fits
         })
-        .map(|idle| scaling_arm(&stream, jobs, workers, idle))
+        .map(|idle| scaling_arm(&mut base, &stream, jobs, workers, idle))
         .collect();
+    arms.insert(0, base.arm(1.0, 1.0));
+    drop(base);
     let two_instance = scaling_two_instance(&stream, jobs, workers);
     ScalingMetrics {
         jobs,
@@ -1130,8 +1157,9 @@ fn main() {
     let scaling = scaling_phase(workers);
     for arm in &scaling.arms {
         eprintln!(
-            "scaling/{} idle: {:.0} jobs/s, p99 rtt {} us",
-            arm.idle, arm.jobs_per_second, arm.p99_rtt_us,
+            "scaling/{} idle: {:.0} jobs/s ({:.3} of 0 idle), p99 rtt {} us, \
+             median rtt {:.3} of 0 idle",
+            arm.idle, arm.jobs_per_second, arm.throughput_ratio, arm.p99_rtt_us, arm.rtt_ratio,
         );
     }
     eprintln!(
@@ -1228,10 +1256,12 @@ fn main() {
         let _ = writeln!(
             json,
             "      {{ \"idle_connections\": {}, \"jobs_per_second\": {:.1}, \
-             \"p99_rtt_us\": {} }}{}",
+             \"p99_rtt_us\": {}, \"throughput_ratio\": {:.4}, \"rtt_ratio\": {:.4} }}{}",
             arm.idle,
             arm.jobs_per_second,
             arm.p99_rtt_us,
+            arm.throughput_ratio,
+            arm.rtt_ratio,
             if i + 1 == scaling.arms.len() { "" } else { "," },
         );
     }
@@ -1276,23 +1306,34 @@ fn main() {
             );
             failed = true;
         }
-        // The event loop must hold its throughput as the connection
-        // table grows: 1024 parked connections may cost at most 30% of
-        // the 1-connection jobs/s figure.
-        let arm_at = |idle| scaling.arms.iter().find(|a| a.idle == idle);
-        match (arm_at(1), arm_at(1024)) {
-            (Some(one), Some(kilo)) => {
-                if kilo.jobs_per_second < 0.7 * one.jobs_per_second {
+        // The event loop must hold its throughput and latency as the
+        // connection table grows: against a live server with no idle
+        // connections, 1024 parked ones may cost at most 30% of the jobs/s
+        // and 60% on the median round trip (medians over interleaved
+        // pairs). Unchanged code reads round-trip ratios of 0.85–1.24; 50 ns
+        // of busy work per registered connection after each wakeup reads
+        // 2.0–2.4, and throughput does not see it.
+        match scaling.arms.iter().find(|a| a.idle == 1024) {
+            Some(kilo) => {
+                if kilo.throughput_ratio < 0.7 {
                     eprintln!(
-                        "FAIL: {:.0} jobs/s under 1024 idle connections is below 70% of \
-                         the 1-connection {:.0} jobs/s",
-                        kilo.jobs_per_second, one.jobs_per_second,
+                        "FAIL: 1024 idle connections keep {:.3} of the idle-free jobs/s \
+                         (gate: >= 0.7)",
+                        kilo.throughput_ratio,
+                    );
+                    failed = true;
+                }
+                if kilo.rtt_ratio > 1.6 {
+                    eprintln!(
+                        "FAIL: 1024 idle connections make the median round trip {:.3}x \
+                         the idle-free one (gate: <= 1.6)",
+                        kilo.rtt_ratio,
                     );
                     failed = true;
                 }
             }
-            _ => {
-                eprintln!("FAIL: scaling arms (1 and 1024 idle connections) did not run");
+            None => {
+                eprintln!("FAIL: the 1024-idle-connection scaling arm did not run");
                 failed = true;
             }
         }

@@ -24,10 +24,8 @@ pub struct CaseResult {
     pub seed: u64,
     /// Proved binary rank, when SAP certified optimality.
     pub optimal: Option<usize>,
-    /// Real-rank lower bound (exact for ≤ 44-wide matrices).
+    /// Real-rank lower bound (exact when the shorter side is at most 36).
     pub real_rank: usize,
-    /// Whether the real rank is exact (Bareiss) or max-over-GF(p).
-    pub rank_exact: bool,
     /// Depth of the trivial heuristic.
     pub trivial: usize,
     /// Depth of row packing after each [`TRIAL_CHECKPOINTS`] budget.
@@ -113,8 +111,7 @@ pub fn evaluate_case(
         params: bench.params.clone(),
         seed: bench.seed,
         optimal,
-        real_rank: outcome.real_rank.rank,
-        rank_exact: outcome.real_rank.exact,
+        real_rank: outcome.lower_bound.real_rank.rank,
         trivial,
         packing,
         packing_seconds: outcome.stats.packing_seconds,
@@ -309,7 +306,6 @@ mod tests {
         let r = evaluate_case(&bench, &SapConfig::default(), None);
         assert_eq!(r.optimal, Some(4));
         assert_eq!(r.real_rank, 4);
-        assert!(r.rank_exact);
     }
 
     #[test]
@@ -351,7 +347,6 @@ mod tests {
             seed: 0,
             optimal: Some(1),
             real_rank: 1,
-            rank_exact: true,
             trivial: 1,
             packing: vec![1; 4],
             packing_seconds: t / 2.0,

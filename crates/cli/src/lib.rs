@@ -230,7 +230,7 @@ fn cmd_solve(m: &BitMatrix, rest: &[String]) -> Result<String, String> {
         } else {
             "best effort"
         },
-        out.real_rank.rank,
+        out.lower_bound.real_rank.rank,
         out.stats.queries.len(),
         out.stats.packing_seconds,
         out.stats.sat_seconds,

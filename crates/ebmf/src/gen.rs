@@ -13,7 +13,7 @@
 //! identifies an instance across runs and machines.
 
 use bitmatrix::{random_matrix, random_vec, BitMatrix, BitVec};
-use linalg::rank_gfp_max;
+use linalg::real_rank;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -83,7 +83,8 @@ pub fn known_optimal_benchmark(
         }
     }
     // Linearly independent nonzero column selectors: rejection-sample until
-    // the k×k-ish selector matrix has full rank over a large prime field.
+    // the nrows×k selector matrix has real rank k (exact for k ≤ 36; beyond,
+    // a rank that drops mod p can only reject a good selector).
     let cols_sel: Vec<BitVec> = loop {
         let candidate: Vec<BitVec> = (0..k)
             .map(|_| loop {
@@ -94,7 +95,7 @@ pub fn known_optimal_benchmark(
             })
             .collect();
         let sel = BitMatrix::from_fn(nrows, k, |i, b| candidate[b].get(i));
-        if rank_gfp_max(&sel) == k {
+        if real_rank(&sel).rank == k {
             break candidate;
         }
     };
@@ -228,7 +229,6 @@ pub fn table1_suite(per_cell: usize, gap_cases: usize) -> Vec<(String, Vec<Bench
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linalg::real_rank;
 
     #[test]
     fn random_benchmark_is_reproducible() {
@@ -311,6 +311,33 @@ mod tests {
         assert_eq!(suite[3].1.len(), 10); // 5 occupancies × 2
         assert_eq!(suite[4].1.len(), 20); // 10 ranks × 2
         assert_eq!(suite[5].1.len(), 3);
+    }
+
+    /// FNV-1a over the text of every matrix of `table1_suite(2, 20)` and of
+    /// `known_optimal_benchmark(10, 10, k, s)` for k in 1..=10, s in 0..50.
+    /// The known-optimal selector check decides which draws are kept, so a
+    /// change to it that moved any instance would move this digest.
+    #[test]
+    fn generated_matrices_are_pinned() {
+        fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *hash ^= u64::from(b);
+                *hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (_, cases) in table1_suite(2, 20) {
+            for bench in cases {
+                fnv1a(&mut hash, format!("{}\n", bench.matrix).as_bytes());
+            }
+        }
+        for k in 1..=10 {
+            for s in 0..50 {
+                let (bench, _) = known_optimal_benchmark(10, 10, k, s);
+                fnv1a(&mut hash, format!("{}\n", bench.matrix).as_bytes());
+            }
+        }
+        assert_eq!(hash, 0xb811_c48a_6450_4798);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod svg;
 mod tensor;
 
 pub use bipartite::{as_bicliques, normal_set_basis, Biclique, Bipartite};
-pub use bounds::{lower_bound, BoundSource, LowerBound};
+pub use bounds::{lower_bound, LowerBound};
 pub use completion::{complete_ebmf, validate_completion, CompletionOutcome};
 pub use encode::{AmoEncoding, EbmfEncoder, EncoderOptions};
 pub use exact::{exact_search, ExactSearchOutcome};

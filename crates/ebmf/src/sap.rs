@@ -11,7 +11,6 @@
 use std::time::Instant;
 
 use bitmatrix::{BitMatrix, BitVec};
-use linalg::RealRank;
 use sat::{CancelToken, SolveResult};
 
 use crate::{
@@ -129,10 +128,9 @@ pub struct SapOutcome {
     pub partition: Partition,
     /// Whether `partition.len()` was *proved* equal to `r_B(M)`.
     pub proved_optimal: bool,
-    /// The lower bound used for termination.
+    /// The lower bound used for termination; its real-rank component is
+    /// the figure the paper's Table I and Fig. 4 report.
     pub lower_bound: LowerBound,
-    /// The real-rank component (reported in the paper's Table I/Fig. 4).
-    pub real_rank: RealRank,
     /// The exportable refutation of the bound below the incumbent: present
     /// exactly when certification was on and an UNSAT answer concluded the
     /// descent (cold **or** warm). `None` when optimality needed no SAT
@@ -482,7 +480,6 @@ impl SapSession {
             partition: self.best.clone(),
             proved_optimal: self.proved,
             lower_bound: self.lb,
-            real_rank: self.lb.real_rank,
             certificate,
             stats,
         }
@@ -616,7 +613,7 @@ mod tests {
         let out = sap(&m, &SapConfig::default());
         assert!(out.proved_optimal);
         assert_eq!(out.depth(), 3);
-        assert_eq!(out.real_rank.rank, 3);
+        assert_eq!(out.lower_bound.real_rank.rank, 3);
     }
 
     #[test]
@@ -628,7 +625,7 @@ mod tests {
         let m: BitMatrix = "110\n001\n111".parse().unwrap();
         let out = sap(&m, &SapConfig::default());
         assert!(out.proved_optimal);
-        assert_eq!(out.real_rank.rank, 2);
+        assert_eq!(out.lower_bound.real_rank.rank, 2);
         assert_eq!(out.depth(), 2, "{:?}", out.partition.to_string());
     }
 

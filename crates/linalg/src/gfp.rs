@@ -1,167 +1,206 @@
-//! Rank of binary matrices over prime fields GF(p).
+//! The real-rank floor of paper Eq. 3, `rank_ℝ(M) ≤ r_B(M)`, by one
+//! fraction-free Gaussian elimination modulo the Mersenne prime
+//! `P = 2⁶¹ − 1`.
 //!
-//! For any prime `p`, `rank_{GF(p)}(M) ≤ rank_ℚ(M)`: a nonzero minor mod `p`
-//! is nonzero over ℚ. The paper uses `rank_ℝ(M) ≤ r_B(M)` (its Eq. 3) as the
-//! termination bound of Algorithm 1, so any GF(p) rank is a *sound* stand-in —
-//! it can only make the exact search do extra (UNSAT) queries, never accept a
-//! suboptimal partition as optimal. Taking the maximum over several large
-//! primes makes the bound equal to `rank_ℚ` except with negligible
-//! probability.
+//! A rank mod `P` never exceeds the rank over ℚ, because a minor that is
+//! nonzero mod `P` is nonzero over ℚ, so the value is a sound floor at every
+//! size. By Hadamard's bound an `r×r` minor of a 0/1 matrix is at most
+//! `(r+1)^((r+1)/2) / 2^r` in absolute value: below `P` for `r ≤ 36`, above
+//! it from `r = 37` on. So when the shorter side is at most 36, no nonzero
+//! minor vanishes mod `P` and the value is the rational rank exactly. Beyond
+//! that it equals the rational rank except with negligible probability.
 
 use bitmatrix::BitMatrix;
 
-/// Three large primes below 2⁶². Entries stay `< p` and products fit `u128`.
-pub const PRIMES_61: [u64; 3] = [
-    2_305_843_009_213_693_951, // 2^61 - 1 (Mersenne)
-    4_611_686_018_427_387_847, // largest prime < 2^62
-    2_305_843_009_213_693_669, // another prime just below 2^61
-];
+/// The Mersenne prime `2⁶¹ − 1`.
+const P: u64 = (1 << 61) - 1;
 
+/// The longest shorter side at which every minor of a 0/1 matrix is below
+/// `P` in absolute value, so that the rank mod `P` is the rational rank.
+const EXACT_SIDE: usize = 36;
+
+/// `a·b mod P` for `a, b < P`: one `u128` product, folded twice by
+/// `2⁶¹ ≡ 1 (mod P)`, then one conditional subtraction.
 #[inline]
-fn mod_mul(a: u64, b: u64, p: u64) -> u64 {
-    ((a as u128 * b as u128) % p as u128) as u64
+fn mul(a: u64, b: u64) -> u64 {
+    let x = u128::from(a) * u128::from(b);
+    let x = ((x & u128::from(P)) + (x >> 61)) as u64; // < 2⁶²
+    let x = (x & P) + (x >> 61); // ≤ P + 1
+    if x >= P {
+        x - P
+    } else {
+        x
+    }
 }
 
+/// `a − b mod P` for `a, b < P`.
 #[inline]
-fn mod_sub(a: u64, b: u64, p: u64) -> u64 {
+fn sub(a: u64, b: u64) -> u64 {
     if a >= b {
         a - b
     } else {
-        a + p - b
+        a + P - b
     }
 }
 
-/// Modular exponentiation `base^exp mod p`.
-fn mod_pow(mut base: u64, mut exp: u64, p: u64) -> u64 {
-    let mut acc = 1u64;
-    base %= p;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = mod_mul(acc, base, p);
+/// The real (rational) rank of a binary matrix, and whether it is exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RealRank {
+    /// The rank mod `P`. Always `≤ rank_ℚ(M) ≤ r_B(M)`.
+    pub rank: usize,
+    /// `true` when the shorter side is at most 36, so that `rank` is the
+    /// rational rank; `false` beyond, where `rank` is a lower bound that
+    /// equals the rational rank except with negligible probability.
+    pub exact: bool,
+}
+
+/// Computes the real rank of `m` by one forward elimination mod `P` over a
+/// flat `rows·cols` buffer. For each column, a pivot at or below the
+/// current rank is swapped up, and every lower row whose entry `f` in that
+/// column is nonzero becomes `a_pp·row − f·pivot`. No inverse is needed,
+/// because only which entries vanish matters.
+///
+/// The value is always a valid lower bound on the binary rank `r_B(m)`,
+/// which is all the soundness of Algorithm 1 requires.
+pub fn real_rank(m: &BitMatrix) -> RealRank {
+    let (rows, cols) = m.shape();
+    let mut a = vec![0u64; rows * cols];
+    for (i, row) in m.iter_rows().enumerate() {
+        for j in row.ones() {
+            a[i * cols + j] = 1;
         }
-        base = mod_mul(base, base, p);
-        exp >>= 1;
     }
-    acc
-}
-
-/// Modular inverse via Fermat's little theorem (`p` must be prime).
-fn mod_inv(a: u64, p: u64) -> u64 {
-    debug_assert!(!a.is_multiple_of(p), "zero has no inverse");
-    mod_pow(a, p - 2, p)
-}
-
-/// Computes the rank of `m` over GF(`p`) by Gaussian elimination.
-///
-/// # Panics
-///
-/// Panics if `p < 2` (not a field). Correctness requires `p` prime; the
-/// built-in [`PRIMES_61`] are prime.
-#[allow(clippy::needless_range_loop)] // in-place elimination indexes two rows at once
-pub fn rank_gfp(m: &BitMatrix, p: u64) -> usize {
-    assert!(p >= 2, "modulus must be at least 2");
-    let (nrows, ncols) = m.shape();
-    // Dense u64 copy of the 0/1 matrix.
-    let mut a: Vec<Vec<u64>> = (0..nrows)
-        .map(|i| (0..ncols).map(|j| u64::from(m.get(i, j))).collect())
-        .collect();
-    let mut rank = 0usize;
-    let mut pivot_row = 0usize;
-    for col in 0..ncols {
-        if pivot_row >= nrows {
+    let mut rank = 0;
+    for col in 0..cols {
+        if rank == rows {
             break;
         }
-        // Find a row with a nonzero entry in this column.
-        let Some(sel) = (pivot_row..nrows).find(|&r| !a[r][col].is_multiple_of(p)) else {
+        let Some(p) = (rank..rows).find(|&i| a[i * cols + col] != 0) else {
             continue;
         };
-        a.swap(pivot_row, sel);
-        let inv = mod_inv(a[pivot_row][col] % p, p);
-        for j in col..ncols {
-            a[pivot_row][j] = mod_mul(a[pivot_row][j] % p, inv, p);
+        if p != rank {
+            let (upper, lower) = a.split_at_mut(p * cols);
+            upper[rank * cols..][..cols].swap_with_slice(&mut lower[..cols]);
         }
-        for r in 0..nrows {
-            if r != pivot_row && !a[r][col].is_multiple_of(p) {
-                let factor = a[r][col] % p;
-                for j in col..ncols {
-                    let sub = mod_mul(factor, a[pivot_row][j], p);
-                    a[r][j] = mod_sub(a[r][j] % p, sub, p);
+        let (upper, lower) = a.split_at_mut((rank + 1) * cols);
+        let pivot = &upper[rank * cols + col..];
+        let app = pivot[0];
+        for row in lower.chunks_exact_mut(cols) {
+            let f = row[col];
+            if f != 0 {
+                for (x, &y) in row[col..].iter_mut().zip(pivot) {
+                    *x = sub(mul(app, *x), mul(f, y));
                 }
             }
         }
         rank += 1;
-        pivot_row += 1;
     }
-    rank
-}
-
-/// Rank over GF(p) maximised over the built-in [`PRIMES_61`].
-///
-/// Always a lower bound on `rank_ℚ(m)`; equal to it unless `rank_ℚ` drops
-/// modulo all three primes simultaneously, which for 0/1 matrices of the
-/// sizes used here has probability far below 2⁻¹⁰⁰.
-pub fn rank_gfp_max(m: &BitMatrix) -> usize {
-    PRIMES_61.iter().map(|&p| rank_gfp(m, p)).max().unwrap_or(0)
+    RealRank {
+        rank,
+        exact: rows.min(cols) <= EXACT_SIDE,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn rank(m: &BitMatrix) -> usize {
+        real_rank(m).rank
+    }
+
     #[test]
     fn identity_has_full_rank() {
-        let m = BitMatrix::identity(8);
-        for &p in &PRIMES_61 {
-            assert_eq!(rank_gfp(&m, p), 8);
-        }
+        assert_eq!(rank(&BitMatrix::identity(8)), 8);
     }
 
     #[test]
     fn zero_matrix_has_rank_zero() {
-        assert_eq!(rank_gfp(&BitMatrix::zeros(4, 6), PRIMES_61[0]), 0);
+        assert_eq!(rank(&BitMatrix::zeros(4, 6)), 0);
+        assert_eq!(rank(&BitMatrix::zeros(0, 6)), 0);
+        assert_eq!(rank(&BitMatrix::zeros(4, 0)), 0);
     }
 
     #[test]
     fn all_ones_has_rank_one() {
-        assert_eq!(rank_gfp(&BitMatrix::ones(5, 7), PRIMES_61[0]), 1);
+        assert_eq!(rank(&BitMatrix::ones(5, 7)), 1);
     }
 
     #[test]
     fn duplicate_rows_do_not_increase_rank() {
         let m: BitMatrix = "101\n101\n010".parse().unwrap();
-        assert_eq!(rank_gfp(&m, PRIMES_61[0]), 2);
+        assert_eq!(rank(&m), 2);
     }
 
     #[test]
     fn cyclic_3x3_has_rank_3_over_large_p_but_2_over_gf2() {
-        // [[0,1,1],[1,0,1],[1,1,0]] has determinant 2: rank 3 over Q and any
-        // odd prime, rank 2 over GF(2).
+        // [[0,1,1],[1,0,1],[1,1,0]] has determinant 2: rank 3 over ℚ and
+        // mod any odd prime, rank 2 over GF(2).
         let m: BitMatrix = "011\n101\n110".parse().unwrap();
-        assert_eq!(rank_gfp(&m, PRIMES_61[0]), 3);
-        assert_eq!(rank_gfp(&m, 2), 2);
-        assert_eq!(rank_gfp_max(&m), 3);
+        assert_eq!(rank(&m), 3);
+        assert_eq!(crate::rank_gf2(&m), 2);
     }
 
     #[test]
     fn rank_bounded_by_dimensions() {
         let m: BitMatrix = "110011\n001100".parse().unwrap();
-        assert!(rank_gfp(&m, PRIMES_61[1]) <= 2);
+        assert!(rank(&m) <= 2);
     }
 
     #[test]
     fn wide_and_tall_agree_with_transpose() {
         let m: BitMatrix = "1101\n0110\n1011".parse().unwrap();
-        for &p in &PRIMES_61 {
-            assert_eq!(rank_gfp(&m, p), rank_gfp(&m.transpose(), p));
+        assert_eq!(rank(&m), rank(&m.transpose()));
+    }
+
+    #[test]
+    fn mul_and_sub_match_the_u128_remainder() {
+        let edges = [0, 1, 2, 3, 1 << 60, (1 << 60) + 1, P - 2, P - 1];
+        for &a in &edges {
+            for &b in &edges {
+                let want = (u128::from(a) * u128::from(b) % u128::from(P)) as u64;
+                assert_eq!(mul(a, b), want, "{a} · {b}");
+                assert_eq!(sub(a, b), (a + P - b) % P, "{a} − {b}");
+            }
         }
     }
 
     #[test]
-    fn mod_pow_and_inv() {
-        let p = PRIMES_61[0];
-        for a in [1u64, 2, 3, 12345, p - 1] {
-            assert_eq!(mod_mul(a, mod_inv(a, p), p), 1);
+    fn exact_flips_between_side_36_and_37() {
+        for (rows, cols, exact) in [
+            (36, 36, true),
+            (36, 100, true),
+            (100, 36, true),
+            (37, 37, false),
+            (37, 100, false),
+            (100, 37, false),
+        ] {
+            let rr = real_rank(&BitMatrix::ones(rows, cols));
+            assert_eq!(rr, RealRank { rank: 1, exact }, "{rows}×{cols}");
         }
-        assert_eq!(mod_pow(2, 10, 1_000_003), 1024);
+    }
+
+    /// Hadamard's bound on an `r×r` minor of a 0/1 matrix,
+    /// `(r+1)^((r+1)/2) / 2^r`, stays below `P` exactly through
+    /// `r = EXACT_SIDE`.
+    #[test]
+    fn hadamard_bound_stays_below_p_through_side_36() {
+        let log2_bound = |r: usize| (r as f64 + 1.0) / 2.0 * (r as f64 + 1.0).log2() - r as f64;
+        let log2_p = (P as f64).log2();
+        for r in 1..=EXACT_SIDE {
+            assert!(log2_bound(r) < log2_p, "r = {r}");
+        }
+        assert!(log2_bound(EXACT_SIDE + 1) > log2_p);
+    }
+
+    #[test]
+    fn large_identity_is_an_inexact_lower_bound() {
+        assert_eq!(
+            real_rank(&BitMatrix::identity(60)),
+            RealRank {
+                rank: 60,
+                exact: false
+            }
+        );
     }
 }

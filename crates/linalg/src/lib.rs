@@ -1,15 +1,16 @@
-//! Exact linear algebra over ℚ, GF(p) and GF(2) for binary matrices, plus
-//! fooling-set lower bounds.
+//! The real-rank floor and GF(2) rank of binary matrices, plus fooling-set
+//! lower bounds.
 //!
 //! The EBMF solver (crate `rect-addr-ebmf`) needs two kinds of lower bounds
 //! on the binary rank `r_B(M)`:
 //!
 //! 1. **Rank bounds** (paper Eq. 3): `rank_ℝ(M) ≤ r_B(M)`. [`real_rank`]
-//!    computes the rational rank exactly by fraction-free Bareiss elimination
-//!    whenever `i128` cannot overflow (all paper-size exact benchmarks), and
-//!    otherwise the max of GF(p) ranks over three 61-bit primes — a sound
-//!    lower bound either way. [`rank_gf2`] gives a second, cheaper sound
-//!    bound (disjoint rectangles also sum over GF(2)).
+//!    computes the rank by one fraction-free elimination modulo the prime
+//!    `2⁶¹ − 1`. That is the rational rank exactly whenever the shorter side
+//!    is at most 36, which covers all the paper's exact benchmarks, and a
+//!    sound lower bound at every size. [`rank_gf2`] gives the GF(2) rank,
+//!    another sound bound (disjoint rectangles also sum over GF(2)) that
+//!    never exceeds the real rank.
 //! 2. **Fooling sets** (paper §II): [`max_fooling_set`] solves the
 //!    equivalent max-clique problem exactly with branch-and-bound, and
 //!    [`greedy_fooling_set`] gives the fast heuristic.
@@ -29,18 +30,20 @@
 mod fooling;
 mod gf2;
 mod gfp;
-mod rational;
 
 pub use fooling::{
     greedy_fooling_set, greedy_fooling_set_within, is_fooling_set, max_fooling_set, FoolingSet,
 };
 pub use gf2::rank_gf2;
-pub use gfp::{rank_gfp, rank_gfp_max, PRIMES_61};
-pub use rational::{rank_rational, real_rank, RealRank};
+pub use gfp::{real_rank, RealRank};
+
+#[cfg(test)]
+mod rational;
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::rational::tests::rank_rational;
     use bitmatrix::BitMatrix;
     use proptest::prelude::*;
 
@@ -49,6 +52,59 @@ mod proptests {
             proptest::collection::vec(any::<bool>(), m * n)
                 .prop_map(move |bits| BitMatrix::from_fn(m, n, |i, j| bits[i * n + j]))
         })
+    }
+
+    /// A `short×long` matrix, transposed when `tall`, whose cells are 1
+    /// with probability `percent`% (all-ones from 100 on), drawn from a
+    /// seeded LCG.
+    fn occupied(short: usize, long: usize, tall: bool, percent: u64, seed: u64) -> BitMatrix {
+        let (rows, cols) = if tall { (long, short) } else { (short, long) };
+        let mut state = seed;
+        BitMatrix::from_fn(rows, cols, |_, _| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % 100 < percent
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Through a shorter side of 36 the rank mod 2^61 − 1 is the
+        /// rational rank. Shapes reach 36×60 and 60×36; occupancies run
+        /// 0–120%, so about one case in six is all-ones.
+        #[test]
+        fn real_rank_is_the_rational_rank_through_side_36(
+            short in 1usize..=36,
+            long in 1usize..=60,
+            tall in any::<bool>(),
+            percent in 0u64..=120,
+            seed in any::<u64>(),
+        ) {
+            let m = occupied(short, long.max(short), tall, percent, seed);
+            let rr = real_rank(&m);
+            prop_assert!(rr.exact);
+            prop_assert_eq!(Some(rr.rank), rank_rational(&m), "{}", m);
+        }
+
+        /// Past a shorter side of 36 the rank is flagged inexact, and it
+        /// never exceeds the rational rank wherever Bareiss fits `i128`.
+        #[test]
+        fn real_rank_past_side_36_is_an_inexact_lower_bound(
+            short in 37usize..=44,
+            long in 37usize..=60,
+            tall in any::<bool>(),
+            percent in 0u64..=120,
+            seed in any::<u64>(),
+        ) {
+            let m = occupied(short, long.max(short), tall, percent, seed);
+            let rr = real_rank(&m);
+            prop_assert!(!rr.exact);
+            if let Some(rq) = rank_rational(&m) {
+                prop_assert!(rr.rank <= rq, "rank mod p {} above rational {}", rr.rank, rq);
+            }
+        }
     }
 
     proptest! {
@@ -62,8 +118,8 @@ mod proptests {
         #[test]
         fn gfp_rank_equals_rational_on_small(m in arb_matrix(9)) {
             // For tiny 0/1 matrices the minors are far smaller than the
-            // primes, so rank can never drop mod p.
-            prop_assert_eq!(rank_gfp_max(&m), rank_rational(&m).unwrap());
+            // prime, so rank can never drop mod p.
+            prop_assert_eq!(real_rank(&m).rank, rank_rational(&m).unwrap());
         }
 
         #[test]
@@ -75,7 +131,7 @@ mod proptests {
 
         #[test]
         fn rank_transpose_invariant(m in arb_matrix(8)) {
-            prop_assert_eq!(rank_rational(&m), rank_rational(&m.transpose()));
+            prop_assert_eq!(real_rank(&m), real_rank(&m.transpose()));
             prop_assert_eq!(rank_gf2(&m), rank_gf2(&m.transpose()));
         }
 

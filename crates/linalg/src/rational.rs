@@ -1,99 +1,67 @@
-//! Exact rank over the rationals via fraction-free (Bareiss) elimination.
-//!
-//! Bareiss elimination keeps all intermediate values as exact integers (they
-//! are minors of the original matrix), so for a 0/1 matrix the Hadamard bound
-//! `|minor of order k| ≤ k^{k/2}` caps the growth. With `i128` arithmetic and
-//! checked operations the routine either returns the exact rational rank or
-//! reports that the values would overflow — which for 0/1 matrices only
-//! happens past roughly 44×44, far beyond every exact-benchmark size in the
-//! paper (≤ 10×30). Larger matrices fall back to
-//! [`rank_gfp_max`](crate::rank_gfp_max).
+#[cfg(test)]
+pub(crate) mod tests {
+    //! The exact rank over ℚ by fraction-free (Bareiss) elimination: the
+    //! reference that [`real_rank`] is checked against.
+    //!
+    //! Bareiss elimination keeps every intermediate value an exact integer
+    //! (a minor of the original matrix), so for a 0/1 matrix Hadamard's
+    //! bound caps the growth. With `i128` and checked operations the
+    //! routine either returns the exact rational rank or reports that the
+    //! values would overflow. Each step multiplies two minors, which
+    //! Hadamard's bound keeps below 2¹²¹ through a shorter side of 36, so
+    //! there it always answers.
 
-use bitmatrix::BitMatrix;
+    use crate::{real_rank, RealRank};
+    use bitmatrix::BitMatrix;
 
-/// Computes the exact rank of `m` over ℚ, or `None` if intermediate minors
-/// would overflow `i128` (never happens for `min(nrows, ncols) ≤ 44`).
-#[allow(clippy::needless_range_loop)] // pivot search reads a[i][j] under two indices
-pub fn rank_rational(m: &BitMatrix) -> Option<usize> {
-    let (nrows, ncols) = m.shape();
-    let mut a: Vec<Vec<i128>> = (0..nrows)
-        .map(|i| (0..ncols).map(|j| i128::from(m.get(i, j))).collect())
-        .collect();
-    let mut prev: i128 = 1;
-    let steps = nrows.min(ncols);
-    let mut rank = 0usize;
-    for k in 0..steps {
-        // Full pivoting: any nonzero entry in the remaining block will do.
-        let mut pivot = None;
-        'search: for i in k..nrows {
-            for j in k..ncols {
-                if a[i][j] != 0 {
-                    pivot = Some((i, j));
-                    break 'search;
+    /// Computes the exact rank of `m` over ℚ, or `None` if intermediate minors
+    /// would overflow `i128`.
+    #[allow(clippy::needless_range_loop)] // pivot search reads a[i][j] under two indices
+    pub(crate) fn rank_rational(m: &BitMatrix) -> Option<usize> {
+        let (nrows, ncols) = m.shape();
+        let mut a: Vec<Vec<i128>> = (0..nrows)
+            .map(|i| (0..ncols).map(|j| i128::from(m.get(i, j))).collect())
+            .collect();
+        let mut prev: i128 = 1;
+        let steps = nrows.min(ncols);
+        let mut rank = 0usize;
+        for k in 0..steps {
+            // Full pivoting: any nonzero entry in the remaining block will do.
+            let mut pivot = None;
+            'search: for i in k..nrows {
+                for j in k..ncols {
+                    if a[i][j] != 0 {
+                        pivot = Some((i, j));
+                        break 'search;
+                    }
                 }
             }
-        }
-        let Some((pi, pj)) = pivot else {
-            return Some(rank);
-        };
-        a.swap(k, pi);
-        if pj != k {
-            for row in a.iter_mut() {
-                row.swap(k, pj);
+            let Some((pi, pj)) = pivot else {
+                return Some(rank);
+            };
+            a.swap(k, pi);
+            if pj != k {
+                for row in a.iter_mut() {
+                    row.swap(k, pj);
+                }
             }
-        }
-        // Fraction-free update: a[i][j] = (a[k][k]*a[i][j] - a[i][k]*a[k][j]) / prev.
-        // The division is exact (Bareiss); checked ops detect overflow.
-        for i in (k + 1)..nrows {
-            for j in (k + 1)..ncols {
-                let t1 = a[k][k].checked_mul(a[i][j])?;
-                let t2 = a[i][k].checked_mul(a[k][j])?;
-                let num = t1.checked_sub(t2)?;
-                debug_assert_eq!(num % prev, 0, "Bareiss division must be exact");
-                a[i][j] = num / prev;
+            // Fraction-free update: a[i][j] = (a[k][k]*a[i][j] - a[i][k]*a[k][j]) / prev.
+            // The division is exact (Bareiss); checked ops detect overflow.
+            for i in (k + 1)..nrows {
+                for j in (k + 1)..ncols {
+                    let t1 = a[k][k].checked_mul(a[i][j])?;
+                    let t2 = a[i][k].checked_mul(a[k][j])?;
+                    let num = t1.checked_sub(t2)?;
+                    debug_assert_eq!(num % prev, 0, "Bareiss division must be exact");
+                    a[i][j] = num / prev;
+                }
+                a[i][k] = 0;
             }
-            a[i][k] = 0;
+            prev = a[k][k];
+            rank += 1;
         }
-        prev = a[k][k];
-        rank += 1;
+        Some(rank)
     }
-    Some(rank)
-}
-
-/// The real (rational) rank of a binary matrix, with a flag recording whether
-/// the value is exact or an almost-surely-exact lower bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RealRank {
-    /// The computed rank value. Always `≤ rank_ℚ(M) ≤ r_B(M)`.
-    pub rank: usize,
-    /// `true` when computed by exact Bareiss elimination; `false` when the
-    /// matrix was too large and the value is `max_p rank_{GF(p)}` over the
-    /// built-in 61-bit primes (a sound lower bound, equal to the rational
-    /// rank except with negligible probability).
-    pub exact: bool,
-}
-
-/// Computes the real rank of `m`: exactly (Bareiss) whenever `i128` minors
-/// cannot overflow, otherwise as the max rank over several large prime
-/// fields.
-///
-/// The returned value is always a valid lower bound for the binary rank
-/// `r_B(m)` (paper Eq. 3), which is all that soundness of the SAP solver
-/// requires.
-pub fn real_rank(m: &BitMatrix) -> RealRank {
-    if let Some(rank) = rank_rational(m) {
-        return RealRank { rank, exact: true };
-    }
-    RealRank {
-        rank: crate::rank_gfp_max(m),
-        exact: false,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::rank_gfp_max;
 
     #[test]
     fn identity_full_rank() {
@@ -127,8 +95,8 @@ mod tests {
 
     #[test]
     fn agrees_with_gfp_on_small_matrices() {
-        // Deterministic pseudo-random small matrices: rational rank must
-        // equal max-over-primes GF(p) rank (no interesting torsion here).
+        // Deterministic pseudo-random small matrices: the rational rank
+        // must equal the rank mod 2^61 − 1.
         let mut state = 0x9E3779B97F4A7C15u64;
         for trial in 0..50 {
             let m = BitMatrix::from_fn(6, 6, |_, _| {
@@ -138,7 +106,7 @@ mod tests {
                 (state >> 33) & 1 == 1
             });
             let rq = rank_rational(&m).unwrap();
-            let rp = rank_gfp_max(&m);
+            let rp = real_rank(&m).rank;
             assert_eq!(rq, rp, "trial {trial}: Bareiss {rq} vs GF(p) {rp}\n{m}");
         }
     }
@@ -153,18 +121,6 @@ mod tests {
                 exact: true
             }
         );
-    }
-
-    #[test]
-    fn real_rank_large_falls_back_to_gfp() {
-        // 60x60 identity exceeds the i128 Hadamard-safe zone only in theory —
-        // identity minors stay tiny, so Bareiss still succeeds. Force the
-        // fallback path with a matrix that genuinely overflows is impractical
-        // with 0/1 entries below ~45; instead verify the fallback function
-        // directly.
-        let m = BitMatrix::identity(60);
-        let rr = real_rank(&m);
-        assert_eq!(rr.rank, 60);
     }
 
     #[test]

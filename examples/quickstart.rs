@@ -36,7 +36,7 @@ fn main() {
         } else {
             "best effort"
         },
-        outcome.real_rank.rank,
+        outcome.lower_bound.real_rank.rank,
         outcome.stats.queries.len(),
         outcome.stats.total_seconds() * 1e3,
     );

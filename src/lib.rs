@@ -4,7 +4,7 @@
 //! crates for full documentation:
 //!
 //! * [`bitmatrix`] — bit-packed binary matrices;
-//! * [`linalg`] — exact rank computations and fooling-set bounds;
+//! * [`linalg`] — the real-rank floor, GF(2) rank and fooling-set bounds;
 //! * [`sat`] — the CDCL SAT solver used by the exact EBMF solver;
 //! * [`certcheck`] — standalone DRAT/LRAT certificate validator (shares
 //!   no code with the solver, so optimality claims are checked

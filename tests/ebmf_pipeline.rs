@@ -48,8 +48,8 @@ fn gap_family_separates_rank_from_binary_rank() {
         let m = &bench.matrix;
         let out = sap(m, &SapConfig::default());
         assert!(out.proved_optimal, "case {c}");
-        assert!(out.depth() >= out.real_rank.rank);
-        if out.depth() > out.real_rank.rank {
+        assert!(out.depth() >= out.lower_bound.real_rank.rank);
+        if out.depth() > out.lower_bound.real_rank.rank {
             separated += 1;
         }
     }
