@@ -642,7 +642,9 @@ const STOP_POLL_PERIOD: std::time::Duration = std::time::Duration::from_millis(1
 /// connection emits the summary trailer itself on drain). With
 /// `--metrics-dump`, the drained process's metrics are written once at
 /// the end — the batch-mode analogue of the listen server's periodic
-/// export.
+/// export. A reader that closes `out` early (`rect-addr batch - | head
+/// -1`) wants no more answers: the connection abandons its queued work,
+/// and the command still succeeds, as the report subcommands do.
 fn run_service_batch(
     input: &mut (dyn BufRead + Send),
     rest: &[String],
@@ -650,7 +652,11 @@ fn run_service_batch(
 ) -> Result<u8, String> {
     let dump = metrics_dump_path(rest)?;
     let service = build_service(rest)?;
-    serve_connection(&service, input, &mut out).map_err(|e| format!("batch I/O: {e}"))?;
+    if let Err(e) = serve_connection(&service, input, &mut out) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            return Err(format!("batch I/O: {e}"));
+        }
+    }
     if let Some(path) = dump {
         obs::registry()
             .dump_to_path(&path)

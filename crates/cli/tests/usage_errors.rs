@@ -1,9 +1,10 @@
 //! Where the shipped `rect-addr` binary writes: a usage or I/O error goes
 //! to stderr, with exit status 2 and nothing on stdout, whichever
 //! subcommand reports it; a proof `certcheck` rejects is a verdict, on
-//! stdout with exit status 1.
+//! stdout with exit status 1; and a reader that closes stdout early is
+//! no error at all.
 
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::process::{Command, Output, Stdio};
 
 /// Runs the binary on `args` with `stdin` piped in.
@@ -26,6 +27,7 @@ fn usage_errors_go_to_stderr() {
         &["batch"][..],
         &["batch", "-", "--workers", "lots"],
         &["solve", "/nonexistent/matrix.txt"],
+        &["batch", "/nonexistent/jobs.jsonl"],
         &["serve", "--listen"],
     ] {
         let out = rect_addr(args, "");
@@ -70,4 +72,46 @@ fn rejected_proof_is_a_verdict_on_stdout() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// `… | rect-addr batch - | head -1`: once the reader has gone, the
+/// second answer meets a closed pipe. The queued work is abandoned,
+/// nothing goes to stderr, and the exit status is 0.
+#[test]
+fn batch_into_a_closed_stdout_exits_quietly() {
+    // The second job is a dense 13×13 that takes seconds to prove, cut
+    // to 300 ms by its budget, so it is answered well after the reader
+    // has closed its end.
+    let gen = Command::new(env!("CARGO_BIN_EXE_rect-addr"))
+        .args(["gen", "rand", "13", "13", "60", "3"])
+        .output()
+        .expect("gen runs");
+    let dense = String::from_utf8(gen.stdout).unwrap();
+    let dense = dense.trim().replace('\n', ";");
+    let jobs = format!(
+        "{{\"id\":\"a\",\"matrix\":\"10;01\"}}\n\
+         {{\"id\":\"b\",\"matrix\":\"{dense}\",\"budget_ms\":300}}\n"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rect-addr"))
+        .args(["batch", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rect-addr");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(jobs.as_bytes())
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert!(first.contains("\"id\": \"a\""), "{first}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("rect-addr exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

@@ -190,13 +190,29 @@ impl EbmfEncoder {
     /// once per 1-cell of each clause-emission loop and once per label
     /// among the bound selectors. The pair loop emits `O(cells² · bound)`
     /// clauses and dominates large builds. Returns `None` once the token
-    /// reads as cancelled, keeping no partial encoding.
+    /// reads as cancelled, keeping no partial encoding. Every call, a
+    /// cancelled one included, records its wall time in the
+    /// [`obs::names::ENCODE_BUILD_US`] histogram.
     ///
     /// # Panics
     ///
     /// See [`EbmfEncoder::with_encoder_options`].
-    #[allow(clippy::needless_range_loop)] // parallel cell/label tables
     pub fn with_encoder_options_cancellable(
+        m: &BitMatrix,
+        dont_care: Option<&BitMatrix>,
+        options: EncoderOptions,
+        cancel: Option<&CancelToken>,
+    ) -> Option<Self> {
+        let start = Instant::now();
+        let built = Self::build(m, dont_care, options, cancel);
+        obs::registry()
+            .histogram(obs::names::ENCODE_BUILD_US)
+            .record(start.elapsed().as_micros() as u64);
+        built
+    }
+
+    #[allow(clippy::needless_range_loop)] // parallel cell/label tables
+    fn build(
         m: &BitMatrix,
         dont_care: Option<&BitMatrix>,
         options: EncoderOptions,
@@ -274,7 +290,6 @@ impl EbmfEncoder {
         // row i2's inner loop. Cell indices come from popcount ranks, so no
         // per-pair status-table lookups remain. Clause emission order is
         // identical to the naive double loop over cell pairs.
-        let pair_start = Instant::now();
         let stride = m.stride();
         // care[i] = columns whose (i, ·) cell is a 1 or a don't-care; a
         // corner outside the set is a hard 0.
@@ -360,9 +375,6 @@ impl EbmfEncoder {
                 }
             }
         }
-        obs::registry()
-            .histogram(obs::names::KERNEL_US_ENCODE_PAIRS)
-            .record(pair_start.elapsed().as_micros() as u64);
 
         // Value-precedence symmetry breaking along the fooling-set-first
         // order: `order[0]` uses label 0, and `order[e]` may open label k
@@ -380,9 +392,9 @@ impl EbmfEncoder {
                     if k > e {
                         solver.add_clause([var(order[e], k).negative()]);
                     } else {
-                        let mut clause = vec![var(order[e], k).negative()];
-                        clause.extend(order[..e].iter().map(|&s| var(s, k - 1).positive()));
-                        solver.add_clause(clause);
+                        let opens = order[..e].iter().map(|&s| var(s, k - 1).positive());
+                        solver
+                            .add_clause(std::iter::once(var(order[e], k).negative()).chain(opens));
                     }
                 }
             }

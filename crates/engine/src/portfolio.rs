@@ -56,7 +56,12 @@ pub struct PortfolioConfig {
     /// and by the real-rank floor, which runs before every phase and is not
     /// cancellable. The floor costs under a millisecond at the paper's
     /// 100×100 technology-limit scale (0.15–0.75 ms at 5–20% ones, measured
-    /// on a 2-vCPU host) and grows cubically with the side beyond it.
+    /// on a 2-vCPU host) and grows cubically with the side beyond it. A
+    /// SAP phase cut short also finishes the encoder-build step it is in
+    /// and drops its partial solver: `gen gap 40 40 15 1` answered 1.7–3.0
+    /// ms late at 50 ms and 6.6–20 ms late at 500 ms over 40 runs each
+    /// (same host), inside the max(2 ms, 10%) slack `ci/budget_smoke.sh`
+    /// allows; at 5 ms it read 6.3–6.6 ms, a lateness not yet traced.
     /// `None` runs every phase to completion.
     pub time_budget: Option<Duration>,
     /// Conflict budget per SAT query (`None` = unlimited).

@@ -339,7 +339,9 @@ impl Strategy for SapStrategy {
     /// (it then answers its class without an encoding, across restarts
     /// too), or when its class has recurred — the session came out of the
     /// store, or the job carried a cached incumbent. An unproved session
-    /// holds its whole encoding, about 1 MiB even for a 10×10 matrix.
+    /// holds its whole encoding: a median of 656 KiB of heap after one
+    /// query on the 10×10, 40%-ones layers of perfbench's
+    /// `circuit-schedule` mix, and about 230 MiB for a 40×40 with 464 ones.
     fn run(
         &self,
         job: &SolveJob<'_>,

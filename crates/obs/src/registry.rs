@@ -30,6 +30,12 @@ pub mod names {
     pub const RACE_US: &str = "race_us";
     /// End-to-end job latency including queue wait (µs).
     pub const JOB_US: &str = "job_us";
+    /// Wall time of one SAT encoder build,
+    /// `EbmfEncoder::with_encoder_options_cancellable`, cancelled builds
+    /// included (µs). The solver attaches clauses to their watch lists at
+    /// its next propagation, so the clauses added after the build's last
+    /// unit clause are attached inside the first query, not here.
+    pub const ENCODE_BUILD_US: &str = "encode_build_us";
     /// SAT conflicts spent per SAP solve (count, not µs).
     pub const SAT_CONFLICTS: &str = "sat_conflicts";
     /// Snapshot flush duration (µs).
@@ -49,8 +55,6 @@ pub mod names {
     pub const KERNEL_US_CANON_SEARCH: &str = "kernel_us_canon_search";
     /// One row-packing trial: residue decomposition over all rows (µs).
     pub const KERNEL_US_PACK_TRIAL: &str = "kernel_us_pack_trial";
-    /// Pair-constraint generation inside the SAT encoder (µs).
-    pub const KERNEL_US_ENCODE_PAIRS: &str = "kernel_us_encode_pairs";
     /// DLX problem construction per exact-cover row decomposition (µs).
     pub const KERNEL_US_DLX_SETUP: &str = "kernel_us_dlx_setup";
 

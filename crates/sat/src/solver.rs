@@ -47,6 +47,15 @@ pub struct Solver {
     /// that must be inspected when literal `p` becomes **true** (they watch
     /// `¬p`, which just became false).
     watches: Vec<Vec<Watcher>>,
+    /// Clauses `db[..attached]` are on their watch lists; the rest were
+    /// added since the last propagation and wait for
+    /// [`Solver::attach_pending`].
+    attached: usize,
+    /// Per watch list, the watchers the pending clauses will add (zero
+    /// between attachments).
+    watch_gain: Vec<u32>,
+    /// Scratch for the clause being added, reused across calls.
+    add_buf: Vec<Lit>,
     assign: Vec<Option<bool>>,
     /// Decision level at which each variable was assigned.
     level: Vec<u32>,
@@ -78,6 +87,12 @@ pub struct Solver {
     last_assumption_core: Option<Vec<Lit>>,
 }
 
+/// Value of literal `l` under the partial assignment `assign`.
+#[inline]
+fn lit_value(assign: &[Option<bool>], l: Lit) -> Option<bool> {
+    assign[l.var().index()].map(|b| b == l.is_positive())
+}
+
 const VAR_DECAY: f64 = 0.95;
 const RESCALE_LIMIT: f64 = 1e100;
 const RESTART_BASE: u64 = 100;
@@ -94,6 +109,9 @@ impl Solver {
         Solver {
             db: ClauseDb::new(),
             watches: Vec::new(),
+            attached: 0,
+            watch_gain: Vec::new(),
+            add_buf: Vec::new(),
             assign: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -136,6 +154,7 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new()); // positive literal
         self.watches.push(Vec::new()); // negative literal
+        self.watch_gain.extend([0, 0]);
         self.order.grow_to(self.assign.len());
         self.order.insert(v, &self.activity);
         v
@@ -144,6 +163,11 @@ impl Solver {
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
         self.assign.len()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn db(&self) -> &ClauseDb {
+        &self.db
     }
 
     /// Search statistics accumulated over all `solve` calls.
@@ -184,7 +208,7 @@ impl Solver {
     /// missing from the trace).
     pub fn enable_proof_logging(&mut self) {
         assert!(
-            self.db.live_refs().next().is_none() && self.trail.is_empty(),
+            self.db.is_empty() && self.trail.is_empty(),
             "enable proof logging before adding clauses"
         );
         self.proof = Some(Proof::default());
@@ -246,15 +270,9 @@ impl Solver {
         }
     }
 
-    fn log_delete(&mut self, lits: &[Lit]) {
-        if let Some(p) = self.proof.as_mut() {
-            p.steps.push(ProofStep::Delete(lits.to_vec()));
-        }
-    }
-
     #[inline]
     fn value_lit(&self, l: Lit) -> Option<bool> {
-        self.assign[l.var().index()].map(|b| b == l.is_positive())
+        lit_value(&self.assign, l)
     }
 
     /// Truth value of `v` in the model of the last `Sat` answer, or in the
@@ -289,68 +307,107 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
-        for &l in &lits {
+        let mut buf = std::mem::take(&mut self.add_buf);
+        buf.clear();
+        buf.extend(lits);
+        for &l in &buf {
             assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l} references unallocated variable"
             );
         }
         if let Some(p) = self.proof.as_mut() {
-            p.axioms.push(lits.clone());
+            p.axioms.push(buf.clone());
         }
-        // Simplify w.r.t. the level-0 assignment: sort/dedup, detect
-        // tautologies, drop false literals, skip satisfied clauses.
+        if self.simplify_at_level0(&mut buf) {
+            self.store_simplified(&buf);
+        }
+        self.add_buf = buf;
+        self.ok
+    }
+
+    /// Simplifies a clause in place against the level-0 assignment: sorts
+    /// and dedups its literals and drops the false ones. Returns `false`,
+    /// leaving nothing to store, when the clause is a tautology (`x ∨ ¬x`)
+    /// or already satisfied at level 0.
+    fn simplify_at_level0(&self, lits: &mut Vec<Lit>) -> bool {
         lits.sort_unstable();
         lits.dedup();
-        let mut simplified: Vec<Lit> = Vec::with_capacity(lits.len());
-        for (k, &l) in lits.iter().enumerate() {
+        let mut kept = 0;
+        for k in 0..lits.len() {
+            let l = lits[k];
             if k + 1 < lits.len() && lits[k + 1] == !l {
-                return true; // tautology: x ∨ ¬x
+                return false;
             }
             match self.value_lit(l) {
-                Some(true) => return true, // already satisfied at level 0
-                Some(false) => {}          // drop falsified literal
-                None => simplified.push(l),
+                Some(true) => return false,
+                Some(false) => {}
+                None => {
+                    // kept <= k: only literals already read are overwritten.
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match simplified.len() {
-            0 => {
+        lits.truncate(kept);
+        true
+    }
+
+    /// Stores a clause simplified at level 0: the empty clause makes the
+    /// formula unsatisfiable, a unit goes on the trail and is propagated
+    /// eagerly (so later additions see its consequences and a level-0
+    /// conflict surfaces at once), and a longer clause goes into the arena,
+    /// to be attached at the next propagation.
+    fn store_simplified(&mut self, lits: &[Lit]) {
+        match *lits {
+            [] => {
                 self.ok = false;
                 self.log_lemma(&[]);
-                false
             }
-            1 => {
-                self.enqueue(simplified[0], None);
-                // Propagate eagerly so later additions see the consequences
-                // and level-0 conflicts surface immediately.
+            [unit] => {
+                self.enqueue(unit, None);
                 if self.propagate().is_some() {
                     self.ok = false;
                     self.log_lemma(&[]);
                 }
-                self.ok
             }
             _ => {
-                let cr = self.db.add(simplified, false, 0);
-                self.attach(cr);
-                true
+                self.db.add(lits, false, 0);
             }
         }
     }
 
-    fn attach(&mut self, cr: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(cr);
-            (c.lits[0], c.lits[1])
-        };
-        self.watches[(!l0).code()].push(Watcher {
-            clause: cr,
-            blocker: l1,
-        });
-        self.watches[(!l1).code()].push(Watcher {
-            clause: cr,
-            blocker: l0,
-        });
+    /// Attaches the clauses added since the last attachment to their watch
+    /// lists, in arena order, so each list ends up exactly as if every
+    /// clause had been attached when it was added. Counting first lets each
+    /// list grow once, to its final size, however many clauses it gains.
+    fn attach_pending(&mut self) {
+        let from = self.attached;
+        if from == self.db.len() {
+            return;
+        }
+        for cr in self.db.refs_from(from) {
+            let c = self.db.lits(cr);
+            self.watch_gain[(!c[0]).code()] += 1;
+            self.watch_gain[(!c[1]).code()] += 1;
+        }
+        for cr in self.db.refs_from(from) {
+            let c = self.db.lits(cr);
+            let (l0, l1) = (c[0], c[1]);
+            for (watched, blocker) in [(l0, l1), (l1, l0)] {
+                // The first push to a list reserves its whole gain; later
+                // pushes find the gain spent.
+                let code = (!watched).code();
+                let gain = std::mem::take(&mut self.watch_gain[code]);
+                let list = &mut self.watches[code];
+                list.reserve(gain as usize);
+                list.push(Watcher {
+                    clause: cr,
+                    blocker,
+                });
+            }
+        }
+        self.attached = self.db.len();
     }
 
     #[inline]
@@ -372,8 +429,10 @@ impl Solver {
         self.trail.push(l);
     }
 
-    /// Unit propagation. Returns the conflicting clause, if any.
+    /// Unit propagation, after attaching the clauses added since the last
+    /// one. Returns the conflicting clause, if any.
     fn propagate(&mut self) -> Option<ClauseRef> {
+        self.attach_pending();
         let mut conflict = None;
         'queue: while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -392,17 +451,15 @@ impl Solver {
                     continue;
                 }
                 let cr = w.clause;
-                // The false watched literal is ¬p; normalize it to lits[1].
+                // The false watched literal is ¬p; normalize it to c[1].
                 let false_lit = !p;
-                {
-                    let c = self.db.get_mut(cr);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                let c = self.db.lits_mut(cr);
+                if c[0] == false_lit {
+                    c.swap(0, 1);
                 }
-                let first = self.db.get(cr).lits[0];
-                if first != w.blocker && self.value_lit(first) == Some(true) {
+                debug_assert_eq!(c[1], false_lit);
+                let first = c[0];
+                if first != w.blocker && lit_value(&self.assign, first) == Some(true) {
                     ws[j] = Watcher {
                         clause: cr,
                         blocker: first,
@@ -411,11 +468,10 @@ impl Solver {
                     continue;
                 }
                 // Look for a replacement watch among the tail literals.
-                let len = self.db.get(cr).lits.len();
-                for k in 2..len {
-                    let lk = self.db.get(cr).lits[k];
-                    if self.value_lit(lk) != Some(false) {
-                        self.db.get_mut(cr).lits.swap(1, k);
+                for k in 2..c.len() {
+                    let lk = c[k];
+                    if lit_value(&self.assign, lk) != Some(false) {
+                        c.swap(1, k);
                         // lk != !p (lk is non-false, !p is false), so this
                         // never pushes into the list we are draining.
                         self.watches[(!lk).code()].push(Watcher {
@@ -475,9 +531,9 @@ impl Solver {
         loop {
             let cr = confl.expect("propagated literal must have a reason");
             let start = usize::from(p.is_some());
-            let clause_len = self.db.get(cr).lits.len();
+            let clause_len = self.db.lits(cr).len();
             for k in start..clause_len {
-                let q = self.db.get(cr).lits[k];
+                let q = self.db.lits(cr)[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -545,7 +601,7 @@ impl Solver {
         let Some(r) = self.reason[l.var().index()] else {
             return false;
         };
-        self.db.get(r).lits[1..]
+        self.db.lits(r)[1..]
             .iter()
             .all(|&q| self.seen[q.var().index()] || self.level[q.var().index()] == 0)
     }
@@ -577,40 +633,45 @@ impl Solver {
     }
 
     /// Deletes roughly the worse half of the learnt clauses (high LBD
-    /// first), keeping binary, glue and reason clauses.
+    /// first), keeping binary, glue and reason clauses, then compacts the
+    /// arena and rebuilds the watch lists.
     fn reduce_db(&mut self) {
         let mut candidates: Vec<ClauseRef> = self
             .db
             .learnt_refs()
-            .filter(|&cr| {
-                let c = self.db.get(cr);
-                c.lits.len() > 2 && c.lbd > 2 && !self.is_reason(cr)
-            })
+            .filter(|&cr| self.db.lits(cr).len() > 2 && self.db.lbd(cr) > 2 && !self.is_reason(cr))
             .collect();
-        candidates.sort_by_key(|&cr| std::cmp::Reverse(self.db.get(cr).lbd));
+        candidates.sort_by_key(|&cr| std::cmp::Reverse(self.db.lbd(cr)));
         let to_delete = candidates.len() / 2;
         for &cr in candidates.iter().take(to_delete) {
-            let lits = self.db.get(cr).lits.clone();
-            self.log_delete(&lits);
+            if let Some(p) = self.proof.as_mut() {
+                p.steps.push(ProofStep::Delete(self.db.lits(cr).to_vec()));
+            }
             self.db.delete(cr);
             self.stats.learnt_deleted += 1;
+        }
+        // Reasons are never deleted (see the filter above), so every
+        // reason maps to a surviving clause.
+        let remap = self.db.compact();
+        for cr in self.reason.iter_mut().flatten() {
+            debug_assert_ne!(remap[cr.index()], u32::MAX, "a reason was deleted");
+            *cr = ClauseRef(remap[cr.index()]);
         }
         self.rebuild_watches();
     }
 
     fn is_reason(&self, cr: ClauseRef) -> bool {
-        let first = self.db.get(cr).lits[0];
+        let first = self.db.lits(cr)[0];
         self.reason[first.var().index()] == Some(cr) && self.value_lit(first) == Some(true)
     }
 
+    /// Re-attaches every clause, in arena order, to emptied watch lists.
     fn rebuild_watches(&mut self) {
         for w in &mut self.watches {
             w.clear();
         }
-        let refs: Vec<ClauseRef> = self.db.live_refs().collect();
-        for cr in refs {
-            self.attach(cr);
-        }
+        self.attached = 0;
+        self.attach_pending();
     }
 
     /// Luby restart sequence: 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, …
@@ -648,12 +709,9 @@ impl Solver {
             core.push(vec![l]);
         }
         let mut learnt: Vec<ClauseRef> = self.db.learnt_refs().collect();
-        learnt.sort_by_key(|&cr| {
-            let c = self.db.get(cr);
-            (c.lbd, c.lits.len())
-        });
+        learnt.sort_by_key(|&cr| (self.db.lbd(cr), self.db.lits(cr).len()));
         for cr in learnt.into_iter().take(max_clauses) {
-            core.push(self.db.get(cr).lits.clone());
+            core.push(self.db.lits(cr).to_vec());
         }
         core
     }
@@ -732,7 +790,7 @@ impl Solver {
             let negation: Vec<Lit> = clause.iter().map(|&l| !l).collect();
             self.conflict_budget = Some(effort);
             let refuted = self.solve_with_assumptions(&negation) == SolveResult::Unsat;
-            if refuted && self.add_derived_clause(clause.clone()) {
+            if refuted && self.add_derived_clause(clause) {
                 accepted += 1;
             }
         }
@@ -748,47 +806,23 @@ impl Solver {
     /// level-0-false literal preserves RUP because the justifying unit is
     /// itself in the trace. Returns whether the clause was actually stored
     /// (tautologies and satisfied clauses are skipped).
-    fn add_derived_clause(&mut self, lits: Vec<Lit>) -> bool {
+    fn add_derived_clause(&mut self, lits: &[Lit]) -> bool {
         self.cancel_until(0);
         if !self.ok {
             return false;
         }
-        let mut lits = lits;
-        lits.sort_unstable();
-        lits.dedup();
-        let mut simplified: Vec<Lit> = Vec::with_capacity(lits.len());
-        for (k, &l) in lits.iter().enumerate() {
-            if k + 1 < lits.len() && lits[k + 1] == !l {
-                return false; // tautology: nothing to learn
+        let mut buf = std::mem::take(&mut self.add_buf);
+        buf.clear();
+        buf.extend_from_slice(lits);
+        let stored = self.simplify_at_level0(&mut buf);
+        if stored {
+            if !buf.is_empty() {
+                self.log_lemma(&buf);
             }
-            match self.value_lit(l) {
-                Some(true) => return false, // already satisfied at level 0
-                Some(false) => {}
-                None => simplified.push(l),
-            }
+            self.store_simplified(&buf);
         }
-        match simplified.len() {
-            0 => {
-                self.ok = false;
-                self.log_lemma(&[]);
-                true
-            }
-            1 => {
-                self.log_lemma(&simplified);
-                self.enqueue(simplified[0], None);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                    self.log_lemma(&[]);
-                }
-                true
-            }
-            _ => {
-                self.log_lemma(&simplified);
-                let cr = self.db.add(simplified, false, 0);
-                self.attach(cr);
-                true
-            }
-        }
+        self.add_buf = buf;
+        stored
     }
 
     /// Solves the current formula. See [`Solver::solve_with_assumptions`].
@@ -856,10 +890,8 @@ impl Solver {
                     self.enqueue(learnt[0], None);
                 } else {
                     let lbd = self.compute_lbd(&learnt);
-                    let first = learnt[0];
-                    let cr = self.db.add(learnt, true, lbd);
-                    self.attach(cr);
-                    self.enqueue(first, Some(cr));
+                    let cr = self.db.add(&learnt, true, lbd);
+                    self.enqueue(learnt[0], Some(cr));
                 }
                 self.var_inc /= VAR_DECAY;
                 if let Some(b) = self.conflict_budget {

@@ -25,7 +25,7 @@
 //! state — the scaling bench holds thousands of them against a worker
 //! pool sized to the CPU.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -171,6 +171,12 @@ fn run_loop(
     }
 
     let mut conns: HashMap<u64, Conn<'_>> = HashMap::new();
+    // Connections whose session holds a parked v1 job, oldest first; a
+    // completion retries these alone, whatever the number of connections.
+    // A session parks only in a read, a shutdown's `close_input` or a
+    // retry, and each of those lists it here at once, before the round's
+    // completions are retried.
+    let mut parked: BTreeSet<u64> = BTreeSet::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events = Vec::new();
     // Swapped with the shared completion queue each round, so neither the
@@ -185,9 +191,12 @@ fn run_loop(
             // a bounded window to answer and flush.
             draining = true;
             drain_deadline = Instant::now() + WRITE_TIMEOUT;
-            for conn in conns.values_mut() {
+            for (&token, conn) in conns.iter_mut() {
                 let _ = conn.stream.shutdown_read();
                 conn.session.close_input();
+                if conn.session.parked() {
+                    parked.insert(token);
+                }
             }
         }
         if draining && (conns.is_empty() || Instant::now() >= drain_deadline) {
@@ -258,6 +267,9 @@ fn run_loop(
                         conn.failed |= event.hangup;
                         if event.readable {
                             conn_read(conn, config.outbound_cap);
+                            if conn.session.parked() {
+                                parked.insert(token);
+                            }
                         }
                         if event.writable && !conn.failed && !flush_out(conn) {
                             conn.failed = true;
@@ -282,11 +294,14 @@ fn run_loop(
         }
         // Freed queue space: retry every parked v1 submission (space is
         // service-wide, so any completion may have unblocked any parked
-        // job).
-        if had_completions {
-            for (&token, conn) in conns.iter_mut() {
-                if conn.session.parked() {
+        // job, including one parked by this round's reads or drain).
+        if had_completions && !parked.is_empty() {
+            for token in std::mem::take(&mut parked) {
+                if let Some(conn) = conns.get_mut(&token) {
                     conn.session.retry_parked();
+                    if conn.session.parked() {
+                        parked.insert(token);
+                    }
                     touched.push(token);
                 }
             }

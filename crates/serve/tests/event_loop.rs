@@ -1,13 +1,13 @@
 //! Edge cases of the event-driven socket front-end
 //! ([`serve_socket_event`]) and of the state dir's writer lock: frames
-//! arriving a byte at a time, slow readers hitting the outbound cap,
-//! mid-frame disconnects, and writer takeover with snapshot generation
-//! adoption.
+//! arriving a byte at a time, a v1 job parked on a full queue, slow
+//! readers hitting the outbound cap, mid-frame disconnects, and writer
+//! takeover with snapshot generation adoption.
 
 mod common;
 
 use std::io::{Read, Write};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use engine::persist::{lock_state_dir, save_snapshot_gen};
@@ -18,7 +18,7 @@ use rect_addr_serve::{
     PersistConfig, Service, ServiceConfig,
 };
 
-use common::{distinct_job, distinct_matrix};
+use common::{distinct_job, distinct_matrix, gated_engine, Gate};
 
 fn event_service(workers: usize) -> Arc<Service> {
     Arc::new(Service::with_engine_config(
@@ -78,6 +78,142 @@ fn byte_at_a_time_v1_job_solves() {
     assert_eq!(summary.solved, 2);
     assert_eq!(summary.failed, 0);
 
+    server.shutdown();
+    server.join().unwrap();
+}
+
+/// A v1 job that meets a full queue parks its connection until a
+/// completion frees space. One gated worker and a queue of one hold the
+/// first job running and the second queued, so the third parks; once the
+/// gate opens, all three are answered in the order they complete, with 64
+/// idle connections open beside them.
+#[test]
+fn parked_v1_job_is_answered_after_completions() {
+    let gate = Gate::new();
+    let service = Arc::new(Service::new(
+        gated_engine(&gate, 1),
+        ServiceConfig {
+            queue_depth: 1,
+            persist: None,
+        },
+    ));
+    let mut server =
+        serve_socket_event(Arc::clone(&service), &BindAddr::parse("tcp:127.0.0.1:0")).unwrap();
+    let idle: Vec<_> = (0..64)
+        .map(|_| connect(server.local_addr()).unwrap())
+        .collect();
+    assert!(
+        wait_until(Duration::from_secs(5), || service.open_connections() >= 64),
+        "idle connections never registered"
+    );
+
+    let mut stream = connect(server.local_addr()).unwrap();
+    let line = |i: usize| format!("{}\n", distinct_job(&format!("park-{i}"), i).to_json_line());
+    stream.write_all(line(0).as_bytes()).unwrap();
+    gate.wait_started(1);
+    stream
+        .write_all(format!("{}{}", line(1), line(2)).as_bytes())
+        .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(5), || service.stats().queue_len == 1),
+        "the second job never queued"
+    );
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(
+        service.stats().queue_len,
+        1,
+        "the third job parks rather than queueing"
+    );
+    stream.shutdown_write().unwrap();
+
+    let (tx, rx) = mpsc::channel();
+    let mut reader = stream.try_clone().unwrap();
+    let reading = std::thread::spawn(move || {
+        let mut body = String::new();
+        let read = reader.read_to_string(&mut body);
+        tx.send(read.map(|_| body)).unwrap();
+    });
+    gate.open();
+    let body = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the parked job was never answered")
+        .unwrap();
+    reading.join().unwrap();
+    let mut lines = body.lines();
+    for i in 0..3 {
+        let response = JobResponse::parse_line(lines.next().unwrap()).unwrap();
+        assert_eq!(response.id, format!("park-{i}"), "answered out of order");
+        assert!(response.error.is_none(), "job failed: {response:?}");
+    }
+    let summary = SummaryFrame::parse_line(lines.next().unwrap()).unwrap();
+    assert_eq!(summary.solved, 3);
+
+    drop(idle);
+    server.shutdown();
+    server.join().unwrap();
+}
+
+/// A v1 job can park in the same loop round that then hands out the
+/// completions which freed the queue, and that round must retry it: no
+/// completion is left to wake the loop later. A connection of malformed
+/// lines keeps the loop busy while a burst of four jobs lands on a second
+/// connection and more malformed lines on a third. The next round parks
+/// the burst on the queue of one, then answers the third connection's
+/// lines, long enough for the one worker to finish every job in flight.
+#[test]
+fn job_parked_in_the_round_of_its_completions_is_retried() {
+    const MALFORMED: usize = 20_000;
+    let service = Arc::new(Service::with_engine_config(
+        EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        },
+        ServiceConfig {
+            queue_depth: 1,
+            persist: None,
+        },
+    ));
+    let mut server =
+        serve_socket_event(Arc::clone(&service), &BindAddr::parse("tcp:127.0.0.1:0")).unwrap();
+    let mut busy = connect(server.local_addr()).unwrap();
+    let mut burst = connect(server.local_addr()).unwrap();
+    let mut slow = connect(server.local_addr()).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(5), || service.open_connections() >= 3),
+        "connections never registered"
+    );
+
+    let malformed = "{}\n".repeat(MALFORMED);
+    let jobs: String = (0..4)
+        .map(|i| distinct_job(&format!("burst-{i}"), 0).to_json_line() + "\n")
+        .collect();
+    busy.write_all(malformed.as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(2));
+    burst.write_all(jobs.as_bytes()).unwrap();
+    burst.shutdown_write().unwrap();
+    slow.write_all(malformed.as_bytes()).unwrap();
+
+    let (tx, rx) = mpsc::channel();
+    let reading = std::thread::spawn(move || {
+        let mut body = String::new();
+        let read = burst.read_to_string(&mut body);
+        tx.send(read.map(|_| body)).unwrap();
+    });
+    let body = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the parked job was never retried")
+        .unwrap();
+    reading.join().unwrap();
+    let mut lines = body.lines();
+    for i in 0..4 {
+        let response = JobResponse::parse_line(lines.next().unwrap()).unwrap();
+        assert_eq!(response.id, format!("burst-{i}"));
+        assert!(response.error.is_none(), "job failed: {response:?}");
+    }
+    let summary = SummaryFrame::parse_line(lines.next().unwrap()).unwrap();
+    assert_eq!(summary.solved, 4);
+
+    drop((busy, slow));
     server.shutdown();
     server.join().unwrap();
 }
